@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <mutex>
 
 namespace stegfs {
 
@@ -16,6 +17,7 @@ Status MemBlockDevice::ReadBlock(uint64_t block, uint8_t* buf) {
     return Status::InvalidArgument("read past end of device");
   }
   metrics_.blocks_read.Increment();
+  std::shared_lock<std::shared_mutex> lock(stripes_[block % kStripes]);
   std::memcpy(buf, data_.data() + block * block_size_, block_size_);
   return Status::OK();
 }
@@ -25,6 +27,7 @@ Status MemBlockDevice::WriteBlock(uint64_t block, const uint8_t* buf) {
     return Status::InvalidArgument("write past end of device");
   }
   metrics_.blocks_written.Increment();
+  std::lock_guard<std::shared_mutex> lock(stripes_[block % kStripes]);
   std::memcpy(data_.data() + block * block_size_, buf, block_size_);
   return Status::OK();
 }

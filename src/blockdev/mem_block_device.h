@@ -1,8 +1,14 @@
 // RAM-backed block device used by all tests and simulations.
+//
+// Thread-safe per block: a read racing a write of the same block sees one
+// whole image, never a torn mix. Readers outside the buffer cache's shard
+// locks (BufferCache::ProbeBatch, the async engines) rely on this.
 #ifndef STEGFS_BLOCKDEV_MEM_BLOCK_DEVICE_H_
 #define STEGFS_BLOCKDEV_MEM_BLOCK_DEVICE_H_
 
+#include <array>
 #include <cstdint>
+#include <shared_mutex>
 #include <vector>
 
 #include "blockdev/block_device.h"
@@ -30,6 +36,9 @@ class MemBlockDevice : public BlockDevice {
   uint32_t block_size_;
   uint64_t num_blocks_;
   std::vector<uint8_t> data_;
+  // Block b is guarded by stripes_[b % kStripes].
+  static constexpr size_t kStripes = 64;
+  std::array<std::shared_mutex, kStripes> stripes_;
   // Counters only — no latency timers on a memcpy-speed device.
   DeviceMetrics metrics_;
 };

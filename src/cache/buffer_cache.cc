@@ -248,6 +248,29 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
   return Status::OK();
 }
 
+Status BufferCache::ProbeBatch(const uint64_t* blocks, size_t n,
+                               uint8_t* out, size_t* cache_hits) {
+  const size_t bs = device_->block_size();
+  auto groups = GroupByShard(blocks, n);
+  std::vector<BlockIoVec> misses;
+  for (size_t idx = 0; idx < groups.size(); ++idx) {
+    if (groups[idx].empty()) continue;
+    const Shard& shard = shards_[idx];
+    std::shared_lock<std::shared_mutex> lock(locks_.stripe(idx));
+    for (size_t pos : groups[idx]) {
+      auto found = shard.map.find(blocks[pos]);
+      if (found != shard.map.end()) {
+        std::memcpy(out + pos * bs, found->second->data.data(), bs);
+      } else {
+        misses.push_back({blocks[pos], out + pos * bs});
+      }
+    }
+  }
+  if (cache_hits != nullptr) *cache_hits = n - misses.size();
+  if (misses.empty()) return Status::OK();
+  return device_->ReadBlocks(misses.data(), misses.size());
+}
+
 Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
                                const uint8_t* data) {
   const size_t bs = device_->block_size();

@@ -143,6 +143,30 @@ class BufferCache {
   // replay in request order, matching the per-block loop.
   Status WriteBatch(const uint64_t* blocks, size_t n, const uint8_t* data);
 
+  // Side-effect-free batched read for the header locator's probes: the
+  // current bytes of n blocks into `out` (n * block_size() bytes, request
+  // order). Per shard group it takes the stripe SHARED, copies out the
+  // hits (dirty entries included) and collects the misses; with every
+  // stripe released it reads all misses with ONE vectored device call
+  // straight into `out`. Nothing is inserted or evicted, the LRU order
+  // and the hit/miss counters are untouched, so a create's 10 000-candidate
+  // walk cannot flush the working set out of the cache. `cache_hits`
+  // (optional) receives how many blocks the cache served.
+  //
+  // Why reading misses outside the locks is still exact for a probe:
+  //   - a block absent from the cache at peek time holds its latest
+  //     completed write on the device, because EnsureRoom writes a dirty
+  //     victim back before erasing it, under the same stripe lock the
+  //     peek took;
+  //   - only the owner of a (name, key) pair ever writes that header, so
+  //     a write racing the probe linearizes after it. (A header rewrite
+  //     also leaves the signature cells' ciphertext unchanged: same IV,
+  //     same leading plaintext under CBC.)
+  // Holding the stripes across the device read instead convoyed connects
+  // behind creates.
+  Status ProbeBatch(const uint64_t* blocks, size_t n, uint8_t* out,
+                    size_t* cache_hits = nullptr);
+
   // Attaches an async I/O engine. While attached, ReadBatchAsync /
   // WriteBatchAsync submit real asynchronous device I/O and Prefetch
   // becomes a pure submitter (no thread pool needed). The engine must be

@@ -16,6 +16,11 @@ std::unique_lock<std::mutex> LockAlloc(std::mutex* mu) {
                        : std::unique_lock<std::mutex>();
 }
 
+HeaderLocator MakeLocator(const HiddenVolume& vol) {
+  return HeaderLocator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit,
+                       vol.locator_stats, vol.trace);
+}
+
 }  // namespace
 
 HiddenObject::HiddenObject(const HiddenVolume& vol,
@@ -82,7 +87,7 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Create(
 
   // Refuse to create a second object under the same (name, key): its header
   // would shadow or be shadowed by the existing one.
-  HeaderLocator locator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit);
+  HeaderLocator locator = MakeLocator(vol);
   auto existing = locator.FindHeader(physical_name, access_key,
                                      obj->crypter_);
   if (existing.ok()) {
@@ -136,7 +141,7 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
     const std::string& access_key) {
   std::unique_ptr<HiddenObject> obj(
       new HiddenObject(vol, physical_name, access_key));
-  HeaderLocator locator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit);
+  HeaderLocator locator = MakeLocator(vol);
   auto found = locator.FindHeader(physical_name, access_key, obj->crypter_);
   Status primary_status = found.status();
   bool have_primary = false;
@@ -426,8 +431,7 @@ Status HiddenObject::Sync() {
   // Dual-header commit (see the declaration comment for the protocol).
   if (anchor_block_ == 0) {
     // Object predates durability on this volume: claim its anchor now.
-    HeaderLocator locator(vol_.cache, vol_.bitmap, vol_.layout,
-                          vol_.probe_limit);
+    HeaderLocator locator = MakeLocator(vol_);
     STEGFS_ASSIGN_OR_RETURN(
         LocateResult anchor,
         locator.ClaimHeaderBlock(AnchorName(physical_name_), access_key_));

@@ -78,6 +78,10 @@ struct HiddenVolume {
   // Volume-wide share accounting for redundant objects (may stay null:
   // counters are then simply not kept).
   RedundancyStats* red_stats = nullptr;
+  // Volume-wide header-walk instruments and the trace recorder the
+  // `locator.find` spans land in (either may stay null).
+  LocatorStats* locator_stats = nullptr;
+  obs::TraceRecorder* trace = nullptr;
 };
 
 // Threading contract: one HiddenObject instance is used by one thread at a

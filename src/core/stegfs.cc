@@ -55,6 +55,7 @@ StegFs::StegFs(BlockDevice* device, std::unique_ptr<PlainFs> plain,
       fak_drbg_("stegfs-fak:" + std::to_string(options.steg_rng_seed)) {
   obs::MetricsRegistry* reg = plain_->metrics_registry();
   red_stats_.RegisterWith(reg);
+  locator_stats_.RegisterWith(reg);
   reg->RegisterHistogram("stegfs_hidden_read_seconds",
                          "Hidden object read latency", &hidden_read_ns_);
   reg->RegisterHistogram("stegfs_hidden_write_seconds",
@@ -81,6 +82,8 @@ HiddenVolume StegFs::VolumeCtx() {
   vol.durable = plain_->durable();
   vol.barrier = plain_->commit_barrier();
   vol.red_stats = &red_stats_;
+  vol.locator_stats = &locator_stats_;
+  vol.trace = plain_->trace_recorder();
   return vol;
 }
 

@@ -282,6 +282,7 @@ class StegFs {
   std::mutex maint_mu_;  // serializes MaintenanceTick rounds
   concurrency::SessionManager sessions_;
   RedundancyStats red_stats_;
+  LocatorStats locator_stats_;
   // Hidden-namespace op latencies (registered under stegfs_hidden_* in
   // the plain mount's registry, alongside red_stats_'s instruments).
   obs::Histogram hidden_read_ns_;

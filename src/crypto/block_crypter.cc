@@ -130,5 +130,26 @@ void BlockCrypter::DecryptBlocks(const CryptSpan* spans, size_t n,
   }
 }
 
+void BlockCrypter::DecryptPrefix(const CryptSpan* spans, size_t n,
+                                 size_t cells, uint8_t* out) const {
+  if (n == 0 || cells == 0) return;
+  obs::LatencyTimer timer(&obs::GlobalCryptoMetrics().decrypt_ns);
+  std::vector<uint8_t> ivs(n * 16);
+  ComputeIvs(spans, n, ivs.data());
+  const size_t stride = cells * 16;
+  for (size_t s = 0; s < n; ++s) {
+    std::memcpy(out + s * stride, spans[s].data, stride);
+  }
+  data_cipher_->DecryptBlocksEcb(out, out, n * cells);
+  for (size_t s = 0; s < n; ++s) {
+    uint8_t* p = out + s * stride;
+    for (int i = 0; i < 16; ++i) p[i] ^= ivs[s * 16 + i];
+    for (size_t off = 16; off < stride; off += 16) {
+      const uint8_t* prev = spans[s].data + off - 16;
+      for (int i = 0; i < 16; ++i) p[off + i] ^= prev[i];
+    }
+  }
+}
+
 }  // namespace crypto
 }  // namespace stegfs

@@ -51,6 +51,17 @@ class BlockCrypter {
   void EncryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
   void DecryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
 
+  // Plaintext of the first `cells` 16-byte cells of each of n ciphertext
+  // blocks, without touching the rest: CBC gives P0 = D(C0) ^ IV and
+  // Pi = D(Ci) ^ C(i-1), so the prefix costs one ESSIV IV plus `cells`
+  // ECB cells per block, all in one pipelined pass each. `spans[i].data`
+  // is read only; `out` receives n * cells * 16 bytes, block after block.
+  // Equal to the first cells * 16 bytes of DecryptBlock. Timed under the
+  // decrypt histogram but not counted in blocks_decrypted — no whole
+  // block is decrypted. The locator checks header signatures with it.
+  void DecryptPrefix(const CryptSpan* spans, size_t n, size_t cells,
+                     uint8_t* out) const;
+
  private:
   void ComputeIv(uint64_t block_number, uint8_t iv[16]) const;
   // Derives the IVs for n spans into ivs (n * 16 bytes) with one ECB batch.

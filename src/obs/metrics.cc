@@ -85,7 +85,14 @@ void MetricsRegistry::RegisterHistogram(const std::string& name,
                                         const std::string& help,
                                         const Histogram* h) {
   std::lock_guard<std::mutex> lock(mu_);
-  histograms_[name] = HistogramEntry{help, h};
+  histograms_[name] = HistogramEntry{help, h, 1e-9};
+}
+
+void MetricsRegistry::RegisterCountHistogram(const std::string& name,
+                                             const std::string& help,
+                                             const Histogram* h) {
+  std::lock_guard<std::mutex> lock(mu_);
+  histograms_[name] = HistogramEntry{help, h, 1.0};
 }
 
 void MetricsRegistry::Unregister(const std::string& name) {
@@ -110,6 +117,7 @@ std::string MetricsRegistry::TextExposition() const {
   // Take help strings under the lock, values via one snapshot.
   std::map<std::string, std::string> counter_help;
   std::map<std::string, std::string> histogram_help;
+  std::map<std::string, double> histogram_scale;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [name, entry] : counters_) {
@@ -117,6 +125,7 @@ std::string MetricsRegistry::TextExposition() const {
     }
     for (const auto& [name, entry] : histograms_) {
       histogram_help[name] = entry.help;
+      histogram_scale[name] = entry.scale;
     }
   }
   RegistrySnapshot snap = Snapshot();
@@ -133,14 +142,17 @@ std::string MetricsRegistry::TextExposition() const {
   for (const auto& [name, hist] : snap.histograms) {
     out += "# HELP " + name + " " + histogram_help[name] + "\n";
     out += "# TYPE " + name + " histogram\n";
+    // Nanoseconds print as seconds; count histograms print unscaled.
+    auto sc = histogram_scale.find(name);
+    const double scale = sc == histogram_scale.end() ? 1e-9 : sc->second;
     uint64_t cum = 0;
     for (size_t i = 0; i < hist.buckets.size(); ++i) {
       if (hist.buckets[i] == 0) continue;
       cum += hist.buckets[i];
       std::snprintf(line, sizeof(line), "%s_bucket{le=\"%.9g\"} %llu\n",
                     name.c_str(),
-                    static_cast<double>(HistogramBuckets::UpperBound(i)) /
-                        1e9,
+                    static_cast<double>(HistogramBuckets::UpperBound(i)) *
+                        scale,
                     static_cast<unsigned long long>(cum));
       out += line;
     }
@@ -148,7 +160,7 @@ std::string MetricsRegistry::TextExposition() const {
                   name.c_str(), static_cast<unsigned long long>(hist.count));
     out += line;
     std::snprintf(line, sizeof(line), "%s_sum %.9g\n", name.c_str(),
-                  static_cast<double>(hist.sum) / 1e9);
+                  static_cast<double>(hist.sum) * scale);
     out += line;
     std::snprintf(line, sizeof(line), "%s_count %llu\n", name.c_str(),
                   static_cast<unsigned long long>(hist.count));

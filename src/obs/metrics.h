@@ -212,6 +212,10 @@ class MetricsRegistry {
                        const Counter* c);
   void RegisterHistogram(const std::string& name, const std::string& help,
                          const Histogram* h);
+  // A histogram of plain counts (e.g. probes per walk), not nanoseconds:
+  // exposition prints its bucket bounds and sum unscaled.
+  void RegisterCountHistogram(const std::string& name,
+                              const std::string& help, const Histogram* h);
   void Unregister(const std::string& name);
 
   RegistrySnapshot Snapshot() const;
@@ -230,6 +234,7 @@ class MetricsRegistry {
   struct HistogramEntry {
     std::string help;
     const Histogram* histogram;
+    double scale;  // exposition units per recorded unit
   };
   mutable std::mutex mu_;
   std::map<std::string, CounterEntry> counters_;

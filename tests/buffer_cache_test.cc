@@ -640,6 +640,136 @@ TEST(BufferCacheAsyncTest, ConcurrentAsyncBatchesUnderContention) {
   cache.SetAsyncEngine(nullptr);
 }
 
+// A self-describing 512-byte image: block number, version, then a body
+// derived from both, so a torn or misplaced copy fails IsImageOf.
+std::vector<uint8_t> Stamp(uint64_t block, uint8_t version) {
+  std::vector<uint8_t> v(512, static_cast<uint8_t>(block * 31 + version * 101));
+  std::memcpy(v.data(), &block, sizeof(block));
+  v[8] = version;
+  return v;
+}
+
+bool IsImageOf(const uint8_t* p, uint64_t block) {
+  uint64_t b;
+  std::memcpy(&b, p, sizeof(b));
+  if (b != block) return false;
+  const uint8_t body = static_cast<uint8_t>(block * 31 + p[8] * 101);
+  for (size_t j = 9; j < 512; ++j) {
+    if (p[j] != body) return false;
+  }
+  return true;
+}
+
+TEST(BufferCacheTest, ProbeBatchLeavesCacheUntouched) {
+  constexpr uint64_t kDeviceBlocks = 12000;
+  MemBlockDevice dev(512, kDeviceBlocks);
+  for (uint64_t b = 0; b < kDeviceBlocks; ++b) {
+    ASSERT_TRUE(dev.WriteBlock(b, Stamp(b, 0).data()).ok());
+  }
+  // One shard, so the whole LRU order is observable through evictions.
+  BufferCache cache(&dev, 256, WritePolicy::kWriteBack, 1);
+  const auto dirty = Stamp(7, 1);
+  ASSERT_TRUE(cache.Write(7, dirty.data()).ok());  // never reaches the device
+  std::vector<uint8_t> buf(512);
+  for (uint64_t b = 0; b < 256; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());  // LRU order 0 .. 255
+  }
+  const CacheStats before = cache.stats();
+
+  // 10 000 probes: the even cached blocks, then uncached ones.
+  std::vector<uint64_t> probe;
+  for (uint64_t b = 0; b < 256; b += 2) probe.push_back(b);
+  for (uint64_t b = 1000; probe.size() < 10000; ++b) probe.push_back(b);
+  std::vector<uint8_t> out(probe.size() * 512);
+  size_t hits = 0;
+  ASSERT_TRUE(
+      cache.ProbeBatch(probe.data(), probe.size(), out.data(), &hits).ok());
+  EXPECT_EQ(hits, 128u);
+  for (size_t i = 0; i < probe.size(); ++i) {
+    const auto want = probe[i] == 7 ? dirty : Stamp(probe[i], 0);
+    ASSERT_EQ(std::memcmp(out.data() + i * 512, want.data(), 512), 0)
+        << "block " << probe[i];
+  }
+
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.writebacks, before.writebacks);
+  EXPECT_EQ(cache.size(), 256u);
+  EXPECT_EQ(cache.dirty_count(), 1u);
+
+  // LRU order unchanged: 128 fresh blocks evict exactly 0 .. 127 (had the
+  // probe touched the even blocks, the odd ones would have gone first).
+  for (uint64_t b = 5000; b < 5128; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());
+  }
+  EXPECT_EQ(cache.stats().evictions, before.evictions + 128);
+  EXPECT_EQ(cache.stats().writebacks, before.writebacks + 1);  // block 7
+  const uint64_t misses = cache.stats().misses;
+  for (uint64_t b = 128; b < 256; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());
+  }
+  EXPECT_EQ(cache.stats().misses, misses);
+}
+
+TEST(BufferCacheTest, ProbeBatchRacesWritesEvictionAndCheckpoint) {
+  // Probers read outside the shard locks while writers dirty blocks,
+  // eviction writes victims back and checkpoints write the device under
+  // the lock. Every probed image must be whole (TSan covers the rest).
+  constexpr uint64_t kBlocks = 256;
+  MemBlockDevice dev(512, kBlocks);
+  for (uint64_t b = 0; b < kBlocks; ++b) {
+    ASSERT_TRUE(dev.WriteBlock(b, Stamp(b, 0).data()).ok());
+  }
+  BufferCache cache(&dev, 64, WritePolicy::kWriteBack, 4);
+  std::atomic<int> running{2};
+  std::atomic<int> errors{0};
+
+  std::thread writer([&] {
+    for (int round = 1; round <= 200; ++round) {
+      for (uint64_t i = 0; i < 32; ++i) {
+        const uint64_t b = (round * 13 + i * 5) % kBlocks;
+        if (!cache.Write(b, Stamp(b, round).data()).ok()) errors++;
+      }
+    }
+    running--;
+  });
+  std::thread checkpointer([&] {
+    for (int round = 1; round <= 200; ++round) {
+      for (uint64_t i = 0; i < 8; ++i) {
+        const uint64_t b = (round * 7 + i * 29) % kBlocks;
+        if (!cache.CheckpointBlock(b, Stamp(b, 250).data()).ok()) errors++;
+      }
+    }
+    running--;
+  });
+  std::vector<std::thread> probers;
+  for (int t = 0; t < 2; ++t) {
+    probers.emplace_back([&, t] {
+      std::vector<uint64_t> blocks(kBlocks);
+      for (uint64_t b = 0; b < kBlocks; ++b) {
+        blocks[b] = (b * 97 + t) % kBlocks;
+      }
+      std::vector<uint8_t> out(kBlocks * 512);
+      while (running.load() > 0) {
+        if (!cache.ProbeBatch(blocks.data(), kBlocks, out.data()).ok()) {
+          errors++;
+          continue;
+        }
+        for (uint64_t i = 0; i < kBlocks; ++i) {
+          if (!IsImageOf(out.data() + i * 512, blocks[i])) errors++;
+        }
+      }
+    });
+  }
+  writer.join();
+  checkpointer.join();
+  for (std::thread& p : probers) p.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_LE(cache.size(), 64u);
+}
+
 TEST(BufferCacheTest, FlushIsIdempotent) {
   MemBlockDevice dev(512, 8);
   BufferCache cache(&dev, 4);

@@ -17,6 +17,7 @@
 #include "crypto/aes.h"
 #include "crypto/aes_ref.h"
 #include "crypto/block_crypter.h"
+#include "obs/metrics.h"
 #include "util/hex.h"
 #include "util/random.h"
 
@@ -202,6 +203,61 @@ TEST(CryptoTiersTest, BlockCrypterBatchMatchesSingleNonContiguous) {
 
     bc.DecryptBlocks(spans.data(), kN, kBlock);
     EXPECT_EQ(got, plain);
+  }
+}
+
+TEST(CryptoTiersTest, DecryptPrefixMatchesDecryptBlock) {
+  Xoshiro rng(0x9f1c);
+  BlockCrypter bc("prefix-key");
+  const uint64_t kBlocks[] = {7, 123456789, 42, 0, 999999999999ULL, 8191, 13};
+  const size_t kN = sizeof(kBlocks) / sizeof(kBlocks[0]);
+
+  for (AesTier tier : kAllTiers) {
+    TierScope scope(tier);
+    if (!scope.active()) continue;
+    SCOPED_TRACE(AesTierName());
+    for (size_t size = 512; size <= 65536; size *= 2) {
+      SCOPED_TRACE(size);
+      std::vector<uint8_t> cipher(kN * size);
+      rng.FillBytes(cipher.data(), cipher.size());
+      // Whole-block single decrypts = ground truth.
+      std::vector<uint8_t> plain = cipher;
+      for (size_t i = 0; i < kN; ++i) {
+        bc.DecryptBlock(kBlocks[i], plain.data() + i * size, size);
+      }
+      std::vector<CryptSpan> spans(kN);
+      for (size_t i = 0; i < kN; ++i) {
+        spans[i] = {kBlocks[i], cipher.data() + i * size};
+      }
+      const std::vector<uint8_t> before = cipher;
+      for (size_t cells : {size_t{1}, size_t{2}, size / 16}) {
+        SCOPED_TRACE(cells);
+        std::vector<uint8_t> got(kN * cells * 16);
+        bc.DecryptPrefix(spans.data(), kN, cells, got.data());
+        for (size_t i = 0; i < kN; ++i) {
+          EXPECT_EQ(std::memcmp(got.data() + i * cells * 16,
+                                plain.data() + i * size, cells * 16),
+                    0)
+              << "block " << kBlocks[i];
+        }
+        EXPECT_EQ(cipher, before);  // the ciphertext is only read
+      }
+    }
+  }
+}
+
+TEST(CryptoTiersTest, DecryptPrefixIsTimedButNotCountedAsBlocks) {
+  BlockCrypter bc("prefix-metrics-key");
+  std::vector<uint8_t> block(4096, 0x3c);
+  CryptSpan span{99, block.data()};
+  uint8_t sig[32];
+  obs::CryptoMetrics& cm = obs::GlobalCryptoMetrics();
+  const uint64_t blocks0 = cm.blocks_decrypted.value();
+  const uint64_t timed0 = cm.decrypt_ns.count();
+  bc.DecryptPrefix(&span, 1, 2, sig);
+  EXPECT_EQ(cm.blocks_decrypted.value(), blocks0);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(cm.decrypt_ns.count(), timed0 + 1);
   }
 }
 

@@ -113,6 +113,37 @@ TEST_F(ObsCapiTest, MetricsTextCoversEveryDataPathSubsystem) {
   EXPECT_EQ(steg_metrics_text(vol_, nullptr, &len), STEG_ERR_INVALID);
 }
 
+// Reads `<name> <value>` from an exposition; -1 when the line is absent.
+double ExposedValue(const std::string& metrics, const std::string& name) {
+  const size_t at = metrics.find("\n" + name + " ");
+  if (at == std::string::npos) return -1;
+  return std::stod(metrics.substr(at + name.size() + 2));
+}
+
+TEST_F(ObsCapiTest, LocatorSeriesCountProbesPerWalk) {
+  MixedWorkload();
+  char* text = nullptr;
+  size_t len = 0;
+  ASSERT_EQ(steg_metrics_text(vol_, &text, &len), STEG_OK);
+  std::string metrics(text, len);
+  steg_buffer_free(text);
+
+  // The create proved its name new with full walks; the connect found it.
+  EXPECT_GE(ExposedValue(metrics, "stegfs_locator_probes_not_found_count"), 1);
+  EXPECT_GE(ExposedValue(metrics, "stegfs_locator_probes_found_count"), 1);
+  // Probe histograms are counts, exposed unscaled (not as seconds): one
+  // NotFound walk alone is probe_limit = 10000 probes.
+  EXPECT_GE(ExposedValue(metrics, "stegfs_locator_probes_not_found_sum"),
+            10000);
+  const double reads =
+      ExposedValue(metrics, "stegfs_locator_candidate_reads_total");
+  const double hits =
+      ExposedValue(metrics, "stegfs_locator_candidate_cache_hits_total");
+  EXPECT_GT(reads, 0);
+  EXPECT_GE(hits, 0);
+  EXPECT_LE(hits, reads);
+}
+
 TEST_F(ObsCapiTest, TraceExportProducesPerfettoShapedJson) {
   ASSERT_EQ(steg_trace_start(vol_), STEG_OK);
   MixedWorkload();
@@ -130,6 +161,7 @@ TEST_F(ObsCapiTest, TraceExportProducesPerfettoShapedJson) {
   // Both halves of the mixed workload produced spans.
   EXPECT_NE(trace.find("\"cat\":\"fs\""), std::string::npos);
   EXPECT_NE(trace.find("\"cat\":\"hidden\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"locator.find\""), std::string::npos);
   EXPECT_EQ(trace.front(), '{');
   EXPECT_EQ(trace.back(), '}');
 
