@@ -7,8 +7,8 @@
 // readahead) with the AES tier forced to the t-table software
 // implementation. Phase B is the PR 3 synchronous batch path: whole
 // extents at four sizes, best AES tier, call-and-wait vectored device
-// I/O. Phase C attaches the async I/O engine (io_uring by default,
-// --engine=threads|uring|auto selects) so hidden extents pipeline
+// I/O. Phase C attaches the thread-pool async I/O engine (--engine=auto,
+// the default; --engine=sync skips it) so hidden extents pipeline
 // decrypt with in-flight submissions — the case that matters for
 // random-placed hidden blocks, where coalescing can never help.
 // A readahead window sweep on the async mount closes with the numbers
@@ -169,18 +169,14 @@ void CollectLat(std::vector<LatRow>* out, const obs::RegistrySnapshot& snap,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --engine=auto|uring|threads|sync (default auto). "sync" skips phase C
+  // --engine=auto|sync (default auto). "sync" skips phase C
   // (useful to regenerate PR 3 numbers only).
   IoEngine engine_choice = IoEngine::kAuto;
   const char* engine_arg = "auto";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--engine=", 9) == 0) {
       engine_arg = argv[i] + 9;
-      if (std::strcmp(engine_arg, "uring") == 0) {
-        engine_choice = IoEngine::kUring;
-      } else if (std::strcmp(engine_arg, "threads") == 0) {
-        engine_choice = IoEngine::kThreads;
-      } else if (std::strcmp(engine_arg, "sync") == 0) {
+      if (std::strcmp(engine_arg, "sync") == 0) {
         engine_choice = IoEngine::kSync;
       } else if (std::strcmp(engine_arg, "auto") == 0) {
         engine_choice = IoEngine::kAuto;
@@ -375,7 +371,7 @@ int main(int argc, char** argv) {
   // whatever the disk costs, journal or no journal.)
   double durable_flush_write_mbps = -1;  // PR 4 path + fdatasync flushes
   double durable_write_mbps = -1;        // + the journal subsystem
-  uint64_t journal_syncs = 0, fixed_ops = 0, journal_records = 0;
+  uint64_t journal_syncs = 0, journal_records = 0;
   {
     StegFsOptions base;
     base.mount.io_engine = engine_choice;
@@ -401,9 +397,7 @@ int main(int argc, char** argv) {
     if (!(*fs)->StegConnect(kUid, kObj, kUak).ok()) return 1;
     durable_write_mbps = TimedWrite(fs->get(), 1024 << 10);
     if (durable_write_mbps < 0) return 1;
-    // Plain metadata transactions drive the journal ring proper; on an
-    // io_uring mount its record writes stage through the registered
-    // arena (IORING_OP_WRITE_FIXED — counted below).
+    // Plain metadata transactions drive the journal ring proper.
     for (int i = 0; i < 16; ++i) {
       if (!(*fs)->plain()
                ->WriteFile("/jrnl" + std::to_string(i), std::string(900, 'j'))
@@ -414,9 +408,6 @@ int main(int argc, char** argv) {
     journal_syncs = device->get()->sync_count() - syncs_before;
     if ((*fs)->plain()->journal() != nullptr) {
       journal_records = (*fs)->plain()->journal()->stats().records_committed;
-    }
-    if ((*fs)->plain()->io_engine() != nullptr) {
-      fixed_ops = (*fs)->plain()->io_engine()->stats().fixed_buffer_ops;
     }
     CollectLat(&lat_rows, (*fs)->plain()->metrics_registry()->Snapshot(),
                "journal",
@@ -641,12 +632,11 @@ int main(int argc, char** argv) {
       "\ndurability on (journal + dual-header commits + write barriers):\n"
       "  1 MiB hidden writes %.1f MB/s vs %.1f MB/s durable-flush "
       "baseline -> %.1f%% overhead (target <= %.0f%%): %s\n"
-      "  device syncs %llu, journal records %llu, fixed-buffer ops %llu\n",
+      "  device syncs %llu, journal records %llu\n",
       durable_write_mbps, durable_flush_write_mbps, journal_overhead * 100,
       kJournalOverheadTarget * 100, journal_pass ? "PASS" : "FAIL",
       static_cast<unsigned long long>(journal_syncs),
-      static_cast<unsigned long long>(journal_records),
-      static_cast<unsigned long long>(fixed_ops));
+      static_cast<unsigned long long>(journal_records));
 
   std::printf(
       "\nredundancy (GF(256) tier %s):\n"
@@ -766,13 +756,11 @@ int main(int argc, char** argv) {
                  "    \"target\": %.2f,\n"
                  "    \"device_syncs\": %llu,\n"
                  "    \"records_committed\": %llu,\n"
-                 "    \"fixed_buffer_ops\": %llu,\n"
                  "    \"pass\": %s\n  },\n",
                  durable_write_mbps, durable_flush_write_mbps,
                  journal_overhead, kJournalOverheadTarget,
                  static_cast<unsigned long long>(journal_syncs),
                  static_cast<unsigned long long>(journal_records),
-                 static_cast<unsigned long long>(fixed_ops),
                  journal_pass ? "true" : "false");
     std::fprintf(json,
                  "  \"fault\": {\n"

@@ -147,11 +147,12 @@ Status StegCoverStore::WriteFile(const std::string& name,
     size_t padded = (body.size() + 15) / 16 * 16;
     body.resize(padded, '\0');
     std::vector<uint8_t> cipher(body.begin(), body.end());
+    EncodeFixed32(target.data(), static_cast<uint32_t>(data.size()));
     if (!cipher.empty()) {
       crypter.EncryptBlock(0, cipher.data(), cipher.size());
+      // An empty vector's data() may be null, which memcpy forbids.
+      std::memcpy(target.data() + 4, cipher.data(), cipher.size());
     }
-    EncodeFixed32(target.data(), static_cast<uint32_t>(data.size()));
-    std::memcpy(target.data() + 4, cipher.data(), cipher.size());
     crypto::Sha256Digest tag = crypto::HmacSha256(
         "stegcover-tag:" + key,
         std::string(cipher.begin(), cipher.end()));

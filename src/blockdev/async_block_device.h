@@ -11,15 +11,12 @@
 // into contiguous runs (the placement randomness IS the deniability), but
 // they can all be in flight at once.
 //
-// Implementations:
-//   UringBlockDevice      - io_uring over a host-file descriptor (Linux,
-//                           runtime-detected; blockdev/uring_block_device.h)
-//   ThreadPoolAsyncDevice - portable fallback adapting any synchronous
-//                           BlockDevice via a small thread pool, so the
-//                           decorated devices (SimDisk, ThrottledBlockDevice,
-//                           the test FaultyDevice) keep their per-request
-//                           accounting and fault-injection semantics
-//                           (blockdev/thread_pool_async_device.h)
+// The implementation is ThreadPoolAsyncDevice, which adapts any
+// synchronous BlockDevice via a small thread pool, so the decorated
+// devices (SimDisk, ThrottledBlockDevice, FaultInjectionBlockDevice, the
+// crash recorder) keep their per-request accounting and fault-injection
+// semantics (blockdev/thread_pool_async_device.h). RetryingAsyncDevice
+// (fault/) decorates it.
 //
 // Contracts shared by every implementation:
 //   - The buffers referenced by a submitted iov must stay alive until the
@@ -36,10 +33,15 @@
 //     to one block in one batch) must use the synchronous path.
 //   - Threads blocked in Wait() must not hold any lock a completion
 //     callback can take (see the lock hierarchy in docs/ARCHITECTURE.md).
+//   - Finalize order: run `done` FIRST (before the ticket unblocks, and
+//     before the inflight counters drop so Drain() covers the callback),
+//     then drop the counters and notify the drain condvar UNDER the
+//     engine mutex (once Drain() returns the engine may be destroyed),
+//     and Complete() the ticket LAST so a waiter returning from Wait()
+//     observes quiesced stats.
 #ifndef STEGFS_BLOCKDEV_ASYNC_BLOCK_DEVICE_H_
 #define STEGFS_BLOCKDEV_ASYNC_BLOCK_DEVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -60,12 +62,6 @@ struct AsyncIoStats {
   uint64_t completed_batches = 0;
   uint64_t failed_batches = 0;   // completed with a non-OK status
   uint64_t inflight_blocks = 0;  // submitted, not yet completed
-  // Ops that went through a kernel-registered buffer
-  // (IORING_OP_*_FIXED); always 0 on the thread-pool engine.
-  uint64_t fixed_buffer_ops = 0;
-  // The READ_FIXED subset of fixed_buffer_ops (cache-miss reads staged
-  // through the read pool); always 0 on the thread-pool engine.
-  uint64_t fixed_buffer_read_ops = 0;
 };
 
 // Runs when a batch completes; receives the batch status.
@@ -78,16 +74,6 @@ using IoCompletionFn = std::function<void(const Status&)>;
 class IoTicket {
  public:
   IoTicket() = default;
-
-  static IoTicket Ready(Status s) {
-    IoTicket t;
-    if (!s.ok()) {
-      t.state_ = std::make_shared<State>();
-      t.state_->done = true;
-      t.state_->status = std::move(s);
-    }
-    return t;
-  }
 
   // Blocks until the batch completes (its callback included) and returns
   // the batch status.
@@ -140,45 +126,13 @@ class IoCompletion {
   std::shared_ptr<IoTicket::State> state_;
 };
 
-// Shared per-batch completion state for engine implementations: the
-// remaining-op countdown, the first-error latch, and the callback +
-// ticket pair. The finalize contract every engine must follow (encoded
-// once here, referenced by both engines): run `done` FIRST (before the
-// ticket unblocks, and before the engine's inflight counters drop so
-// Drain() covers the callback), then drop the engine counters and notify
-// its drain condvar UNDER the engine mutex (once Drain() returns the
-// engine may be destroyed), and Complete() the ticket LAST so a waiter
-// returning from Wait() observes quiesced stats — safe against
-// post-Drain destruction because the ticket state is independently
-// shared and engine threads are joined by the destructor.
-struct AsyncBatchState {
-  std::atomic<size_t> remaining{0};
-  std::mutex mu;  // guards `status`
-  Status status;
-  IoCompletionFn done;
-  IoCompletion completion;
-  size_t blocks = 0;
-  uint64_t submit_ns = 0;  // NowNanos() at submission (0 = obs disabled)
-
-  // Latches the first error a slice/op reports.
-  void RecordError(const Status& s) {
-    if (s.ok()) return;
-    std::lock_guard<std::mutex> lock(mu);
-    if (status.ok()) status = s;
-  }
-  Status Snapshot() {
-    std::lock_guard<std::mutex> lock(mu);
-    return status;
-  }
-};
-
 class AsyncBlockDevice {
  public:
   virtual ~AsyncBlockDevice() = default;
 
   virtual uint32_t block_size() const = 0;
   virtual uint64_t num_blocks() const = 0;
-  // Static identifier: "io_uring" or "thread-pool".
+  // Static identifier, e.g. "thread-pool".
   virtual const char* engine_name() const = 0;
 
   // Submits one batch; the engine owns the iov vector (moved in), the
@@ -194,35 +148,6 @@ class AsyncBlockDevice {
   // of all engines drain, so fire-and-forget submitters (the cache's
   // prefetcher) need no bookkeeping.
   virtual void Drain() = 0;
-
-  // --- Registered-buffer arena (io_uring's IORING_REGISTER_BUFFERS) ----
-  // A pinned, block-aligned staging pool registered with the kernel once
-  // at attach. Submissions whose buffers lie inside it skip the per-op
-  // page pin/unpin (IORING_OP_*_FIXED). Lease spans of up to
-  // arena_span_blocks() blocks; Acquire returns nullptr when the engine
-  // has no arena (thread-pool fallback, registration refused by the
-  // kernel, pool exhausted) — callers then stage in their own memory and
-  // the op is submitted unregistered, so the arena is purely an
-  // optimization. Release accepts only pointers Acquire returned.
-  virtual uint8_t* AcquireArenaSpan(size_t blocks) {
-    (void)blocks;
-    return nullptr;
-  }
-  virtual void ReleaseArenaSpan(uint8_t* span) { (void)span; }
-  virtual size_t arena_span_blocks() const { return 0; }
-
-  // Read-side pinned pool, same contract as the staging arena but sized
-  // for cache-miss read batches (the buffer cache leases a span per miss
-  // group, receives the transfer via READ_FIXED, then copies into the
-  // caller's buffers and releases). nullptr / 0 mean "no pool" and the
-  // cache submits straight into caller memory — the pool, like the
-  // staging arena, is purely an optimization.
-  virtual uint8_t* AcquireReadSpan(size_t blocks) {
-    (void)blocks;
-    return nullptr;
-  }
-  virtual void ReleaseReadSpan(uint8_t* span) { (void)span; }
-  virtual size_t read_span_blocks() const { return 0; }
 
   virtual AsyncIoStats stats() const = 0;
 

@@ -127,14 +127,6 @@ class BlockDevice {
   // the device doing the physical I/O.
   virtual const DeviceMetrics* device_metrics() const { return nullptr; }
 
-  // Raw POSIX file descriptor backing the device, when one exists (-1
-  // otherwise). The io_uring async engine attaches to it. Decorators
-  // (SimDisk, ThrottledBlockDevice, FaultyDevice) deliberately do NOT
-  // forward the inner device's descriptor: a decorated stack must fall
-  // back to the thread-pool engine so every request still flows through
-  // the decorator's accounting and fault injection.
-  virtual int file_descriptor() const { return -1; }
-
   // Persists all completed writes with the device's flush durability
   // (durable by default on file-backed devices; see FlushDurability).
   virtual Status Flush() = 0;

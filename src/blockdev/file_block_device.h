@@ -6,10 +6,6 @@
 //   - every transfer is atomic at the syscall level — no shared seek
 //     pointer, no lock, any number of threads issue I/O concurrently
 //     (the C API's thread-safe handle contract);
-//   - the descriptor is coherent with the io_uring async engine
-//     (blockdev/uring_block_device.h), which submits against the same fd
-//     via file_descriptor() — there is no user-space stream buffer to go
-//     stale under it;
 //   - volumes larger than 2 GB address correctly (64-bit offsets, which
 //     the previous long-based fseek path could not).
 #ifndef STEGFS_BLOCKDEV_FILE_BLOCK_DEVICE_H_
@@ -62,9 +58,6 @@ class FileBlockDevice : public BlockDevice {
   FlushDurability flush_durability() const override {
     return durability_.load(std::memory_order_relaxed);
   }
-
-  // The io_uring engine attaches here (see block_device.h).
-  int file_descriptor() const override { return fd_; }
 
  private:
   FileBlockDevice(int fd, uint32_t block_size, uint64_t num_blocks)

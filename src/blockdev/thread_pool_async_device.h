@@ -6,9 +6,9 @@
 // ReadBlocks/WriteBlocks (whose default is the per-block loop), the
 // decorated devices keep their semantics unchanged: SimDisk still charges
 // its model per request, ThrottledBlockDevice still sleeps per block, and
-// the test FaultyDevice still trips its countdown per operation. That is
-// what lets the whole async data path run — and be fault-tested — on hosts
-// and kernels without io_uring.
+// FaultInjectionBlockDevice still applies its schedule per operation, and
+// the crash recorder still sees every write. That is what lets the whole
+// async data path be fault- and crash-tested.
 //
 // A batch is split into at most `workers` slices so its blocks transfer in
 // parallel; the last slice to finish completes the batch (exactly once)
@@ -54,9 +54,29 @@ class ThreadPoolAsyncDevice : public AsyncBlockDevice {
   void RegisterMetrics(obs::MetricsRegistry* reg) const override;
 
  private:
-  // One in-flight batch (`remaining` counts slices here); the slice that
-  // drops it to zero finalizes per the AsyncBatchState contract.
-  using Batch = AsyncBatchState;
+  // One in-flight batch: the remaining-slice countdown, the first-error
+  // latch, and the callback + ticket pair. The slice that drops
+  // `remaining` to zero finalizes it (Finalize).
+  struct Batch {
+    std::atomic<size_t> remaining{0};
+    std::mutex mu;  // guards `status`
+    Status status;
+    IoCompletionFn done;
+    IoCompletion completion;
+    size_t blocks = 0;
+    uint64_t submit_ns = 0;  // NowNanos() at submission (0 = obs disabled)
+
+    // Latches the first error a slice reports.
+    void RecordError(const Status& s) {
+      if (s.ok()) return;
+      std::lock_guard<std::mutex> lock(mu);
+      if (status.ok()) status = s;
+    }
+    Status Snapshot() {
+      std::lock_guard<std::mutex> lock(mu);
+      return status;
+    }
+  };
 
   template <typename Vec, typename Transfer>
   IoTicket Submit(std::vector<Vec> iov, IoCompletionFn done,

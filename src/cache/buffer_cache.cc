@@ -386,38 +386,21 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
       }
     }
     if (iov.empty()) continue;
-    // Lease a span from the engine's pinned read pool when one fits: the
-    // transfer then goes through READ_FIXED (no per-op page pin) and is
-    // copied out to the caller at completion. A null lease (no pool, pool
-    // exhausted, group too large) submits straight into caller buffers —
-    // the pool is purely an optimization, never a requirement.
-    uint8_t* lease = engine->AcquireReadSpan(iov.size());
-    std::vector<BlockIoVec> engine_iov;
-    engine_iov.reserve(iov.size());
-    for (size_t k = 0; k < iov.size(); ++k) {
-      engine_iov.push_back(
-          {iov[k].block, lease != nullptr ? lease + k * bs : iov[k].buf});
-    }
     // Submission-time capture: fill latency spans submit→completion, and
     // the caller's trace context rides along so the completion (an engine
     // thread) lands in the submitting operation's span tree.
     const uint64_t fill_t0 = obs::MetricsEnabled() ? obs::NowNanos() : 0;
     const obs::SpanContext span_ctx = obs::CurrentSpanContext();
+    // The engine owns its copy of the miss list; the callback keeps `iov`
+    // to insert the fetched blocks.
+    std::vector<BlockIoVec> engine_iov = iov;
     result.tickets_.push_back(engine->SubmitRead(
         std::move(engine_iov),
-        [this, engine, lease, idx, iov = std::move(iov),
+        [this, idx, iov = std::move(iov),
          dups = std::move(dups), gen, out, bs, fill_t0,
          span_ctx](const Status& s) {
           obs::Span span(span_ctx, "cache.fill", "cache");
           if (fill_t0 != 0) fill_ns_.Record(obs::NowNanos() - fill_t0);
-          if (lease != nullptr) {
-            if (s.ok()) {
-              for (size_t k = 0; k < iov.size(); ++k) {
-                std::memcpy(iov[k].buf, lease + k * bs, bs);
-              }
-            }
-            engine->ReleaseReadSpan(lease);  // always, even on error
-          }
           if (!s.ok()) return;  // nothing inserted; Wait() reports the error
           for (const auto& [pos, first] : dups) {
             std::memcpy(out + pos * bs, out + first * bs, bs);

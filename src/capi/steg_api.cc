@@ -113,8 +113,7 @@ namespace {
 stegfs::StatusOr<std::unique_ptr<stegfs::StegFs>> MountOn(
     stegfs::BlockDevice* device) {
   stegfs::StegFsOptions options;
-  // C API mounts sit on a real host file: attach the async engine
-  // (io_uring when the kernel has it, thread-pool fallback otherwise) so
+  // C API mounts sit on a real host file: attach the async engine so
   // hidden extents pipeline decrypt with in-flight device I/O, and
   // request a 16-block readahead window — one default shared with the
   // benches instead of the old 8-here/16-there split (the sweep behind
@@ -242,10 +241,6 @@ int steg_stats(stegfs_volume* vol, stegfs_stats* out) {
       snap.counter("stegfs_async_submitted_batches_total");
   out->io_completed_batches =
       snap.counter("stegfs_async_completed_batches_total");
-  out->io_fixed_buffer_ops =
-      snap.counter("stegfs_async_fixed_buffer_ops_total");
-  out->io_fixed_buffer_read_ops =
-      snap.counter("stegfs_async_fixed_buffer_read_ops_total");
   out->io_inflight_blocks =
       plain->io_engine() != nullptr
           ? plain->io_engine()->stats().inflight_blocks

@@ -95,7 +95,8 @@ typedef struct stegfs_stats {
    * freed; stable for the process lifetime) */
   const char* crypto_tier;
   /* async I/O engine (static string, stable for the handle lifetime):
-   * "io_uring", "thread-pool", or "sync" when no engine is attached */
+   * "thread-pool" (every C API mount attaches it), or "sync" when no
+   * engine is attached */
   const char* io_engine;
   uint64_t io_submitted_batches; /* batches handed to the engine */
   uint64_t io_completed_batches; /* batches fully completed */
@@ -125,9 +126,6 @@ typedef struct stegfs_stats {
   uint64_t journal_group_batches;  /* merged batch records written */
   uint64_t journal_group_merged_blocks; /* after-images saved by merging
                                            (same-block images coalesced) */
-  uint64_t io_fixed_buffer_ops;    /* registered-buffer (FIXED) uring ops */
-  uint64_t io_fixed_buffer_read_ops; /* READ_FIXED subset: cache-miss
-                                        reads via the pinned read pool */
   uint64_t cache_dirty_epoch;      /* ordered-writeback epoch counter */
   uint64_t cache_dirty_blocks;     /* dirty blocks parked in the cache */
   /* redundancy / self-healing (all zero when no object carries a policy).
@@ -266,8 +264,8 @@ int steg_health_reset(stegfs_volume* vol);
  *   param:= "blocks=" LO "-" HI | "us=" N
  *
  * e.g. "seed=7;write:eio@3x2;sync:fail". NULL or "" arms no faults.
- * Note: the injection layer hides the image's file descriptor, so these
- * mounts use the thread-pool async engine, never io_uring. */
+ * The async engine sits above the injection layer, so its transfers
+ * see the schedule like any other I/O. */
 int steg_mount_faulty(const char* image_path, uint32_t block_size,
                       const char* fault_spec, stegfs_volume** out);
 

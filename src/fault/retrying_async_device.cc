@@ -131,7 +131,7 @@ void RetryingAsyncDevice::FinalizeOp(const std::shared_ptr<PendingOp>& op,
                                      const Status& s) {
   completed_batches_.fetch_add(1, std::memory_order_relaxed);
   if (!s.ok()) failed_batches_.fetch_add(1, std::memory_order_relaxed);
-  // Same finalize order as the engines (AsyncBatchState contract): the
+  // Same finalize order as the engine (AsyncBlockDevice contract): the
   // caller's callback runs first — under the submitter's span so a
   // retried batch's completion lands in the right operation tree — then
   // the outstanding count drops (Drain covers the callback), and the
@@ -201,15 +201,12 @@ void RetryingAsyncDevice::Drain() {
 AsyncIoStats RetryingAsyncDevice::stats() const {
   // The outer view: batches as the callers submitted them (inner counts
   // every resubmission as a fresh batch, which would double-count).
-  AsyncIoStats inner_stats = inner_->stats();
   AsyncIoStats s;
   s.submitted_batches = submitted_batches_.load(std::memory_order_relaxed);
   s.submitted_blocks = submitted_blocks_.load(std::memory_order_relaxed);
   s.completed_batches = completed_batches_.load(std::memory_order_relaxed);
   s.failed_batches = failed_batches_.load(std::memory_order_relaxed);
-  s.inflight_blocks = inner_stats.inflight_blocks;
-  s.fixed_buffer_ops = inner_stats.fixed_buffer_ops;
-  s.fixed_buffer_read_ops = inner_stats.fixed_buffer_read_ops;
+  s.inflight_blocks = inner_->stats().inflight_blocks;
   return s;
 }
 

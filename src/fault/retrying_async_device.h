@@ -49,9 +49,8 @@ class RetryingAsyncDevice : public AsyncBlockDevice {
 
   uint32_t block_size() const override { return inner_->block_size(); }
   uint64_t num_blocks() const override { return inner_->num_blocks(); }
-  // The engine identity is the inner engine's: callers key behavior (and
-  // tests key assertions) off "io_uring" / "thread-pool", and the retry
-  // wrapper changes neither.
+  // The engine identity is the inner engine's: the retry wrapper does not
+  // change what steg_stats reports.
   const char* engine_name() const override { return inner_->engine_name(); }
 
   IoTicket SubmitRead(std::vector<BlockIoVec> iov,
@@ -60,25 +59,6 @@ class RetryingAsyncDevice : public AsyncBlockDevice {
                        IoCompletionFn done = nullptr) override;
 
   void Drain() override;
-
-  uint8_t* AcquireArenaSpan(size_t blocks) override {
-    return inner_->AcquireArenaSpan(blocks);
-  }
-  void ReleaseArenaSpan(uint8_t* span) override {
-    inner_->ReleaseArenaSpan(span);
-  }
-  size_t arena_span_blocks() const override {
-    return inner_->arena_span_blocks();
-  }
-  uint8_t* AcquireReadSpan(size_t blocks) override {
-    return inner_->AcquireReadSpan(blocks);
-  }
-  void ReleaseReadSpan(uint8_t* span) override {
-    inner_->ReleaseReadSpan(span);
-  }
-  size_t read_span_blocks() const override {
-    return inner_->read_span_blocks();
-  }
 
   AsyncIoStats stats() const override;
   void RegisterMetrics(obs::MetricsRegistry* reg) const override {

@@ -18,9 +18,8 @@
 // 1 MiB sequential path.
 //
 // Decorator conventions (blockdev/block_device.h): device_metrics() and
-// Sync()/sync_count() forward to the inner device; file_descriptor() is
-// deliberately NOT forwarded, but fault-tolerant mounts attach io_uring to
-// the RAW device's descriptor anyway and wrap the ENGINE in
+// Sync()/sync_count() forward to the inner device. Fault-tolerant mounts
+// attach the async engine to the RAW device and wrap the ENGINE in
 // RetryingAsyncDevice instead, so the async path keeps its own retries.
 #ifndef STEGFS_FAULT_RETRYING_DEVICE_H_
 #define STEGFS_FAULT_RETRYING_DEVICE_H_

@@ -173,44 +173,27 @@ class EncryptedBlockStore : public BlockStore {
       return cache_->WriteBatch(blocks, n, tmp.data());
     }
     // Pipeline the mirror image: encrypt sub-batch i+1 while sub-batch
-    // i's device write is in flight. Each sub-batch stages its
-    // ciphertext in a leased span of the engine's registered arena when
-    // one is available — the kernel then skips the per-op page pin
-    // (IORING_OP_WRITE_FIXED) — falling back to heap staging when the
-    // pool is exhausted or the engine has no arena.
+    // i's device write is in flight.
     obs::Span pipeline_span("store.write_pipeline", "store");
-    std::vector<uint8_t> tmp;  // heap fallback, sized lazily
+    std::vector<uint8_t> tmp(n * bs);  // ciphertext staging
     std::vector<crypto::CryptSpan> spans(kAsyncSubBatch);
-    struct Staged {
-      CacheIoTicket ticket;
-      uint8_t* arena_span = nullptr;
-    };
-    std::vector<Staged> staged;
-    staged.reserve((n + kAsyncSubBatch - 1) / kAsyncSubBatch);
+    std::vector<CacheIoTicket> tickets;
+    tickets.reserve((n + kAsyncSubBatch - 1) / kAsyncSubBatch);
     for (size_t off = 0; off < n; off += kAsyncSubBatch) {
       const size_t count = std::min(n - off, kAsyncSubBatch);
-      uint8_t* span = engine->AcquireArenaSpan(count);
-      uint8_t* stage = span;
-      if (stage == nullptr) {
-        if (tmp.empty()) tmp.resize(n * bs);
-        stage = tmp.data() + off * bs;
-      }
+      uint8_t* stage = tmp.data() + off * bs;
       std::memcpy(stage, data + off * bs, count * bs);
       for (size_t i = 0; i < count; ++i) {
         spans[i] = {blocks[off + i], stage + i * bs};
       }
       crypter_->EncryptBlocks(spans.data(), count, bs);
-      Staged s;
-      s.arena_span = span;
-      s.ticket = cache_->WriteBatchAsync(blocks + off, count, stage);
-      staged.push_back(std::move(s));
+      tickets.push_back(cache_->WriteBatchAsync(blocks + off, count, stage));
     }
-    // Wait ALL before any staging memory dies; first error wins.
+    // Wait ALL before the staging memory dies; first error wins.
     Status first;
-    for (Staged& s : staged) {
-      Status st = s.ticket.Wait();
+    for (CacheIoTicket& t : tickets) {
+      Status st = t.Wait();
       if (first.ok() && !st.ok()) first = st;
-      if (s.arena_span != nullptr) engine->ReleaseArenaSpan(s.arena_span);
     }
     return first;
   }

@@ -64,9 +64,8 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
     }
 
     total_blocks += takes.size();
-    // Submit the chunk ascending by LBA: the io_uring backend then
-    // issues monotonic offsets and the FileBlockDevice coalescer sees
-    // every contiguous run the mapping contains. Plain contiguous
+    // Submit the chunk ascending by LBA: the FileBlockDevice coalescer
+    // then sees every contiguous run the mapping contains. Plain contiguous
     // extents are already ascending (the sort is a no-op); hidden
     // extents arrive in logical order, which random placement makes
     // device-random. `slot_of` maps each logical mapped index to its

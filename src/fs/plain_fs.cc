@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "blockdev/thread_pool_async_device.h"
-#include "blockdev/uring_block_device.h"
 #include "fault/retrying_async_device.h"
 
 namespace stegfs {
@@ -194,34 +193,9 @@ StatusOr<std::unique_ptr<PlainFs>> PlainFs::Mount(BlockDevice* device,
     STEGFS_ASSIGN_OR_RETURN(recovery_report,
                             journal::JournalRecovery::Run(mount_dev, sb));
   }
-  // Resolve the async engine before construction so an explicit kUring
-  // request fails the mount loudly instead of degrading.
   std::unique_ptr<AsyncBlockDevice> engine;
-  switch (options.io_engine) {
-    case IoEngine::kSync:
-      break;
-    case IoEngine::kThreads:
-      engine = std::make_unique<ThreadPoolAsyncDevice>(device);
-      break;
-    case IoEngine::kUring: {
-      auto uring = UringBlockDevice::Attach(
-          device->file_descriptor(), device->block_size(),
-          device->num_blocks());
-      if (!uring.ok()) return uring.status();
-      engine = std::move(uring).value();
-      break;
-    }
-    case IoEngine::kAuto: {
-      auto uring = UringBlockDevice::Attach(
-          device->file_descriptor(), device->block_size(),
-          device->num_blocks());
-      if (uring.ok()) {
-        engine = std::move(uring).value();
-      } else {
-        engine = std::make_unique<ThreadPoolAsyncDevice>(device);
-      }
-      break;
-    }
+  if (options.io_engine == IoEngine::kAuto) {
+    engine = std::make_unique<ThreadPoolAsyncDevice>(device);
   }
   std::unique_ptr<PlainFs> fs(
       new PlainFs(device, sb, options, std::move(engine)));

@@ -68,13 +68,8 @@ enum class IoEngine {
   // No engine: the PR 3 call-and-wait batch path. The default — every
   // seeded test relies on its exact locking and accounting.
   kSync,
-  // Portable fallback: ThreadPoolAsyncDevice over the mount's device.
-  kThreads,
-  // io_uring over the device's file descriptor; Mount fails with
-  // NotSupported when the kernel or the device cannot provide it.
-  kUring,
-  // io_uring when attachable (FileBlockDevice + capable kernel), else the
-  // thread-pool fallback. What the C API mounts use.
+  // ThreadPoolAsyncDevice over the mount's device. What the C API mounts
+  // use.
   kAuto,
 };
 

@@ -345,28 +345,9 @@ Status WriteAheadJournal::RunBatch(
       ++i;
     }
   }
-  // The record leaves through the async engine when one is attached —
-  // staged in its registered arena, these become IORING_OP_WRITE_FIXED
-  // submissions on io_uring — else through the device directly. Either
-  // way the barrier below is what commits.
-  Status wrote;
-  bool via_engine = false;
-  if (engine_ != nullptr) {
-    uint8_t* span = engine_->AcquireArenaSpan(used_blocks);
-    if (span != nullptr) {
-      std::vector<ConstBlockIoVec> fixed_iov(used_blocks);
-      for (size_t i = 0; i < used_blocks; ++i) {
-        std::memcpy(span + i * bs, iov[i].buf, bs);
-        fixed_iov[i] = {iov[i].block, span + i * bs};
-      }
-      wrote = engine_->SubmitWrite(std::move(fixed_iov)).Wait();
-      engine_->ReleaseArenaSpan(span);
-      via_engine = true;
-    }
-  }
-  if (!via_engine) {
-    wrote = device_->WriteBlocks(iov.data(), iov.size());
-  }
+  // The record goes straight to the device; the barrier below is what
+  // commits.
+  Status wrote = device_->WriteBlocks(iov.data(), iov.size());
   if (wrote.ok()) wrote = Barrier();  // <- commit point
   record_timer.Stop();
   record_span.Close();

@@ -176,16 +176,14 @@ TEST_F(CapiTest, StatsReportBatchedDataPath) {
 }
 
 TEST_F(CapiTest, StatsReportAsyncEngineAndReadahead) {
-  // C API mounts attach an async engine (io_uring when the kernel has it,
-  // thread-pool otherwise — never "sync") and request a 16-block
-  // readahead window, which arms only on multi-core hosts; either way the
-  // effective state is observable instead of silently zeroed.
+  // C API mounts attach the thread-pool async engine (never "sync") and
+  // request a 16-block readahead window, which arms only on multi-core
+  // hosts; either way the effective state is observable instead of
+  // silently zeroed.
   stegfs_stats s;
   ASSERT_EQ(steg_stats(vol_, &s), STEG_OK);
   ASSERT_NE(s.io_engine, nullptr);
-  EXPECT_TRUE(std::string(s.io_engine) == "io_uring" ||
-              std::string(s.io_engine) == "thread-pool")
-      << s.io_engine;
+  EXPECT_EQ(std::string(s.io_engine), "thread-pool");
   const bool multi_core = std::thread::hardware_concurrency() >= 2;
   EXPECT_EQ(s.readahead_active, multi_core ? 1u : 0u);
   EXPECT_EQ(s.readahead_window, multi_core ? 16u : 0u);

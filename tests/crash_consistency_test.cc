@@ -7,9 +7,8 @@
 //     in-flight operation is visible — complete — or not),
 //   - no hidden file readable before the crash is lost,
 //   - fsck finds nothing to repair and the journal ring is at rest,
-// across recording engines {sync, thread-pool} × verify engines
-// {sync, thread-pool, io_uring-when-available}. (io_uring cannot RECORD:
-// it writes through the raw fd underneath any decorator — by design.)
+// across recording engines {sync, thread-pool} × verify legs {sync,
+// thread-pool, thread-pool over a FileBlockDevice in a temp file}.
 //
 // The deniability leg: after a crash during hidden activity and a
 // recovery with NO level opened, the journal region must be bit-
@@ -294,49 +293,56 @@ std::string VerifyState(StegFs* fs, const std::vector<Tracked>& tracked) {
 }
 
 std::string EngineName(IoEngine e) {
-  switch (e) {
-    case IoEngine::kSync:
-      return "sync";
-    case IoEngine::kThreads:
-      return "threads";
-    case IoEngine::kUring:
-      return "uring";
-    default:
-      return "auto";
-  }
+  return e == IoEngine::kSync ? "sync" : "threads";
 }
 
-// Mounts the image on a Mem device (sync/threads) or via a temp file
-// (uring) and verifies it. Returns "" on pass, "skip" when the engine is
-// unavailable, else the failure.
+// How a crash image is remounted for verification: on a Mem device with
+// either engine, or from a FileBlockDevice in a temp file with the async
+// engine — the only crash coverage of the host-file device.
+enum class VerifyLeg { kSync, kThreads, kThreadsFile };
+
+std::string LegName(VerifyLeg leg) {
+  switch (leg) {
+    case VerifyLeg::kSync:
+      return "sync";
+    case VerifyLeg::kThreads:
+      return "threads";
+    case VerifyLeg::kThreadsFile:
+      return "threads_file";
+  }
+  return "";
+}
+
+// Mounts the image per `leg` and verifies it. Returns "" on pass, else
+// the failure.
 std::string VerifyImage(const std::vector<uint8_t>& image,
-                        const std::vector<Tracked>& tracked,
-                        IoEngine engine) {
-  if (engine == IoEngine::kUring) {
+                        const std::vector<Tracked>& tracked, VerifyLeg leg) {
+  if (leg == VerifyLeg::kThreadsFile) {
     char path[] = "/tmp/stegfs_crash_XXXXXX";
     int fd = mkstemp(path);
-    if (fd < 0) return "skip";
+    if (fd < 0) return "cannot create a temp image file";
     close(fd);
-    std::string failure = "skip";
+    std::string failure;
     {
       auto file = FileBlockDevice::Create(path, kBs, kBlocks);
       if (file.ok()) {
         for (uint64_t b = 0; b < kBlocks; ++b) {
           (void)(*file)->WriteBlock(b, image.data() + b * kBs);
         }
-        auto fs = StegFs::Mount(file->get(), DurableOpts(engine));
-        if (fs.ok()) {
-          failure = VerifyState(fs->get(), tracked);
-        } else if (!fs.status().IsNotSupported()) {
-          failure = "mount failed: " + fs.status().ToString();
-        }
+        auto fs = StegFs::Mount(file->get(), DurableOpts(IoEngine::kAuto));
+        failure = fs.ok() ? VerifyState(fs->get(), tracked)
+                          : "mount failed: " + fs.status().ToString();
+      } else {
+        failure = "file device: " + file.status().ToString();
       }
     }
     std::remove(path);
     return failure;
   }
   auto dev = test::DeviceFromImage(image, kBs);
-  auto fs = StegFs::Mount(dev.get(), DurableOpts(engine));
+  auto fs = StegFs::Mount(dev.get(), DurableOpts(leg == VerifyLeg::kSync
+                                                     ? IoEngine::kSync
+                                                     : IoEngine::kAuto));
   if (!fs.ok()) return "mount failed: " + fs.status().ToString();
   return VerifyState(fs->get(), tracked);
 }
@@ -358,14 +364,12 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
   const size_t total = dev.event_count();
   ASSERT_GT(total, 100u);
 
-  const bool uring_available =
-      FileBlockDevice::Create("/tmp/stegfs_probe_del", kBs, 64).ok() &&
-      (std::remove("/tmp/stegfs_probe_del"), true);
-
-  std::map<IoEngine, MatrixCell> cells;
-  for (IoEngine ve : {IoEngine::kSync, IoEngine::kThreads, IoEngine::kUring}) {
+  constexpr VerifyLeg kLegs[] = {VerifyLeg::kSync, VerifyLeg::kThreads,
+                                 VerifyLeg::kThreadsFile};
+  std::map<VerifyLeg, MatrixCell> cells;
+  for (VerifyLeg ve : kLegs) {
     cells[ve].record_engine = EngineName(record_engine);
-    cells[ve].verify_engine = EngineName(ve);
+    cells[ve].verify_engine = LegName(ve);
   }
 
   const size_t kTargetPoints = 48;
@@ -378,13 +382,12 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
     const bool torn = point % 3 == 1;
     auto image = dev.Materialize(k, subset_seed, torn);
 
-    std::vector<IoEngine> legs = {IoEngine::kSync};
-    if (point % 4 == 0) legs.push_back(IoEngine::kThreads);
-    if (uring_available && point % 8 == 0) legs.push_back(IoEngine::kUring);
+    std::vector<VerifyLeg> legs = {VerifyLeg::kSync};
+    if (point % 4 == 0) legs.push_back(VerifyLeg::kThreads);
+    if (point % 8 == 0) legs.push_back(VerifyLeg::kThreadsFile);
 
-    for (IoEngine ve : legs) {
+    for (VerifyLeg ve : legs) {
       std::string failure = VerifyImage(image, tracked, ve);
-      if (failure == "skip") continue;
       MatrixCell& cell = cells[ve];
       ++cell.crash_states;
       if (torn) ++cell.torn_states;
@@ -392,7 +395,7 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
       if (!failure.empty()) {
         ++cell.failures;
         ADD_FAILURE() << "crash state k=" << k << " seed=" << subset_seed
-                      << " torn=" << torn << " verify=" << EngineName(ve)
+                      << " torn=" << torn << " verify=" << LegName(ve)
                       << " record=" << EngineName(record_engine) << ": "
                       << failure;
       }
@@ -400,25 +403,21 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
   }
   // The final state (no crash) must also verify, on every leg.
   auto image = dev.Materialize(total, 0, false);
-  for (IoEngine ve : {IoEngine::kSync, IoEngine::kThreads, IoEngine::kUring}) {
-    if (ve == IoEngine::kUring && !uring_available) continue;
+  for (VerifyLeg ve : kLegs) {
     std::string failure = VerifyImage(image, tracked, ve);
-    if (failure == "skip") continue;
     ++cells[ve].crash_states;
     if (!failure.empty()) {
       ++cells[ve].failures;
-      ADD_FAILURE() << "final state verify=" << EngineName(ve) << ": "
+      ADD_FAILURE() << "final state verify=" << LegName(ve) << ": "
                     << failure;
     }
   }
-  for (auto& [ve, cell] : cells) {
-    if (cell.crash_states > 0) Summary().push_back(cell);
-  }
+  for (auto& [ve, cell] : cells) Summary().push_back(cell);
 }
 
 INSTANTIATE_TEST_SUITE_P(RecordEngines, CrashMatrixTest,
                          ::testing::Values(IoEngine::kSync,
-                                           IoEngine::kThreads),
+                                           IoEngine::kAuto),
                          [](const ::testing::TestParamInfo<IoEngine>& info) {
                            return EngineName(info.param);
                          });

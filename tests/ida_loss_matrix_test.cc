@@ -8,9 +8,10 @@
 //   - steg_fsck detects degraded objects and re-disperses their shares
 //     online (a second fsck finds nothing),
 //   - n-k+1 losses fail CLEANLY with DataLoss — never garbage bytes,
-//   - the whole matrix holds across the sync / thread-pool / io_uring
-//     engines, and across crash states materialized with the PR 5
-//     harness (prefix × dropped-subset × torn) on a durable mount.
+//   - the whole matrix holds on the sync and thread-pool engines (the
+//     latter also over a FileBlockDevice in a temp file), and across crash
+//     states materialized with tests/crash_harness.h (prefix ×
+//     dropped-subset × torn) on a durable mount.
 //
 // A summary of every cell is written to IDA_matrix.json (archived by the
 // ida-matrix CI job, mirroring CRASH_matrix.json).
@@ -105,17 +106,25 @@ StegFsOptions EngineOpts(IoEngine engine) {
   return opts;
 }
 
-std::string EngineName(IoEngine e) {
-  switch (e) {
-    case IoEngine::kSync:
+// Where a matrix run mounts: a Mem device with either engine, or a
+// FileBlockDevice in a temp file with the async engine — the only IDA
+// coverage of the host-file device.
+enum class Leg { kSync, kThreads, kThreadsFile };
+
+IoEngine LegEngine(Leg leg) {
+  return leg == Leg::kSync ? IoEngine::kSync : IoEngine::kAuto;
+}
+
+std::string LegName(Leg leg) {
+  switch (leg) {
+    case Leg::kSync:
       return "sync";
-    case IoEngine::kThreads:
+    case Leg::kThreads:
       return "threads";
-    case IoEngine::kUring:
-      return "uring";
-    default:
-      return "auto";
+    case Leg::kThreadsFile:
+      return "threads_file";
   }
+  return "";
 }
 
 std::string Content(size_t bytes, uint64_t tag) {
@@ -164,16 +173,16 @@ void OverwriteWithNoise(BlockDevice* dev, uint64_t block, uint64_t seed) {
 
 // One matrix cell: create the object under `pc.policy`, lose `losses`
 // shares per stripe via `mode`, and verify heal-or-clean-failure on
-// `engine`. Appends the cell to the JSON summary.
+// `leg`'s engine. Appends the cell to the JSON summary.
 void RunCell(const PolicyCase& pc, int losses, const std::string& mode,
-             IoEngine engine, BlockDevice* dev) {
+             Leg leg, BlockDevice* dev) {
   SCOPED_TRACE(pc.name + std::string(" losses=") + std::to_string(losses) +
-               " mode=" + mode + " engine=" + EngineName(engine));
+               " mode=" + mode + " engine=" + LegName(leg));
   const int tol = pc.policy.tolerance();
   MatrixCell cell;
   cell.policy = pc.name;
   cell.mode = mode;
-  cell.engine = EngineName(engine);
+  cell.engine = LegName(leg);
   cell.losses = losses;
   cell.tolerance = tol;
   cell.outcome = losses <= tol ? "healed" : "clean-dataloss";
@@ -184,7 +193,7 @@ void RunCell(const PolicyCase& pc, int losses, const std::string& mode,
   const std::string content = Content(7 * pc.policy.k * kBs - 123, 1);
   std::vector<std::vector<uint64_t>> shares;
   {
-    auto fs = StegFs::Mount(dev, EngineOpts(engine));
+    auto fs = StegFs::Mount(dev, EngineOpts(LegEngine(leg)));
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
     ASSERT_TRUE(
         (*fs)->StegCreate(kUid, kObj, kUak, HiddenType::kFile, pc.policy)
@@ -206,7 +215,7 @@ void RunCell(const PolicyCase& pc, int losses, const std::string& mode,
       }
     }
   } else {  // plain-claim: free the bits, let plain files take the blocks
-    auto fs = StegFs::Mount(dev, EngineOpts(engine));
+    auto fs = StegFs::Mount(dev, EngineOpts(LegEngine(leg)));
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
     for (uint64_t s = 0; s < shares.size(); ++s) {
       for (uint64_t b : VictimsOf(shares[s], s, losses)) {
@@ -233,7 +242,7 @@ void RunCell(const PolicyCase& pc, int losses, const std::string& mode,
 
   // Verify: reads heal (and the heal survives a remount), or fail clean.
   auto verify = [&](bool expect_prior_heal) {
-    auto fs = StegFs::Mount(dev, EngineOpts(engine));
+    auto fs = StegFs::Mount(dev, EngineOpts(LegEngine(leg)));
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
     ASSERT_TRUE((*fs)->StegConnect(kUid, kObj, kUak).ok());
     auto back = (*fs)->HiddenReadAll(kUid, kObj);
@@ -264,56 +273,42 @@ void RunCell(const PolicyCase& pc, int losses, const std::string& mode,
   Summary().push_back(cell);
 }
 
-class LossMatrixTest : public ::testing::TestWithParam<IoEngine> {};
+class LossMatrixTest : public ::testing::TestWithParam<Leg> {};
 
 TEST_P(LossMatrixTest, HealOrFailCleanAcrossPoliciesAndLossCounts) {
-  const IoEngine engine = GetParam();
-  if (engine == IoEngine::kUring) {
-    char path[] = "/tmp/stegfs_ida_XXXXXX";
+  const Leg leg = GetParam();
+  std::unique_ptr<BlockDevice> dev;
+  char path[] = "/tmp/stegfs_ida_XXXXXX";
+  if (leg == Leg::kThreadsFile) {
     int fd = mkstemp(path);
     ASSERT_GE(fd, 0);
     close(fd);
-    auto dev = FileBlockDevice::Create(path, kBs, kBlocks);
-    if (!dev.ok()) {
-      std::remove(path);
-      GTEST_SKIP() << "file device unavailable";
-    }
-    // Probe one uring mount before running the whole matrix.
-    ASSERT_TRUE(StegFs::Format(dev->get(), SmallFormat()).ok());
-    auto probe = StegFs::Mount(dev->get(), EngineOpts(engine));
-    if (!probe.ok() && probe.status().IsNotSupported()) {
-      std::remove(path);
-      GTEST_SKIP() << "io_uring unavailable in this environment";
-    }
-    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-    probe->reset();
-    for (const PolicyCase& pc : kPolicies) {
-      const int tol = pc.policy.tolerance();
-      for (int losses = 0; losses <= tol + 1; ++losses) {
-        RunCell(pc, losses, "device", engine, dev->get());
-      }
-      RunCell(pc, tol, "plain-claim", engine, dev->get());
-    }
-    std::remove(path);
-    return;
+    auto file = FileBlockDevice::Create(path, kBs, kBlocks);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    dev = std::move(file).value();
+  } else {
+    dev = std::make_unique<MemBlockDevice>(kBs, kBlocks);
   }
-  MemBlockDevice dev(kBs, kBlocks);
   for (const PolicyCase& pc : kPolicies) {
     const int tol = pc.policy.tolerance();
     for (int losses = 0; losses <= tol + 1; ++losses) {
-      RunCell(pc, losses, "device", engine, &dev);
+      RunCell(pc, losses, "device", leg, dev.get());
     }
     // Plain-claim reclamation at the tolerance bound and just past it.
-    RunCell(pc, tol, "plain-claim", engine, &dev);
-    RunCell(pc, tol + 1, "plain-claim", engine, &dev);
+    RunCell(pc, tol, "plain-claim", leg, dev.get());
+    RunCell(pc, tol + 1, "plain-claim", leg, dev.get());
+  }
+  if (leg == Leg::kThreadsFile) {
+    dev.reset();
+    std::remove(path);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, LossMatrixTest,
-                         ::testing::Values(IoEngine::kSync, IoEngine::kThreads,
-                                           IoEngine::kUring),
-                         [](const ::testing::TestParamInfo<IoEngine>& info) {
-                           return EngineName(info.param);
+                         ::testing::Values(Leg::kSync, Leg::kThreads,
+                                           Leg::kThreadsFile),
+                         [](const ::testing::TestParamInfo<Leg>& info) {
+                           return LegName(info.param);
                          });
 
 // steg_fsck as the healer: corrupt shares, then let the online scrubber

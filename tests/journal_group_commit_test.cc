@@ -12,10 +12,9 @@
 //   - the batching is real: concurrent committers measurably share
 //     records (group_batches < group_txns),
 //
-// plus the registered-buffer read path: on io_uring, cache-miss reads
-// staged through the pinned read pool (READ_FIXED) must return bytes
-// bit-identical to the unregistered path, with fixed_buffer_read_ops
-// proving the fixed path actually ran.
+// plus the cold async read path: on a host-file volume, cache-miss reads
+// through the async engine must return bytes bit-identical to the
+// synchronous path.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -174,14 +173,13 @@ TEST(GroupCommitTest, ConcurrentCommitsBatchAndRecoverAtomically) {
   }
 }
 
-// Registered-buffer reads (io_uring only): a cold-cache hidden-extent
-// read — the async read path — goes through the pinned read pool
-// (READ_FIXED) and must return exactly the bytes the unregistered
-// thread-pool path returns. Hidden objects are the right probe: their
-// random placement is what the async engine exists for, and their reads
-// route through EncryptedBlockStore's pipelined ReadBatchAsync.
-TEST(FixedReadTest, ReadPoolBitIdenticalToUnregisteredPath) {
-  char path[] = "/tmp/stegfs_fixed_read_XXXXXX";
+// Cold async reads: a cold-cache hidden-extent read on the async engine
+// goes through EncryptedBlockStore's pipelined ReadBatchAsync and must
+// return exactly the bytes the synchronous path returns. Hidden objects
+// are the right probe: their random placement is what the async engine
+// exists for.
+TEST(ColdReadTest, AsyncEngineBitIdenticalToSyncPath) {
+  char path[] = "/tmp/stegfs_cold_read_XXXXXX";
   int fd = mkstemp(path);
   ASSERT_GE(fd, 0);
   close(fd);
@@ -193,10 +191,11 @@ TEST(FixedReadTest, ReadPoolBitIdenticalToUnregisteredPath) {
   StegFormatOptions fmt;
   fmt.params.dummy_file_count = 2;
   fmt.params.dummy_file_avg_bytes = 2048;
-  fmt.entropy = "fixed-read-entropy";
+  fmt.entropy = "cold-read-entropy";
 
+  // Returns the object's bytes and the engine's submitted batch count.
   auto read_back = [&](IoEngine engine, std::string* out,
-                       uint64_t* fixed_reads, size_t* span_blocks) {
+                       uint64_t* batches) {
     auto file = FileBlockDevice::Open(path, kBs);
     ASSERT_TRUE(file.ok()) << file.status().ToString();
     StegFsOptions opts;
@@ -208,9 +207,8 @@ TEST(FixedReadTest, ReadPoolBitIdenticalToUnregisteredPath) {
     auto content = (*fs)->HiddenReadAll(kUid, "big");
     ASSERT_TRUE(content.ok()) << content.status().ToString();
     *out = *content;
-    AsyncIoStats st = (*fs)->plain()->io_engine()->stats();
-    *fixed_reads = st.fixed_buffer_read_ops;
-    *span_blocks = (*fs)->plain()->io_engine()->read_span_blocks();
+    AsyncBlockDevice* io = (*fs)->plain()->io_engine();
+    *batches = io != nullptr ? io->stats().submitted_batches : 0;
     ASSERT_TRUE((*fs)->DisconnectAll(kUid).ok());
   };
 
@@ -218,14 +216,8 @@ TEST(FixedReadTest, ReadPoolBitIdenticalToUnregisteredPath) {
     auto file = FileBlockDevice::Create(path, kBs, kBlocks);
     ASSERT_TRUE(file.ok()) << file.status().ToString();
     ASSERT_TRUE(StegFs::Format(file->get(), fmt).ok());
-    StegFsOptions opts;
-    opts.mount.io_engine = IoEngine::kUring;
-    auto fs = StegFs::Mount(file->get(), opts);
-    if (!fs.ok()) {
-      ASSERT_TRUE(fs.status().IsNotSupported()) << fs.status().ToString();
-      std::remove(path);
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
+    auto fs = StegFs::Mount(file->get(), StegFsOptions());
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
     ASSERT_TRUE((*fs)->StegCreate(kUid, "big", kUak, HiddenType::kFile).ok());
     ASSERT_TRUE((*fs)->StegConnect(kUid, "big", kUak).ok());
     ASSERT_TRUE((*fs)->HiddenWriteAll(kUid, "big", expected).ok());
@@ -233,26 +225,17 @@ TEST(FixedReadTest, ReadPoolBitIdenticalToUnregisteredPath) {
     ASSERT_TRUE((*fs)->Flush().ok());
   }
 
-  std::string via_uring;
-  uint64_t fixed_reads = 0;
-  size_t span_blocks = 0;
-  read_back(IoEngine::kUring, &via_uring, &fixed_reads, &span_blocks);
-  EXPECT_EQ(via_uring, expected);
-  // The fixed path must actually have run whenever the engine holds a
-  // read pool (registration can be refused under a tight
-  // RLIMIT_MEMLOCK, in which case the fallback path was just verified).
-  if (span_blocks > 0) {
-    EXPECT_GT(fixed_reads, 0u);
-  }
+  std::string via_async;
+  uint64_t async_batches = 0;
+  read_back(IoEngine::kAuto, &via_async, &async_batches);
+  EXPECT_EQ(via_async, expected);
+  EXPECT_GT(async_batches, 0u);  // the async path actually ran
 
-  std::string via_threads;
-  uint64_t threads_fixed_reads = 0;
-  size_t threads_span_blocks = 0;
-  read_back(IoEngine::kThreads, &via_threads, &threads_fixed_reads,
-            &threads_span_blocks);
-  EXPECT_EQ(threads_fixed_reads, 0u);
-  EXPECT_EQ(threads_span_blocks, 0u);
-  EXPECT_EQ(via_uring, via_threads);
+  std::string via_sync;
+  uint64_t sync_batches = 0;
+  read_back(IoEngine::kSync, &via_sync, &sync_batches);
+  EXPECT_EQ(sync_batches, 0u);
+  EXPECT_EQ(via_async, via_sync);
   std::remove(path);
 }
 
