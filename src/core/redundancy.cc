@@ -183,6 +183,7 @@ Status RedundancyManager::GatherStripe(const RedundancyIoCtx& ctx, uint64_t s,
   const Stripe& st = stripes_[s];
   out->clear();
   out->resize(n);
+  BlockMapper::Memo memo;
   for (uint32_t j = 0; j < k; ++j) {
     GatheredShare& g = (*out)[j];
     g.index = static_cast<uint8_t>(j);
@@ -190,7 +191,7 @@ Status RedundancyManager::GatherStripe(const RedundancyIoCtx& ctx, uint64_t s,
     bool hole = idx >= file_blocks;
     uint64_t b = 0;
     if (!hole) {
-      auto mapped = ctx.mapper->Map(*ctx.inode, idx, ctx.store);
+      auto mapped = ctx.mapper->Map(*ctx.inode, idx, ctx.store, &memo);
       if (mapped.ok()) {
         b = mapped.value();
       } else if (mapped.status().IsNotFound()) {
@@ -261,12 +262,13 @@ Status RedundancyManager::EncodeStripe(const RedundancyIoCtx& ctx, uint64_t s,
   std::vector<uint8_t> is_hole(k, 0);
   uint32_t present = 0;
   uint32_t stale = 0;  // untouched shares the old record disowns
+  BlockMapper::Memo memo;  // the loop below only maps; Remaps come after
   for (uint32_t j = 0; j < k; ++j) {
     const uint64_t idx = s * k + j;
     bool hole = idx >= file_blocks;
     uint64_t b = 0;
     if (!hole) {
-      auto mapped = ctx.mapper->Map(*ctx.inode, idx, ctx.store);
+      auto mapped = ctx.mapper->Map(*ctx.inode, idx, ctx.store, &memo);
       if (mapped.ok()) {
         b = mapped.value();
       } else if (mapped.status().IsNotFound()) {
@@ -605,10 +607,11 @@ Status RedundancyManager::ShareBlocksForTesting(const RedundancyIoCtx& ctx,
   const uint32_t k = policy_.k;
   const uint64_t file_blocks = FileBlocks(*ctx.inode);
   out->assign(policy_.n, 0);
+  BlockMapper::Memo memo;
   for (uint32_t j = 0; j < k; ++j) {
     const uint64_t idx = s * k + j;
     if (idx >= file_blocks) continue;
-    auto mapped = ctx.mapper->Map(*ctx.inode, idx, ctx.store);
+    auto mapped = ctx.mapper->Map(*ctx.inode, idx, ctx.store, &memo);
     if (mapped.ok()) {
       (*out)[j] = mapped.value();
     } else if (!mapped.status().IsNotFound()) {

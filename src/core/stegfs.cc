@@ -5,6 +5,7 @@
 
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "fs/file_io.h"
 #include "util/hex.h"
 
 namespace stegfs {
@@ -120,8 +121,13 @@ Status StegFs::Format(BlockDevice* device, const StegFormatOptions& options) {
   STEGFS_RETURN_IF_ERROR(PlainFs::Format(device, fo));
 
   // 3. Abandon random blocks and create the dummy hidden files.
+  //    This mount only writes the dummy files once and is then dropped, so
+  //    one batch of cache is enough. The default 16 MiB cache would be
+  //    freed afterwards but stay resident in the allocator for the rest of
+  //    the process.
   MountOptions mo;
   mo.rng_seed = SeedFromEntropy(options.entropy, "mount");
+  mo.cache_blocks = FileIo::kMaxBatchBlocks;
   STEGFS_ASSIGN_OR_RETURN(std::unique_ptr<PlainFs> plain,
                           PlainFs::Mount(device, mo));
 

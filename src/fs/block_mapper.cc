@@ -27,17 +27,29 @@ Status BlockMapper::WritePointerBlock(BlockStore* store, uint64_t block,
   return store->WriteBlock(block, buf.data());
 }
 
+StatusOr<std::vector<uint32_t>*> BlockMapper::LoadPointerBlock(
+    BlockStore* store, uint64_t block, Memo::Slot* slot) const {
+  if (slot->block != block) {
+    slot->block = kNullBlock;  // holds nothing until the read succeeds
+    STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, block, &slot->ptrs));
+    slot->block = block;
+  }
+  return &slot->ptrs;
+}
+
 StatusOr<uint64_t> BlockMapper::AllocateZeroedPointerBlock(
-    BlockStore* store, BlockAllocator* alloc) const {
+    BlockStore* store, BlockAllocator* alloc, Memo::Slot* slot) const {
   STEGFS_ASSIGN_OR_RETURN(uint64_t block, alloc->AllocateBlock());
   std::vector<uint8_t> zero(block_size_, 0);
   if (meta_recorder_ != nullptr) meta_recorder_->Record(block);
   STEGFS_RETURN_IF_ERROR(store->WriteBlock(block, zero.data()));
+  slot->ptrs.assign(ptrs_per_block_, kNullBlock);
+  slot->block = block;
   return block;
 }
 
 StatusOr<uint64_t> BlockMapper::Map(const Inode& inode, uint64_t idx,
-                                    BlockStore* store) {
+                                    BlockStore* store, Memo* memo) {
   if (idx < kDirectPointers) {
     uint32_t b = inode.direct[idx];
     if (b == kNullBlock) return Status::NotFound("hole (direct)");
@@ -48,11 +60,11 @@ StatusOr<uint64_t> BlockMapper::Map(const Inode& inode, uint64_t idx,
     if (inode.single_indirect == kNullBlock) {
       return Status::NotFound("hole (single indirect missing)");
     }
-    std::vector<uint32_t> ptrs;
-    STEGFS_RETURN_IF_ERROR(
-        ReadPointerBlock(store, inode.single_indirect, &ptrs));
-    if (ptrs[idx] == kNullBlock) return Status::NotFound("hole (single)");
-    return static_cast<uint64_t>(ptrs[idx]);
+    STEGFS_ASSIGN_OR_RETURN(
+        const std::vector<uint32_t>* ptrs,
+        LoadPointerBlock(store, inode.single_indirect, &memo->single_));
+    if ((*ptrs)[idx] == kNullBlock) return Status::NotFound("hole (single)");
+    return static_cast<uint64_t>((*ptrs)[idx]);
   }
   idx -= ptrs_per_block_;
   uint64_t outer = idx / ptrs_per_block_;
@@ -63,19 +75,20 @@ StatusOr<uint64_t> BlockMapper::Map(const Inode& inode, uint64_t idx,
   if (inode.double_indirect == kNullBlock) {
     return Status::NotFound("hole (double indirect missing)");
   }
-  std::vector<uint32_t> l1;
-  STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, inode.double_indirect, &l1));
-  if (l1[outer] == kNullBlock) return Status::NotFound("hole (double L1)");
-  std::vector<uint32_t> l2;
-  STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, l1[outer], &l2));
-  if (l2[inner] == kNullBlock) return Status::NotFound("hole (double L2)");
-  return static_cast<uint64_t>(l2[inner]);
+  STEGFS_ASSIGN_OR_RETURN(
+      const std::vector<uint32_t>* l1,
+      LoadPointerBlock(store, inode.double_indirect, &memo->l1_));
+  if ((*l1)[outer] == kNullBlock) return Status::NotFound("hole (double L1)");
+  STEGFS_ASSIGN_OR_RETURN(const std::vector<uint32_t>* l2,
+                          LoadPointerBlock(store, (*l1)[outer], &memo->l2_));
+  if ((*l2)[inner] == kNullBlock) return Status::NotFound("hole (double L2)");
+  return static_cast<uint64_t>((*l2)[inner]);
 }
 
 StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,
                                               BlockStore* store,
                                               BlockAllocator* alloc,
-                                              bool* inode_dirty) {
+                                              bool* inode_dirty, Memo* memo) {
   if (idx < kDirectPointers) {
     if (inode->direct[idx] == kNullBlock) {
       STEGFS_ASSIGN_OR_RETURN(uint64_t b, alloc->AllocateBlock());
@@ -87,21 +100,21 @@ StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,
   uint64_t rel = idx - kDirectPointers;
   if (rel < ptrs_per_block_) {
     if (inode->single_indirect == kNullBlock) {
-      STEGFS_ASSIGN_OR_RETURN(uint64_t b,
-                              AllocateZeroedPointerBlock(store, alloc));
+      STEGFS_ASSIGN_OR_RETURN(
+          uint64_t b, AllocateZeroedPointerBlock(store, alloc, &memo->single_));
       inode->single_indirect = static_cast<uint32_t>(b);
       *inode_dirty = true;
     }
-    std::vector<uint32_t> ptrs;
-    STEGFS_RETURN_IF_ERROR(
-        ReadPointerBlock(store, inode->single_indirect, &ptrs));
-    if (ptrs[rel] == kNullBlock) {
+    STEGFS_ASSIGN_OR_RETURN(
+        std::vector<uint32_t>* ptrs,
+        LoadPointerBlock(store, inode->single_indirect, &memo->single_));
+    if ((*ptrs)[rel] == kNullBlock) {
       STEGFS_ASSIGN_OR_RETURN(uint64_t b, alloc->AllocateBlock());
-      ptrs[rel] = static_cast<uint32_t>(b);
+      (*ptrs)[rel] = static_cast<uint32_t>(b);
       STEGFS_RETURN_IF_ERROR(
-          WritePointerBlock(store, inode->single_indirect, ptrs));
+          WritePointerBlock(store, inode->single_indirect, *ptrs));
     }
-    return static_cast<uint64_t>(ptrs[rel]);
+    return static_cast<uint64_t>((*ptrs)[rel]);
   }
   rel -= ptrs_per_block_;
   uint64_t outer = rel / ptrs_per_block_;
@@ -110,28 +123,29 @@ StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,
     return Status::InvalidArgument("file block index beyond maximum size");
   }
   if (inode->double_indirect == kNullBlock) {
-    STEGFS_ASSIGN_OR_RETURN(uint64_t b,
-                            AllocateZeroedPointerBlock(store, alloc));
+    STEGFS_ASSIGN_OR_RETURN(
+        uint64_t b, AllocateZeroedPointerBlock(store, alloc, &memo->l1_));
     inode->double_indirect = static_cast<uint32_t>(b);
     *inode_dirty = true;
   }
-  std::vector<uint32_t> l1;
-  STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, inode->double_indirect, &l1));
-  if (l1[outer] == kNullBlock) {
-    STEGFS_ASSIGN_OR_RETURN(uint64_t b,
-                            AllocateZeroedPointerBlock(store, alloc));
-    l1[outer] = static_cast<uint32_t>(b);
+  STEGFS_ASSIGN_OR_RETURN(
+      std::vector<uint32_t>* l1,
+      LoadPointerBlock(store, inode->double_indirect, &memo->l1_));
+  if ((*l1)[outer] == kNullBlock) {
+    STEGFS_ASSIGN_OR_RETURN(
+        uint64_t b, AllocateZeroedPointerBlock(store, alloc, &memo->l2_));
+    (*l1)[outer] = static_cast<uint32_t>(b);
     STEGFS_RETURN_IF_ERROR(
-        WritePointerBlock(store, inode->double_indirect, l1));
+        WritePointerBlock(store, inode->double_indirect, *l1));
   }
-  std::vector<uint32_t> l2;
-  STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, l1[outer], &l2));
-  if (l2[inner] == kNullBlock) {
+  STEGFS_ASSIGN_OR_RETURN(std::vector<uint32_t>* l2,
+                          LoadPointerBlock(store, (*l1)[outer], &memo->l2_));
+  if ((*l2)[inner] == kNullBlock) {
     STEGFS_ASSIGN_OR_RETURN(uint64_t b, alloc->AllocateBlock());
-    l2[inner] = static_cast<uint32_t>(b);
-    STEGFS_RETURN_IF_ERROR(WritePointerBlock(store, l1[outer], l2));
+    (*l2)[inner] = static_cast<uint32_t>(b);
+    STEGFS_RETURN_IF_ERROR(WritePointerBlock(store, (*l1)[outer], *l2));
   }
-  return static_cast<uint64_t>(l2[inner]);
+  return static_cast<uint64_t>((*l2)[inner]);
 }
 
 Status BlockMapper::Remap(Inode* inode, uint64_t idx, uint64_t new_block,

@@ -27,14 +27,35 @@ class BlockMapper {
            static_cast<uint64_t>(ptrs_per_block_) * ptrs_per_block_;
   }
 
+  // The decoded pointer blocks one mapping loop walks: the single-indirect
+  // block, the double-indirect root (L1) and the current L2 block, each
+  // keyed by its device block number. Map and MapOrAllocate read through
+  // it, so a loop over an extent reads, decrypts and decodes each pointer
+  // block once instead of once per data block, and pointer updates land in
+  // the memo as they are written to the store. A memo is valid only while
+  // nothing else rewrites the inode's pointer blocks: scope one to a single
+  // loop and never carry it across Remap, FreeFrom or a redundancy hook.
+  // It is a stack object for the loop's lifetime — decoded pointers are
+  // never kept beyond the operation, and nothing reaches the cache or disk.
+  class Memo {
+   private:
+    friend class BlockMapper;
+    struct Slot {
+      uint64_t block = kNullBlock;  // pointer block held; kNullBlock = none
+      std::vector<uint32_t> ptrs;
+    };
+    Slot single_, l1_, l2_;
+  };
+
   // Device block holding file block `idx`, or NotFound for a hole.
-  StatusOr<uint64_t> Map(const Inode& inode, uint64_t idx, BlockStore* store);
+  StatusOr<uint64_t> Map(const Inode& inode, uint64_t idx, BlockStore* store,
+                         Memo* memo);
 
   // Like Map but allocates missing data/indirect blocks. Sets *inode_dirty
   // when the inode's pointer fields changed.
   StatusOr<uint64_t> MapOrAllocate(Inode* inode, uint64_t idx,
                                    BlockStore* store, BlockAllocator* alloc,
-                                   bool* inode_dirty);
+                                   bool* inode_dirty, Memo* memo);
 
   // Repoints file block `idx` at `new_block` WITHOUT freeing the block it
   // previously mapped to — the self-healing path: the old block may have
@@ -70,8 +91,14 @@ class BlockMapper {
                           std::vector<uint32_t>* ptrs) const;
   Status WritePointerBlock(BlockStore* store, uint64_t block,
                            const std::vector<uint32_t>& ptrs) const;
+  // Pointer block `block`, decoded into `slot` unless the slot holds it.
+  StatusOr<std::vector<uint32_t>*> LoadPointerBlock(BlockStore* store,
+                                                    uint64_t block,
+                                                    Memo::Slot* slot) const;
+  // Allocates and writes a zeroed pointer block; `slot` then holds it.
   StatusOr<uint64_t> AllocateZeroedPointerBlock(BlockStore* store,
-                                                BlockAllocator* alloc) const;
+                                                BlockAllocator* alloc,
+                                                Memo::Slot* slot) const;
 
   uint32_t block_size_;
   uint32_t ptrs_per_block_;

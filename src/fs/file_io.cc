@@ -43,12 +43,14 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
     takes.clear();
     uint64_t chunk_off = offset;
     uint64_t chunk_n = n;
+    // One memo per chunk: the heal below may Remap pointers behind it.
+    BlockMapper::Memo memo;
     while (chunk_n > 0 && is_hole.size() < kMaxBatchBlocks) {
       uint64_t block_idx = chunk_off / block_size_;
       uint32_t in_block = static_cast<uint32_t>(chunk_off % block_size_);
       uint32_t take = static_cast<uint32_t>(
           std::min<uint64_t>(chunk_n, block_size_ - in_block));
-      auto mapped = mapper_.Map(*inode, block_idx, store);
+      auto mapped = mapper_.Map(*inode, block_idx, store, &memo);
       if (mapped.ok()) {
         is_hole.push_back(false);
         device_blocks.push_back(mapped.value());
@@ -135,8 +137,9 @@ void FileIo::IssueReadahead(const Inode& inode, uint64_t next_idx,
   // nothing but do not extend the scan, so a sparse tail costs at most
   // readahead_ mapper lookups per read, never a walk of the whole file.
   uint64_t window_end = std::min(file_blocks, next_idx + readahead_);
+  BlockMapper::Memo memo;
   for (uint64_t idx = next_idx; idx < window_end; ++idx) {
-    auto mapped = mapper_.Map(inode, idx, store);
+    auto mapped = mapper_.Map(inode, idx, store, &memo);
     if (!mapped.ok()) {
       if (mapped.status().IsNotFound()) continue;  // hole: nothing to warm
       return;  // mapping error: skip the hint, the demand path reports it
@@ -149,13 +152,16 @@ void FileIo::IssueReadahead(const Inode& inode, uint64_t next_idx,
 Status FileIo::Write(Inode* inode, uint64_t offset, std::string_view data,
                      BlockStore* store, BlockAllocator* alloc,
                      bool* inode_dirty) {
-  uint64_t max_bytes = mapper_.MaxFileBlocks() * block_size_;
-  if (offset + data.size() > max_bytes) {
+  const uint64_t max_bytes = mapper_.MaxFileBlocks() * block_size_;
+  if (offset > max_bytes || data.size() > max_bytes - offset) {
     return Status::InvalidArgument("write exceeds maximum file size");
   }
   // Coalesce per-operation: indirect-pointer blocks are touched on every
   // allocation but must reach the device only once per logical write.
+  // The memo decodes each of them once per write; it ends with the loop,
+  // before the redundancy hook can Remap.
   CoalescingStore coalesced(store);
+  BlockMapper::Memo memo;
   std::vector<uint8_t> buf(block_size_);
   size_t written = 0;
   while (written < data.size()) {
@@ -167,7 +173,7 @@ Status FileIo::Write(Inode* inode, uint64_t offset, std::string_view data,
     STEGFS_ASSIGN_OR_RETURN(
         uint64_t device_block,
         mapper_.MapOrAllocate(inode, block_idx, &coalesced, alloc,
-                              inode_dirty));
+                              inode_dirty, &memo));
     if (take < block_size_) {
       // Partial block: read-modify-write (block may hold older data).
       STEGFS_RETURN_IF_ERROR(coalesced.ReadBlock(device_block, buf.data()));
@@ -198,6 +204,9 @@ Status FileIo::Write(Inode* inode, uint64_t offset, std::string_view data,
 
 Status FileIo::Truncate(Inode* inode, uint64_t new_size, BlockStore* store,
                         BlockAllocator* alloc, bool* inode_dirty) {
+  if (new_size > mapper_.MaxFileBlocks() * block_size_) {
+    return Status::InvalidArgument("truncate exceeds maximum file size");
+  }
   if (new_size >= inode->size) {
     if (new_size != inode->size) {
       inode->size = new_size;  // grow: reads of the gap return zeros (hole)

@@ -104,7 +104,8 @@ class FileIo {
                BlockStore* store, BlockAllocator* alloc, bool* inode_dirty);
 
   // Shrinks the file, freeing blocks past the new end. Growing sets the
-  // size without allocating blocks (the gap reads as zeros).
+  // size without allocating blocks (the gap reads as zeros); growing past
+  // the maximum file size is InvalidArgument, as for Write.
   Status Truncate(Inode* inode, uint64_t new_size, BlockStore* store,
                   BlockAllocator* alloc, bool* inode_dirty);
 

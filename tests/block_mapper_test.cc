@@ -6,6 +6,7 @@
 
 #include "blockdev/mem_block_device.h"
 #include "fs/bitmap.h"
+#include "fs/block_store.h"
 
 namespace stegfs {
 namespace {
@@ -24,6 +25,24 @@ class TestAllocator : public BlockAllocator {
   Xoshiro* rng_;
 };
 
+// Counts reads that reach the wrapped store.
+class CountingStore : public BlockStore {
+ public:
+  explicit CountingStore(BlockStore* base) : base_(base) {}
+  uint32_t block_size() const override { return base_->block_size(); }
+  Status ReadBlock(uint64_t block, uint8_t* buf) override {
+    ++reads;
+    return base_->ReadBlock(block, buf);
+  }
+  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
+    return base_->WriteBlock(block, buf);
+  }
+  uint64_t reads = 0;
+
+ private:
+  BlockStore* base_;
+};
+
 class BlockMapperTest : public ::testing::Test {
  protected:
   BlockMapperTest()
@@ -35,6 +54,16 @@ class BlockMapperTest : public ::testing::Test {
         rng_(11),
         alloc_(&bitmap_, &rng_),
         mapper_(layout_.block_size) {}
+
+  // Single lookups, each through a fresh memo (nothing carried over).
+  StatusOr<uint64_t> Map(const Inode& ino, uint64_t idx) {
+    BlockMapper::Memo memo;
+    return mapper_.Map(ino, idx, &store_, &memo);
+  }
+  StatusOr<uint64_t> MapOrAllocate(Inode* ino, uint64_t idx, bool* dirty) {
+    BlockMapper::Memo memo;
+    return mapper_.MapOrAllocate(ino, idx, &store_, &alloc_, dirty, &memo);
+  }
 
   Layout layout_;
   MemBlockDevice dev_;
@@ -54,23 +83,23 @@ TEST_F(BlockMapperTest, MaxFileBlocks) {
 TEST_F(BlockMapperTest, HoleReportsNotFound) {
   Inode ino;
   ino.type = InodeType::kFile;
-  EXPECT_TRUE(mapper_.Map(ino, 0, &store_).status().IsNotFound());
-  EXPECT_TRUE(mapper_.Map(ino, 100, &store_).status().IsNotFound());
-  EXPECT_TRUE(mapper_.Map(ino, 16000, &store_).status().IsNotFound());
+  EXPECT_TRUE(Map(ino, 0).status().IsNotFound());
+  EXPECT_TRUE(Map(ino, 100).status().IsNotFound());
+  EXPECT_TRUE(Map(ino, 16000).status().IsNotFound());
   // Beyond the maximum file size is a caller error, not a hole.
-  EXPECT_TRUE(mapper_.Map(ino, 20000, &store_).status().IsInvalidArgument());
+  EXPECT_TRUE(Map(ino, 20000).status().IsInvalidArgument());
 }
 
 TEST_F(BlockMapperTest, MapOrAllocateDirect) {
   Inode ino;
   ino.type = InodeType::kFile;
   bool dirty = false;
-  auto b = mapper_.MapOrAllocate(&ino, 3, &store_, &alloc_, &dirty);
+  auto b = MapOrAllocate(&ino, 3, &dirty);
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(dirty);
   EXPECT_EQ(ino.direct[3], b.value());
   // Mapping again returns the same block without reallocation.
-  auto again = mapper_.Map(ino, 3, &store_);
+  auto again = Map(ino, 3);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), b.value());
 }
@@ -80,10 +109,10 @@ TEST_F(BlockMapperTest, SingleIndirectRange) {
   ino.type = InodeType::kFile;
   bool dirty = false;
   uint64_t idx = kDirectPointers + 5;
-  auto b = mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty);
+  auto b = MapOrAllocate(&ino, idx, &dirty);
   ASSERT_TRUE(b.ok());
   EXPECT_NE(ino.single_indirect, kNullBlock);
-  auto read_back = mapper_.Map(ino, idx, &store_);
+  auto read_back = Map(ino, idx);
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back.value(), b.value());
 }
@@ -94,10 +123,10 @@ TEST_F(BlockMapperTest, DoubleIndirectRange) {
   bool dirty = false;
   uint64_t ptrs = 128;
   uint64_t idx = kDirectPointers + ptrs + 3 * ptrs + 7;  // deep in double
-  auto b = mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty);
+  auto b = MapOrAllocate(&ino, idx, &dirty);
   ASSERT_TRUE(b.ok());
   EXPECT_NE(ino.double_indirect, kNullBlock);
-  auto read_back = mapper_.Map(ino, idx, &store_);
+  auto read_back = Map(ino, idx);
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back.value(), b.value());
 }
@@ -107,9 +136,7 @@ TEST_F(BlockMapperTest, BeyondMaxRejected) {
   ino.type = InodeType::kFile;
   bool dirty = false;
   uint64_t idx = mapper_.MaxFileBlocks();
-  EXPECT_TRUE(mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty)
-                  .status()
-                  .IsInvalidArgument());
+  EXPECT_TRUE(MapOrAllocate(&ino, idx, &dirty).status().IsInvalidArgument());
 }
 
 TEST_F(BlockMapperTest, DistinctIndicesGetDistinctBlocks) {
@@ -118,7 +145,7 @@ TEST_F(BlockMapperTest, DistinctIndicesGetDistinctBlocks) {
   bool dirty = false;
   std::set<uint64_t> blocks;
   for (uint64_t idx = 0; idx < 300; ++idx) {
-    auto b = mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty);
+    auto b = MapOrAllocate(&ino, idx, &dirty);
     ASSERT_TRUE(b.ok());
     EXPECT_TRUE(blocks.insert(b.value()).second) << "dup at " << idx;
   }
@@ -130,8 +157,7 @@ TEST_F(BlockMapperTest, FreeFromReturnsAllBlocks) {
   bool dirty = false;
   uint64_t before = bitmap_.free_count();
   for (uint64_t idx = 0; idx < 200; ++idx) {
-    ASSERT_TRUE(
-        mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty).ok());
+    ASSERT_TRUE(MapOrAllocate(&ino, idx, &dirty).ok());
   }
   EXPECT_LT(bitmap_.free_count(), before);
   ASSERT_TRUE(mapper_.FreeFrom(&ino, 0, &store_, &alloc_).ok());
@@ -149,18 +175,18 @@ TEST_F(BlockMapperTest, PartialTruncateKeepsPrefix) {
   bool dirty = false;
   std::vector<uint64_t> blocks;
   for (uint64_t idx = 0; idx < 150; ++idx) {
-    auto b = mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty);
+    auto b = MapOrAllocate(&ino, idx, &dirty);
     ASSERT_TRUE(b.ok());
     blocks.push_back(b.value());
   }
   ASSERT_TRUE(mapper_.FreeFrom(&ino, 100, &store_, &alloc_).ok());
   for (uint64_t idx = 0; idx < 100; ++idx) {
-    auto b = mapper_.Map(ino, idx, &store_);
+    auto b = Map(ino, idx);
     ASSERT_TRUE(b.ok()) << idx;
     EXPECT_EQ(b.value(), blocks[idx]);
   }
   for (uint64_t idx = 100; idx < 150; ++idx) {
-    EXPECT_TRUE(mapper_.Map(ino, idx, &store_).status().IsNotFound()) << idx;
+    EXPECT_TRUE(Map(ino, idx).status().IsNotFound()) << idx;
   }
 }
 
@@ -170,13 +196,31 @@ TEST_F(BlockMapperTest, CollectBlocksCountsDataAndIndirect) {
   bool dirty = false;
   const uint64_t kData = 150;  // spans direct + single + into double
   for (uint64_t idx = 0; idx < kData; ++idx) {
-    ASSERT_TRUE(
-        mapper_.MapOrAllocate(&ino, idx, &store_, &alloc_, &dirty).ok());
+    ASSERT_TRUE(MapOrAllocate(&ino, idx, &dirty).ok());
   }
   std::vector<uint64_t> collected;
   ASSERT_TRUE(mapper_.CollectBlocks(ino, &store_, &collected).ok());
   // 150 data + 1 single-indirect + 1 double-indirect + 1 L2 block.
   EXPECT_EQ(collected.size(), kData + 3);
+}
+
+TEST_F(BlockMapperTest, MemoReadsEachPointerBlockOncePerLoop) {
+  Inode ino;
+  ino.type = InodeType::kFile;
+  bool dirty = false;
+  // 512 B blocks: 128 pointers per block. Blocks [0, 400) cover the
+  // direct range, the single-indirect block, the double root and three
+  // L2 blocks.
+  const uint64_t kData = 400;
+  for (uint64_t idx = 0; idx < kData; ++idx) {
+    ASSERT_TRUE(MapOrAllocate(&ino, idx, &dirty).ok());
+  }
+  CountingStore counting(&store_);
+  BlockMapper::Memo memo;
+  for (uint64_t idx = 0; idx < kData; ++idx) {
+    ASSERT_TRUE(mapper_.Map(ino, idx, &counting, &memo).ok()) << idx;
+  }
+  EXPECT_EQ(counting.reads, 1u + 1u + 3u);
 }
 
 }  // namespace

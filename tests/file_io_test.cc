@@ -103,6 +103,29 @@ TEST_F(FileIoTest, WriteBeyondMaxRejected) {
   uint64_t max_bytes = io_.mapper()->MaxFileBlocks() * layout_.block_size;
   EXPECT_TRUE(io_.Write(&inode_, max_bytes, "x", &store_, &alloc_, &dirty_)
                   .IsInvalidArgument());
+  // offset + size wrapping past 2^64 is still beyond the maximum.
+  EXPECT_TRUE(io_.Write(&inode_, ~uint64_t{0} - 3, "12345678", &store_,
+                        &alloc_, &dirty_)
+                  .IsInvalidArgument());
+}
+
+TEST_F(FileIoTest, TruncateBeyondMaxRejected) {
+  const uint64_t max_bytes =
+      io_.mapper()->MaxFileBlocks() * layout_.block_size;
+  ASSERT_TRUE(io_.Write(&inode_, 0, "head", &store_, &alloc_, &dirty_).ok());
+  EXPECT_TRUE(io_.Truncate(&inode_, max_bytes + 4096, &store_, &alloc_,
+                           &dirty_)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      io_.Truncate(&inode_, max_bytes + 1, &store_, &alloc_, &dirty_)
+          .IsInvalidArgument());
+  EXPECT_EQ(inode_.size, 4u);
+  // Growing to exactly the maximum is fine, and the tail reads as zeros.
+  ASSERT_TRUE(
+      io_.Truncate(&inode_, max_bytes, &store_, &alloc_, &dirty_).ok());
+  std::string out;
+  ASSERT_TRUE(io_.Read(inode_, max_bytes - 8, 64, &store_, &out).ok());
+  EXPECT_EQ(out, std::string(8, '\0'));
 }
 
 TEST_F(FileIoTest, MtimeAdvancesOnMutation) {

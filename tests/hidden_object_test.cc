@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "blockdev/mem_block_device.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace stegfs {
@@ -198,6 +199,54 @@ TEST_F(HiddenObjectTest, UseAfterRemoveRejected) {
   EXPECT_TRUE((*obj)->WriteAll("nope").IsFailedPrecondition());
   EXPECT_TRUE((*obj)->Sync().IsFailedPrecondition());
   EXPECT_TRUE((*obj)->Remove().IsFailedPrecondition());
+}
+
+// The pointer-block memo, seen from the crypto counters: a 1 MiB extent
+// deep in the double-indirect range decrypts its 256 data blocks plus
+// the double root and one L2 block, not both per data block; a
+// whole-block overwrite of it decrypts only those pointer blocks.
+TEST(HiddenObjectMemoTest, ExtentDecryptsEachPointerBlockOnce) {
+  // 4 KiB blocks: 1024 pointers per indirect block, so the double-indirect
+  // range starts at file block 10 + 1024 (~4 MiB).
+  Layout layout = Layout::Compute(4096, 8192, 64);  // 32 MB volume
+  MemBlockDevice dev(layout.block_size, layout.num_blocks);
+  BufferCache cache(&dev, 1024);
+  BlockBitmap bitmap(layout);
+  Xoshiro rng(4242);
+  HiddenVolume vol;
+  vol.cache = &cache;
+  vol.bitmap = &bitmap;
+  vol.layout = layout;
+  vol.params = StegParams{};
+  vol.rng = &rng;
+  vol.probe_limit = 2000;
+
+  auto obj = HiddenObject::Create(vol, "memo-object", "fak-memo",
+                                  HiddenType::kFile);
+  ASSERT_TRUE(obj.ok()) << obj.status().ToString();
+  std::string content = RandomData(6 << 20, 17);
+  ASSERT_TRUE((*obj)->WriteAll(content).ok());
+  ASSERT_TRUE((*obj)->Sync().ok());
+
+  const uint64_t kOffset = 5 << 20, kLen = 1 << 20;  // blocks 1280..1535
+  obs::Counter& decrypted = obs::GlobalCryptoMetrics().blocks_decrypted;
+  std::string out;
+  uint64_t before = decrypted.value();
+  ASSERT_TRUE((*obj)->Read(kOffset, kLen, &out).ok());
+  const uint64_t read_cost = decrypted.value() - before;
+  EXPECT_EQ(out, content.substr(kOffset, kLen));
+  EXPECT_GE(read_cost, 256u);
+  EXPECT_LE(read_cost, 256u + 6u);
+
+  std::string patch = RandomData(kLen, 18);
+  before = decrypted.value();
+  ASSERT_TRUE((*obj)->Write(kOffset, patch).ok());
+  EXPECT_LE(decrypted.value() - before, 3u);
+
+  content.replace(kOffset, kLen, patch);
+  auto back = (*obj)->ReadAll();
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), content);
 }
 
 }  // namespace

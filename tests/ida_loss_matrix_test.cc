@@ -527,5 +527,53 @@ TEST(LossMatrixTest, CrashRecoveryHealsLostShares) {
   Summary().push_back(cell);
 }
 
+// A heal must never be undone by a mapping the read already decoded.
+// FileIo reads a 600-block object in 256-block chunks; stripe 170 (file
+// blocks 510..512 under IDA 3-of-5) straddles the second chunk boundary,
+// and both straddling shares sit under the same double-indirect L2 block.
+// Lose one share on each side: the first chunk's heal re-disperses both
+// and remaps their pointers, so the last chunk must map the healed block
+// fresh — a decoded pointer block carried over from before the heal
+// would send it back to the lost one and report a second degraded
+// stripe.
+TEST(LossMatrixTest, HealAcrossReadChunksRemapsOnce) {
+  MemBlockDevice dev(kBs, kBlocks);
+  ASSERT_TRUE(StegFs::Format(&dev, SmallFormat()).ok());
+  const RedundancyPolicy policy = RedundancyPolicy::Ida(3, 5);
+  const std::string content = Content(600 * kBs, 3);
+  std::vector<std::vector<uint64_t>> shares;
+  {
+    auto fs = StegFs::Mount(&dev, StegFsOptions());
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    ASSERT_TRUE(
+        (*fs)->StegCreate(kUid, kObj, kUak, HiddenType::kFile, policy).ok());
+    ASSERT_TRUE((*fs)->StegConnect(kUid, kObj, kUak).ok());
+    ASSERT_TRUE((*fs)->HiddenWriteAll(kUid, kObj, content).ok());
+    auto collected = CollectShares(fs->get());
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+    shares = std::move(collected).value();
+    ASSERT_TRUE((*fs)->Flush().ok());
+  }
+  ASSERT_EQ(shares.size(), 200u);
+  OverwriteWithNoise(&dev, shares[170][1], 511);  // file block 511
+  OverwriteWithNoise(&dev, shares[170][2], 512);  // file block 512
+
+  auto fs = StegFs::Mount(&dev, StegFsOptions());
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  ASSERT_TRUE((*fs)->StegConnect(kUid, kObj, kUak).ok());
+  auto back = (*fs)->HiddenReadAll(kUid, kObj);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value(), content);
+  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.load(), 2u);
+  EXPECT_EQ((*fs)->redundancy_stats().degraded_reads.load(), 1u);
+
+  // The heal stuck: a second read finds nothing left to repair.
+  back = (*fs)->HiddenReadAll(kUid, kObj);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value(), content);
+  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.load(), 2u);
+  EXPECT_EQ((*fs)->redundancy_stats().degraded_reads.load(), 1u);
+}
+
 }  // namespace
 }  // namespace stegfs

@@ -4,6 +4,8 @@
 
 #include "blockdev/mem_block_device.h"
 #include "crypto/keys.h"
+#include "crypto/sha256.h"
+#include "util/hex.h"
 #include "util/random.h"
 
 namespace stegfs {
@@ -337,6 +339,23 @@ TEST_F(StegFsTest, ConnectIsIdempotent) {
   ASSERT_TRUE(fs_->StegConnect("alice", "x", "uak-a").ok());
   ASSERT_TRUE(fs_->StegConnect("alice", "x", "uak-a").ok());
   EXPECT_EQ(fs_->ConnectedObjects("alice").size(), 1u);
+}
+
+// Format is deterministic in its entropy: the default Table 1 dummy
+// population (~10 MiB) on a 16 MiB volume with a journal ring must keep
+// producing this exact image. The digest pins the bytes, so a change to
+// how Format stages its writes (cache size, eviction order) cannot move a
+// single block unnoticed.
+TEST(StegFsFormatTest, FormattedImageIsPinned) {
+  MemBlockDevice dev(4096, 4096);
+  StegFormatOptions o;
+  o.entropy = "pinned-image";
+  o.journal_blocks = 64;
+  ASSERT_TRUE(StegFs::Format(&dev, o).ok());
+  crypto::Sha256Digest digest =
+      crypto::Sha256::Hash(dev.raw().data(), dev.raw().size());
+  EXPECT_EQ(HexEncode(digest.data(), digest.size()),
+            "849161bc695218420571b985af4994526ced47728c1b8db6bf77152630b47255");
 }
 
 }  // namespace
