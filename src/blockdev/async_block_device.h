@@ -15,8 +15,10 @@
 // synchronous BlockDevice via a small thread pool, so the decorated
 // devices (SimDisk, ThrottledBlockDevice, FaultInjectionBlockDevice, the
 // crash recorder) keep their per-request accounting and fault-injection
-// semantics (blockdev/thread_pool_async_device.h). RetryingAsyncDevice
-// (fault/) decorates it.
+// semantics (blockdev/thread_pool_async_device.h). On fault-tolerant
+// mounts that base device is the sync retry decorator
+// (fault/retrying_device.h), so the engine needs no retry layer of its
+// own.
 //
 // Contracts shared by every implementation:
 //   - The buffers referenced by a submitted iov must stay alive until the

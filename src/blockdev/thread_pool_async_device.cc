@@ -4,6 +4,8 @@
 #include <thread>
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace stegfs {
 
 namespace {
@@ -77,15 +79,20 @@ IoTicket ThreadPoolAsyncDevice::Submit(std::vector<Vec> iov,
 
   IoTicket ticket = batch->completion.ticket();
   // The iov lives in one shared vector; each slice transfers a disjoint
-  // [begin, end) range of it through the base device's vectored call.
+  // [begin, end) range of it through the base device's vectored call,
+  // under the submitter's trace context.
   auto shared_iov = std::make_shared<std::vector<Vec>>(std::move(iov));
+  const obs::SpanContext ctx = obs::CurrentSpanContext();
   const size_t n = shared_iov->size();
   const size_t per = (n + slices - 1) / slices;
   for (size_t s = 0; s < slices; ++s) {
     const size_t begin = s * per;
     const size_t end = std::min(n, begin + per);
-    pool_.Submit([this, batch, shared_iov, begin, end, transfer] {
-      batch->RecordError(transfer(shared_iov->data() + begin, end - begin));
+    pool_.Submit([this, batch, shared_iov, begin, end, transfer, ctx] {
+      {
+        obs::Span span(ctx, "async.transfer", "blockdev");
+        batch->RecordError(transfer(shared_iov->data() + begin, end - begin));
+      }
       if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         Finalize(batch);
       }

@@ -13,6 +13,14 @@
 // A batch is split into at most `workers` slices so its blocks transfer in
 // parallel; the last slice to finish completes the batch (exactly once)
 // with the first error any slice saw.
+//
+// Retries: on fault-tolerant mounts the base device is the mount's
+// RetryingBlockDevice, so each slice is one retry unit. A transient fault
+// is re-issued and backed off on the pool thread inside the slice, and
+// Drain() covers the backoff because the slice has not finished. Each
+// slice runs under an "async.transfer" span continued from the
+// submitter's trace context, so a retry's "fault.retry" span stays in the
+// submitting operation's tree.
 #ifndef STEGFS_BLOCKDEV_THREAD_POOL_ASYNC_DEVICE_H_
 #define STEGFS_BLOCKDEV_THREAD_POOL_ASYNC_DEVICE_H_
 

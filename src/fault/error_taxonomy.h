@@ -1,10 +1,10 @@
-// Fault taxonomy (PR 8): every BlockDevice / AsyncBlockDevice result is
-// classified into one of four handling classes before the stack reacts:
+// Fault taxonomy: every BlockDevice result is classified into one of four
+// handling classes before the stack reacts:
 //
 //   kTransient  - momentary substrate hiccup (EIO under load, a dropped
 //                 remote-carrier request). Worth retrying with backoff;
-//                 the RetryingBlockDevice / RetryingAsyncDevice decorators
-//                 absorb these below the cache and journal.
+//                 the RetryingBlockDevice decorator absorbs these below
+//                 the cache, the journal and the async engine.
 //   kTimeout    - the op exceeded its deadline (latency spike on a
 //                 high-latency carrier). Retryable like kTransient, but
 //                 counted separately so a slow backend is distinguishable
@@ -49,7 +49,7 @@ inline IoErrorClass Classify(const Status& s) {
   }
 }
 
-// Whether the retry decorators should re-attempt an op that failed with
+// Whether the retry decorator should re-attempt an op that failed with
 // this status.
 inline bool IsRetryable(const Status& s) {
   const IoErrorClass cls = Classify(s);

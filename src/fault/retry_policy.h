@@ -1,4 +1,4 @@
-// RetryPolicy: how the fault-tolerance decorators re-attempt transient
+// RetryPolicy: how the fault-tolerance decorator re-attempts transient
 // faults (PR 8). Exponential backoff with DETERMINISTIC seeded jitter —
 // the jitter for attempt A of op O is a pure function of (seed, O, A), so
 // two runs against identical fault schedules produce identical retry
@@ -38,8 +38,8 @@ uint64_t BackoffNanos(const RetryPolicy& policy, uint64_t op_seq,
                       uint32_t retry_number);
 
 // Fault/retry instruments of one mount, registered under stegfs_fault_*.
-// Shared by the sync and async retry decorators (all counters are relaxed
-// atomics, so both paths record concurrently).
+// Written by the mount's retry decorator from caller and engine pool
+// threads alike (all counters are relaxed atomics).
 struct FaultStats {
   obs::Counter transient_errors;
   obs::Counter persistent_errors;

@@ -1,10 +1,11 @@
-// RetryingBlockDevice: the synchronous half of the fault-tolerance layer
-// (PR 8). A BlockDevice decorator that classifies every inner error
+// RetryingBlockDevice: the retry layer of fault-tolerant mounts. A
+// BlockDevice decorator that classifies every inner error
 // (fault/error_taxonomy.h) and re-attempts transient/timeout-classed ones
 // under a RetryPolicy — exponential backoff, deterministic seeded jitter,
-// per-op deadline. Sits between the buffer cache / journal and the real
-// device on fault-tolerant mounts, so the layers above only ever see
-// faults that survived the policy.
+// per-op deadline. Every transfer of the mount passes through it: the
+// buffer cache and journal call it directly, and the async engine
+// (ThreadPoolAsyncDevice) runs each batch slice through it on a pool
+// thread. The layers above only ever see faults that survived the policy.
 //
 // What it reports where:
 //   - every fault's class        -> FaultStats counters
@@ -18,9 +19,8 @@
 // 1 MiB sequential path.
 //
 // Decorator conventions (blockdev/block_device.h): device_metrics() and
-// Sync()/sync_count() forward to the inner device. Fault-tolerant mounts
-// attach the async engine to the RAW device and wrap the ENGINE in
-// RetryingAsyncDevice instead, so the async path keeps its own retries.
+// Sync()/sync_count() forward to the inner device. Fault injection and the
+// crash recorder sit below this decorator, so they see every attempt.
 #ifndef STEGFS_FAULT_RETRYING_DEVICE_H_
 #define STEGFS_FAULT_RETRYING_DEVICE_H_
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "blockdev/thread_pool_async_device.h"
-#include "fault/retrying_async_device.h"
 
 namespace stegfs {
 
@@ -80,8 +79,7 @@ Status PlainFs::Format(BlockDevice* device, const FormatOptions& options) {
 }
 
 PlainFs::PlainFs(BlockDevice* device, const Superblock& super,
-                 const MountOptions& options,
-                 std::unique_ptr<AsyncBlockDevice> engine)
+                 const MountOptions& options)
     : device_(device),
       super_(super),
       layout_(super.ComputeLayout()),
@@ -92,9 +90,8 @@ PlainFs::PlainFs(BlockDevice* device, const Superblock& super,
                               &health_)
                         : nullptr),
       cache_(std::make_unique<BufferCache>(
-          retry_device_ ? static_cast<BlockDevice*>(retry_device_.get())
-                        : device,
-          options.cache_blocks, options.write_policy, options.cache_shards)),
+          data_device(), options.cache_blocks, options.write_policy,
+          options.cache_shards)),
       bitmap_(layout_),
       inodes_(cache_.get(), layout_),
       file_io_(layout_.block_size),
@@ -102,15 +99,13 @@ PlainFs::PlainFs(BlockDevice* device, const Superblock& super,
       dir_ops_(&file_io_),
       allocator_(this),
       rng_(options.rng_seed),
-      io_engine_(std::move(engine)) {
-  // The async half of the retry layer wraps whatever engine Mount
-  // resolved. The thread-pool engine reaches the device directly (not
-  // through retry_device_), so each async fault is retried exactly once —
-  // by this wrapper, from its own worker thread.
-  if (options.fault.enabled && io_engine_ != nullptr) {
-    io_engine_ = std::make_unique<fault::RetryingAsyncDevice>(
-        std::move(io_engine_), options.fault.retry, &fault_stats_, &health_);
-  }
+      // The engine transfers through the same retry decorator as the
+      // cache and journal: each slice's ReadBlocks/WriteBlocks runs on a
+      // pool thread, so a transient fault is retried (and backed off)
+      // right there, inside the slice.
+      io_engine_(options.io_engine == IoEngine::kAuto
+                     ? std::make_unique<ThreadPoolAsyncDevice>(data_device())
+                     : nullptr) {
   if (io_engine_ != nullptr) cache_->SetAsyncEngine(io_engine_.get());
   // Readahead needs a second core: even with an async engine (a pure
   // submitter — no thread ever blocks on the background read) the
@@ -193,12 +188,7 @@ StatusOr<std::unique_ptr<PlainFs>> PlainFs::Mount(BlockDevice* device,
     STEGFS_ASSIGN_OR_RETURN(recovery_report,
                             journal::JournalRecovery::Run(mount_dev, sb));
   }
-  std::unique_ptr<AsyncBlockDevice> engine;
-  if (options.io_engine == IoEngine::kAuto) {
-    engine = std::make_unique<ThreadPoolAsyncDevice>(device);
-  }
-  std::unique_ptr<PlainFs> fs(
-      new PlainFs(device, sb, options, std::move(engine)));
+  std::unique_ptr<PlainFs> fs(new PlainFs(device, sb, options));
   fs->recovery_report_ = recovery_report;
   if (options.durability == Durability::kJournal) {
     // One volume-wide write barrier, shared by journal batch commits and

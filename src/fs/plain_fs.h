@@ -68,8 +68,8 @@ enum class IoEngine {
   // No engine: the PR 3 call-and-wait batch path. The default — every
   // seeded test relies on its exact locking and accounting.
   kSync,
-  // ThreadPoolAsyncDevice over the mount's device. What the C API mounts
-  // use.
+  // ThreadPoolAsyncDevice over the mount's data_device(). What the C API
+  // mounts use.
   kAuto,
 };
 
@@ -124,9 +124,9 @@ struct MountOptions {
   bool durable_flush = true;
   // Fault tolerance (see src/fault/ and docs/ARCHITECTURE.md §11). When
   // enabled — the default; the wrapper is byte-transparent and its
-  // fault-free fast path adds no clock reads or allocations — a
-  // RetryingBlockDevice sits between the cache/journal and the device,
-  // and a RetryingAsyncDevice wraps the async engine, re-issuing
+  // fault-free fast path adds no clock reads or allocations — one
+  // RetryingBlockDevice sits between the device and everything that
+  // transfers blocks (cache, journal, async engine), re-issuing
   // transient/timeout-classed I/O under `retry` before any fault
   // surfaces. Persistent/corruption faults and retry exhaustion feed the
   // mount's HealthMonitor (kHealthy -> kDegraded -> kReadOnly).
@@ -222,8 +222,9 @@ class PlainFs {
 
   // --- Introspection & StegFS integration ------------------------------
   BlockDevice* device() { return device_; }
-  // The device the cache and journal actually write through: the retry
-  // decorator when fault tolerance is on, else the raw device.
+  // The device the cache, journal and async engine actually transfer
+  // through: the retry decorator when fault tolerance is on, else the raw
+  // device.
   BlockDevice* data_device() {
     return retry_device_ ? static_cast<BlockDevice*>(retry_device_.get())
                          : device_;
@@ -315,9 +316,12 @@ class PlainFs {
     PlainFs* fs_;
   };
 
+  // Builds the mount's I/O stack over `device`, bottom up: the retry
+  // decorator (fault-tolerant mounts), the cache over data_device() and,
+  // on kAuto mounts, the thread-pool engine over data_device() too. Mount
+  // has already validated the superblock and replayed the journal.
   PlainFs(BlockDevice* device, const Superblock& super,
-          const MountOptions& options,
-          std::unique_ptr<AsyncBlockDevice> engine);
+          const MountOptions& options);
 
   // Everything an operation hands to FinishCommit after dropping the
   // metadata lock: the staged transaction's ticket (invalid on kNone
@@ -387,8 +391,8 @@ class PlainFs {
   obs::MetricsRegistry registry_;
   obs::TraceRecorder trace_;
   FsOpMetrics op_metrics_;
-  // Fault-tolerance state, declared before the retry decorators that hold
-  // pointers into it (and destroyed after them).
+  // Fault-tolerance state, declared before the retry decorator that holds
+  // pointers into it (and destroyed after it).
   fault::FaultStats fault_stats_;
   fault::HealthMonitor health_;
 
@@ -399,8 +403,8 @@ class PlainFs {
   Superblock super_;
   Layout layout_;
   MountOptions options_;
-  // Declared before cache_ (and the journal built on it): both write
-  // through this decorator, so it must outlive them. nullptr when
+  // Declared before cache_, the journal and the engine: all three
+  // transfer through this decorator, so it must outlive them. nullptr when
   // options_.fault.enabled is false.
   std::unique_ptr<fault::RetryingBlockDevice> retry_device_;
   std::unique_ptr<BufferCache> cache_;

@@ -29,6 +29,7 @@
 #include "fault/fault_injection_device.h"
 #include "fault/health.h"
 #include "journal/recovery.h"
+#include "obs/trace.h"
 
 namespace stegfs {
 namespace {
@@ -350,6 +351,104 @@ TEST(FaultMatrixTest, IdleFaultLayerLeavesImageBitIdentical) {
     return ImageOf(&dev);
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+// The async engine transfers through the mount's one retry layer: a
+// pipelined hidden read (1 MiB, 4 KiB blocks, so 256 blocks in four
+// engine sub-batches) on a kAuto mount. Each case connects, writes and
+// flushes the object, then drops the cache so the read's data blocks are
+// cold. A one-byte read of the last block re-warms the single-indirect
+// pointer block, so the next device read is an engine slice.
+class EngineRetryTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kBlockSize = 4096;
+  static constexpr uint64_t kVolumeBlocks = 4096;
+  static constexpr size_t kObjectBytes = 1 << 20;
+
+  void SetUp() override {
+    dev_ = std::make_unique<FaultInjectionBlockDevice>(kBlockSize,
+                                                       kVolumeBlocks);
+    ASSERT_TRUE(StegFs::Format(dev_.get(), SmallFormat()).ok());
+    StegFsOptions opts = EngineOpts(IoEngine::kAuto);
+    opts.mount.cache_blocks = 1024;
+    auto fs = StegFs::Mount(dev_.get(), opts);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    fs_ = std::move(fs).value();
+    ASSERT_TRUE(fs_->StegCreate(kUid, "big", kUak, HiddenType::kFile).ok());
+    ASSERT_TRUE(fs_->StegConnect(kUid, "big", kUak).ok());
+    data_ = Pattern(kObjectBytes, 99);
+    ASSERT_TRUE(fs_->HiddenWriteAll(kUid, "big", data_).ok());
+    ASSERT_TRUE(fs_->Flush().ok());
+    fs_->plain()->cache()->DropAll();
+    std::string last;
+    ASSERT_TRUE(
+        fs_->HiddenRead(kUid, "big", kObjectBytes - 1, 1, &last).ok());
+  }
+
+  // Runs the traced 1 MiB read, checks its bytes, and returns the ring.
+  std::vector<obs::TraceEvent> TracedRead() {
+    obs::TraceRecorder* trace = fs_->plain()->trace_recorder();
+    trace->Clear();
+    trace->Start();
+    std::string out;
+    Status s = fs_->HiddenRead(kUid, "big", 0, kObjectBytes, &out);
+    trace->Stop();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(out == data_) << "pipelined read returned wrong bytes";
+    return trace->Events();
+  }
+
+  static const obs::TraceEvent* Find(const std::vector<obs::TraceEvent>& ev,
+                                     const char* name) {
+    for (const obs::TraceEvent& e : ev) {
+      if (std::strcmp(e.name, name) == 0) return &e;
+    }
+    return nullptr;
+  }
+
+  std::unique_ptr<FaultInjectionBlockDevice> dev_;
+  std::unique_ptr<StegFs> fs_;
+  std::string data_;
+};
+
+TEST_F(EngineRetryTest, TransientFaultRetriedInsideTheEngineSlice) {
+  if (!obs::MetricsEnabled()) GTEST_SKIP() << "observability disabled";
+  ASSERT_TRUE(dev_->LoadSchedule("read:eio@0x1").ok());
+  const std::vector<obs::TraceEvent> events = TracedRead();
+  EXPECT_EQ(dev_->faults_injected(), 1u);
+  const fault::FaultStats* stats = fs_->plain()->fault_stats();
+  EXPECT_EQ(stats->retries.value(), 1u);
+  EXPECT_EQ(stats->retry_successes.value(), 1u);
+  EXPECT_EQ(stats->retry_exhausted.value(), 0u);
+  EXPECT_EQ(fs_->plain()->health()->state(), MountHealth::kHealthy);
+
+  // The retry happened on a pool thread, inside an engine slice, and
+  // still belongs to the read's operation tree.
+  const obs::TraceEvent* root = Find(events, "hidden.read");
+  const obs::TraceEvent* retry = Find(events, "fault.retry");
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(retry, nullptr);
+  EXPECT_EQ(retry->op_id, root->op_id);
+  const obs::TraceEvent* parent = nullptr;
+  for (const obs::TraceEvent& e : events) {
+    if (e.span_id == retry->parent_span) parent = &e;
+  }
+  ASSERT_NE(parent, nullptr);
+  EXPECT_STREQ(parent->name, "async.transfer");
+  EXPECT_EQ(parent->op_id, root->op_id);
+  EXPECT_NE(parent->tid, root->tid);
+}
+
+TEST_F(EngineRetryTest, FaultFreePipelinedReadRecordsNoFaultSpan) {
+  if (!obs::MetricsEnabled()) GTEST_SKIP() << "observability disabled";
+  const std::vector<obs::TraceEvent> events = TracedRead();
+  EXPECT_EQ(fs_->plain()->fault_stats()->retries.value(), 0u);
+  for (const obs::TraceEvent& e : events) {
+    EXPECT_NE(std::strncmp(e.name, "fault.", 6), 0)
+        << "fault span " << e.name << " on a fault-free read";
+  }
+  EXPECT_NE(Find(events, "async.transfer"), nullptr)
+      << "the read did not run through the engine";
 }
 
 // The C API face of the subsystem: steg_mount_faulty scripts faults on a
