@@ -126,7 +126,7 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
     Entry& e = Touch(shard, found->second);
     CountHit(e);
     std::memcpy(e.data.data(), data, e.data.size());
-    MarkWritten(&e);
+    MarkWritten(shard, &e);
     e.wseq = seq;
     return Status::OK();
   }
@@ -135,7 +135,7 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
   Entry e;
   e.block = block;
   e.data.assign(data, data + device_->block_size());
-  MarkWritten(&e);
+  MarkWritten(shard, &e);
   e.wseq = seq;
   shard->lru.push_front(std::move(e));
   shard->map[block] = shard->lru.begin();
@@ -314,7 +314,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
         Entry& e = Touch(shard, found->second);
         CountHit(e);
         std::memcpy(e.data.data(), data + pos * bs, bs);
-        MarkWritten(&e);
+        MarkWritten(shard, &e);
         e.wseq = seq;
         continue;
       }
@@ -323,7 +323,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
       Entry e;
       e.block = blocks[pos];
       e.data.assign(data + pos * bs, data + pos * bs + bs);
-      MarkWritten(&e);
+      MarkWritten(shard, &e);
       e.wseq = seq;
       shard->lru.push_front(std::move(e));
       shard->map[blocks[pos]] = shard->lru.begin();
@@ -683,21 +683,31 @@ Status BufferCache::FlushShard(Shard* shard,
   // dirty extents coalesce on the device. On error every entry stays
   // dirty (re-written by the next flush — idempotent). Held-back blocks
   // (the journal's parked metadata images) are skipped entirely.
+  if (!shard->has_dirty) return Status::OK();
   auto parked = ParkedSnapshot();
   std::vector<Entry*> dirty;
+  bool skipped = false;
   for (Entry& e : shard->lru) {
     if (!e.dirty) continue;
-    if (hold_back != nullptr && hold_back->count(e.block) != 0) continue;
-    if (parked != nullptr && parked->count(e.block) != 0) continue;
+    if ((hold_back != nullptr && hold_back->count(e.block) != 0) ||
+        (parked != nullptr && parked->count(e.block) != 0)) {
+      skipped = true;
+      continue;
+    }
     dirty.push_back(&e);
   }
+  shard->has_dirty = skipped;
   if (dirty.empty()) return Status::OK();
   std::sort(dirty.begin(), dirty.end(),
             [](const Entry* a, const Entry* b) { return a->block < b->block; });
   std::vector<ConstBlockIoVec> iov;
   iov.reserve(dirty.size());
   for (const Entry* e : dirty) iov.push_back({e->block, e->data.data()});
-  STEGFS_RETURN_IF_ERROR(device_->WriteBlocks(iov.data(), iov.size()));
+  Status written = device_->WriteBlocks(iov.data(), iov.size());
+  if (!written.ok()) {
+    shard->has_dirty = true;
+    return written;
+  }
   for (Entry* e : dirty) e->dirty = false;
   writebacks_.Add(dirty.size());
   return Status::OK();

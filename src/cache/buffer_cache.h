@@ -320,6 +320,11 @@ class BufferCache {
     // what lets a pipeline's sibling sub-batches (disjoint blocks, same
     // shard) all cache their groups instead of invalidating each other.
     uint64_t write_seq = 0;
+    // False only while no entry is dirty: set by every write that leaves
+    // one dirty, cleared by a flush that wrote every dirty entry back.
+    // A barrier's WriteBackDirty then skips clean shards without walking
+    // their LRU lists under the exclusive lock.
+    bool has_dirty = false;
     // Blocks with an async write in flight -> that write's sequence
     // (latest submission wins; erased at completion). An absent entry is
     // insert-safe for a completing write only while its claim is still
@@ -338,9 +343,10 @@ class BufferCache {
                     const std::unordered_set<uint64_t>* hold_back = nullptr);
   // Counts a demand hit on `e`, claiming its prefetched flag if set.
   void CountHit(Entry& e);
-  // Marks `e` dirty under the write policy.
-  void MarkWritten(Entry* e) {
+  // Marks `e` (an entry of `shard`) dirty under the write policy.
+  void MarkWritten(Shard* shard, Entry* e) {
     e->dirty = (policy_ == WritePolicy::kWriteBack);
+    shard->has_dirty |= e->dirty;
   }
   // Loads the listed blocks into one shard (missing ones only) with a
   // single vectored device read. Used by the pool-based prefetcher.

@@ -79,6 +79,22 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Create(
     const HiddenVolume& vol, const std::string& physical_name,
     const std::string& access_key, HiddenType type,
     RedundancyPolicy redundancy) {
+  return CreateImpl(vol, physical_name, access_key, type, redundancy,
+                    /*claim_only=*/false);
+}
+
+StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::CreateClaimOnly(
+    const HiddenVolume& vol, const std::string& physical_name,
+    const std::string& access_key, HiddenType type,
+    RedundancyPolicy redundancy) {
+  return CreateImpl(vol, physical_name, access_key, type, redundancy,
+                    /*claim_only=*/true);
+}
+
+StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::CreateImpl(
+    const HiddenVolume& vol, const std::string& physical_name,
+    const std::string& access_key, HiddenType type,
+    RedundancyPolicy redundancy, bool claim_only) {
   if (redundancy.enabled() && !redundancy.Valid()) {
     return Status::InvalidArgument("invalid redundancy policy");
   }
@@ -86,37 +102,45 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Create(
       new HiddenObject(vol, physical_name, access_key));
 
   // Refuse to create a second object under the same (name, key): its header
-  // would shadow or be shadowed by the existing one.
+  // would shadow or be shadowed by the existing one. A claim-only create
+  // leaves that to the claims' step-over checks.
   HeaderLocator locator = MakeLocator(vol);
-  auto existing = locator.FindHeader(physical_name, access_key,
-                                     obj->crypter_);
-  if (existing.ok()) {
-    return Status::AlreadyExists("hidden object already exists: " +
-                                 physical_name);
-  }
-  if (!existing.status().IsNotFound()) return existing.status();
-  if (vol.durable) {
-    // A crash can tear the primary while the anchor chain survives; a
-    // create that only probed the primary would then shadow it.
-    auto anchored = locator.FindHeader(AnchorName(physical_name), access_key,
+  if (!claim_only) {
+    auto existing = locator.FindHeader(physical_name, access_key,
                                        obj->crypter_);
-    if (anchored.ok()) {
+    if (existing.ok()) {
       return Status::AlreadyExists("hidden object already exists: " +
                                    physical_name);
     }
-    if (!anchored.status().IsNotFound()) return anchored.status();
+    if (!existing.status().IsNotFound()) return existing.status();
+    if (vol.durable) {
+      // A crash can tear the primary while the anchor chain survives; a
+      // create that only probed the primary would then shadow it.
+      auto anchored = locator.FindHeader(AnchorName(physical_name),
+                                         access_key, obj->crypter_);
+      if (anchored.ok()) {
+        return Status::AlreadyExists("hidden object already exists: " +
+                                     physical_name);
+      }
+      if (!anchored.status().IsNotFound()) return anchored.status();
+    }
   }
 
-  STEGFS_ASSIGN_OR_RETURN(LocateResult claim,
-                          locator.ClaimHeaderBlock(physical_name, access_key));
+  const crypto::BlockCrypter* check = claim_only ? &obj->crypter_ : nullptr;
+  STEGFS_ASSIGN_OR_RETURN(
+      LocateResult claim,
+      locator.ClaimHeaderBlock(physical_name, access_key, check));
   obj->header_block_ = claim.header_block;
   obj->last_probes_ = claim.probes;
   if (vol.durable) {
-    STEGFS_ASSIGN_OR_RETURN(
-        LocateResult anchor,
-        locator.ClaimHeaderBlock(AnchorName(physical_name), access_key));
-    obj->anchor_block_ = anchor.header_block;
-    obj->header_.partner = static_cast<uint32_t>(anchor.header_block);
+    auto anchor = locator.ClaimHeaderBlock(AnchorName(physical_name),
+                                           access_key, check);
+    if (!anchor.ok()) {
+      (void)vol.bitmap->Free(claim.header_block);
+      return anchor.status();
+    }
+    obj->anchor_block_ = anchor->header_block;
+    obj->header_.partner = static_cast<uint32_t>(anchor->header_block);
   }
 
   obj->header_.signature = crypto::FileSignature(physical_name, access_key);

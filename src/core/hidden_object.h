@@ -91,11 +91,26 @@ struct HiddenVolume {
 // volume-wide allocation lock in HiddenVolume::alloc_mu.
 class HiddenObject {
  public:
-  // Creates a new hidden object. Fails with AlreadyExists if an object with
-  // the same (name, key) already exists on the volume. `redundancy`
+  // Creates a new hidden object under a caller-supplied key. Fails with
+  // AlreadyExists if an object with the same (name, key) already exists on
+  // the volume: before claiming, it walks the full probe_limit candidate
+  // sequence for the primary header and, on durable volumes, for the
+  // anchor, so even an object whose primary is torn is found. `redundancy`
   // selects the extent protection policy, fixed for the object's lifetime
   // and persisted in its header.
   static StatusOr<std::unique_ptr<HiddenObject>> Create(
+      const HiddenVolume& vol, const std::string& physical_name,
+      const std::string& access_key, HiddenType type,
+      RedundancyPolicy redundancy = RedundancyPolicy());
+
+  // Create for a (name, key) that no live object can hold: a fresh FAK
+  // (StegFs::FreshFak), or a pair whose Open just returned NotFound. Skips
+  // Create's walks and only claims, taking the first free candidate as in
+  // paper section 3. The claims still check the allocated candidates they
+  // step over — the only headers the new one could shadow — and return
+  // AlreadyExists if one carries this (name, key)'s signature (a header a
+  // crash left behind, for example).
+  static StatusOr<std::unique_ptr<HiddenObject>> CreateClaimOnly(
       const HiddenVolume& vol, const std::string& physical_name,
       const std::string& access_key, HiddenType type,
       RedundancyPolicy redundancy = RedundancyPolicy());
@@ -180,6 +195,12 @@ class HiddenObject {
 
   HiddenObject(const HiddenVolume& vol, const std::string& physical_name,
                const std::string& access_key);
+
+  // Create (`claim_only` false) and CreateClaimOnly (true).
+  static StatusOr<std::unique_ptr<HiddenObject>> CreateImpl(
+      const HiddenVolume& vol, const std::string& physical_name,
+      const std::string& access_key, HiddenType type,
+      RedundancyPolicy redundancy, bool claim_only);
 
   // Salted name for the anchor-block locator sequence ('\x01' can never
   // appear at that position in a real uid||'\0'||path physical name).

@@ -2,7 +2,10 @@
 //
 // Creation: hash(name || key) seeds a recursive-SHA-256 generator of data-
 // region block numbers; the first candidate that is FREE in the bitmap
-// becomes the header block.
+// becomes the header block. A checking claim also tests the signatures of
+// the allocated candidates it steps over on the way (~1/(1-f) of them at
+// fill f): those are the only headers a new one at the claimed block
+// could shadow or be shadowed by.
 //
 // Retrieval: the same candidate sequence is probed; for each candidate that
 // is ALLOCATED in the bitmap, the block's signature cells are decrypted
@@ -20,16 +23,19 @@
 // match in sequence order wins, with `probes` = its 1-based position, so
 // results and probe counts equal the one-candidate-at-a-time loop's. The
 // small first window keeps a connect (~12 probes at 90% fill) cheap; the
-// doubling keeps a create's 10 000-candidate NotFound walk at 43 batches.
+// doubling keeps a 10 000-candidate NotFound walk (an Open of a name that
+// does not exist, or a create under a caller-supplied key) at 43 batches.
 #ifndef STEGFS_CORE_LOCATOR_H_
 #define STEGFS_CORE_LOCATOR_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cache/buffer_cache.h"
 #include "crypto/block_crypter.h"
 #include "crypto/prng.h"
+#include "crypto/sha256.h"
 #include "fs/bitmap.h"
 #include "fs/layout.h"
 #include "obs/metrics.h"
@@ -96,9 +102,13 @@ class HeaderLocator {
         trace_(trace) {}
 
   // Finds a free block for a new header (first free candidate) and marks it
-  // allocated in the bitmap.
-  StatusOr<LocateResult> ClaimHeaderBlock(const std::string& physical_name,
-                                          const std::string& access_key);
+  // allocated in the bitmap. With a `check` crypter (keyed by the same
+  // access key), the allocated candidates stepped over first are read in
+  // one probe batch, and AlreadyExists is returned, with nothing claimed,
+  // if one carries this (name, key)'s signature.
+  StatusOr<LocateResult> ClaimHeaderBlock(
+      const std::string& physical_name, const std::string& access_key,
+      const crypto::BlockCrypter* check = nullptr);
 
   // Finds an existing header by signature match. `crypter` must be keyed by
   // the same access key. NotFound after probe_limit candidates. The walk
@@ -108,6 +118,25 @@ class HeaderLocator {
                                     const crypto::BlockCrypter& crypter);
 
  private:
+  // Largest probe batch: FindHeader's windows double up to it, and a
+  // checking claim tests its stepped-over candidates at least this often.
+  static constexpr uint32_t kMaxWindow = 256;
+
+  // Buffers one probe batch reuses across windows.
+  struct ProbeScratch {
+    std::vector<uint8_t> buf;
+    std::vector<crypto::CryptSpan> spans;
+    std::vector<uint8_t> sigs;
+  };
+
+  // Reads `blocks` as one cache probe batch (no insert, no eviction) and
+  // decrypts only their signature cells. Returns the index of the first
+  // block whose signature is `expect`, or blocks.size() if none is.
+  StatusOr<size_t> FirstSignatureMatch(const std::vector<uint64_t>& blocks,
+                                       const crypto::Sha256Digest& expect,
+                                       const crypto::BlockCrypter& crypter,
+                                       ProbeScratch* scratch);
+
   BufferCache* cache_;
   BlockBitmap* bitmap_;
   Layout layout_;

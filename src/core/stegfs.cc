@@ -38,6 +38,21 @@ uint64_t SeedFromEntropy(const std::string& entropy, const char* label) {
   return v;
 }
 
+// Seed of one mount's FAK stream: the configured seed plus a digest of the
+// allocation bitmap as mounted. The seed alone would replay F1, F2, ... on
+// every mount, so a "fresh" FAK could be the key of a live object created
+// by an earlier mount. Every block of a live object is allocated now, and
+// unless its mount had first freed all the blocks the object then took,
+// one of them was free when that mount started: that mount's bitmap, and
+// with it its FAK stream, does not recur while the object lives.
+std::string FakSeed(uint64_t steg_rng_seed, const BlockBitmap& bitmap) {
+  const std::vector<uint8_t> bits = bitmap.SnapshotBits();
+  const crypto::Sha256Digest d =
+      crypto::Sha256::Hash(bits.data(), bits.size());
+  return "stegfs-fak:" + std::to_string(steg_rng_seed) + ":" +
+         HexEncode(d.data(), d.size());
+}
+
 }  // namespace
 
 std::string StegFs::PhysicalName(const std::string& uid,
@@ -53,7 +68,7 @@ StegFs::StegFs(BlockDevice* device, std::unique_ptr<PlainFs> plain,
       plain_(std::move(plain)),
       options_(options),
       steg_rng_(options.steg_rng_seed),
-      fak_drbg_("stegfs-fak:" + std::to_string(options.steg_rng_seed)) {
+      fak_drbg_(FakSeed(options.steg_rng_seed, *plain_->bitmap())) {
   obs::MetricsRegistry* reg = plain_->metrics_registry();
   red_stats_.RegisterWith(reg);
   locator_stats_.RegisterWith(reg);
@@ -205,7 +220,9 @@ StatusOr<std::unique_ptr<HiddenObject>> StegFs::OpenUakDir(
   if (opened.ok() || !opened.status().IsNotFound() || !create_if_missing) {
     return opened;
   }
-  return HiddenObject::Create(vol, name, uak, HiddenType::kDirectory);
+  // That NotFound already walked the primary (and, on durable mounts, the
+  // anchor) sequence: walking them again to create would find nothing.
+  return HiddenObject::CreateClaimOnly(vol, name, uak, HiddenType::kDirectory);
 }
 
 StatusOr<std::unique_ptr<HiddenObject>> StegFs::OpenByEntry(
@@ -295,8 +312,8 @@ Status StegFs::StegCreate(const std::string& uid, const std::string& objname,
   entry.fak = FreshFak();
   STEGFS_ASSIGN_OR_RETURN(
       std::unique_ptr<HiddenObject> obj,
-      HiddenObject::Create(VolumeCtx(), PhysicalName(uid, objname), entry.fak,
-                           type, redundancy));
+      HiddenObject::CreateClaimOnly(VolumeCtx(), PhysicalName(uid, objname),
+                                    entry.fak, type, redundancy));
   STEGFS_RETURN_IF_ERROR(obj->Sync());
 
   HiddenDirView::Upsert(&entries, std::move(entry));
@@ -526,8 +543,8 @@ Status StegFs::HidePlainTree(const std::string& uid,
     STEGFS_ASSIGN_OR_RETURN(std::string content, plain_->ReadFile(plain_path));
     STEGFS_ASSIGN_OR_RETURN(
         std::unique_ptr<HiddenObject> obj,
-        HiddenObject::Create(VolumeCtx(), PhysicalName(uid, objname),
-                             entry.fak, HiddenType::kFile));
+        HiddenObject::CreateClaimOnly(VolumeCtx(), PhysicalName(uid, objname),
+                                      entry.fak, HiddenType::kFile));
     STEGFS_RETURN_IF_ERROR(obj->WriteAll(content));
     STEGFS_RETURN_IF_ERROR(obj->Sync());
     STEGFS_RETURN_IF_ERROR(plain_->Unlink(plain_path));
@@ -535,8 +552,8 @@ Status StegFs::HidePlainTree(const std::string& uid,
     entry.type = HiddenType::kDirectory;
     STEGFS_ASSIGN_OR_RETURN(
         std::unique_ptr<HiddenObject> obj,
-        HiddenObject::Create(VolumeCtx(), PhysicalName(uid, objname),
-                             entry.fak, HiddenType::kDirectory));
+        HiddenObject::CreateClaimOnly(VolumeCtx(), PhysicalName(uid, objname),
+                                      entry.fak, HiddenType::kDirectory));
     STEGFS_ASSIGN_OR_RETURN(std::vector<DirEntry> children,
                             plain_->List(plain_path));
     std::vector<HiddenDirEntry> child_entries;
@@ -693,8 +710,9 @@ Status StegFs::RevokeSharing(const std::string& uid,
   new_entry.fak = FreshFak();
   STEGFS_ASSIGN_OR_RETURN(
       std::unique_ptr<HiddenObject> new_obj,
-      HiddenObject::Create(VolumeCtx(), PhysicalName(uid, new_objname),
-                           new_entry.fak, HiddenType::kFile));
+      HiddenObject::CreateClaimOnly(VolumeCtx(),
+                                    PhysicalName(uid, new_objname),
+                                    new_entry.fak, HiddenType::kFile));
   STEGFS_RETURN_IF_ERROR(new_obj->WriteAll(content));
   STEGFS_RETURN_IF_ERROR(new_obj->Sync());
   if (auto so = session->Remove(objname)) {

@@ -246,6 +246,11 @@ class StegFs {
                           const ResolvedEntry& resolved,
                           const HiddenDirEntry* replacement);
 
+  // 32 bytes from this mount's FAK stream (see FakSeed in stegfs.cc): a key
+  // no live object holds, so creates under it run claim-only
+  // (HiddenObject::CreateClaimOnly). The stream is unique per mount but
+  // not secret: with the default steg_rng_seed it is derived from the
+  // volume's bitmap alone.
   std::string FreshFak();
 
   // Header persistence after one hidden mutation: immediate on legacy

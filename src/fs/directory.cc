@@ -15,6 +15,13 @@ void EncodeEntry(uint8_t* buf, const std::string& name, uint32_t ino) {
   std::memcpy(buf + 5, name.data(), name.size());
 }
 
+// True when the slot at `p` is live and holds exactly `name`.
+bool SlotHolds(const uint8_t* p, const std::string& name) {
+  const uint8_t len = p[4];
+  return len != 0 && len <= kMaxNameLen && len == name.size() &&
+         std::memcmp(p + 5, name.data(), len) == 0;
+}
+
 }  // namespace
 
 StatusOr<uint32_t> Directory::Lookup(const Inode& dir, const std::string& name,
@@ -24,12 +31,12 @@ StatusOr<uint32_t> Directory::Lookup(const Inode& dir, const std::string& name,
   const uint8_t* p = reinterpret_cast<const uint8_t*>(data.data());
   for (size_t off = 0; off + kDirEntrySize <= data.size();
        off += kDirEntrySize) {
-    uint8_t len = p[off + 4];
-    if (len == 0) continue;
-    if (len == name.size() &&
-        std::memcmp(p + off + 5, name.data(), len) == 0) {
-      return DecodeFixed32(p + off);
+    if (!SlotHolds(p + off, name)) continue;
+    const uint32_t ino = DecodeFixed32(p + off);
+    if (ino >= num_inodes_) {
+      return Status::Corruption("directory entry names no inode: " + name);
     }
+    return ino;
   }
   return Status::NotFound("no directory entry: " + name);
 }
@@ -68,9 +75,7 @@ Status Directory::Remove(Inode* dir, const std::string& name,
   const uint8_t* p = reinterpret_cast<const uint8_t*>(data.data());
   for (size_t off = 0; off + kDirEntrySize <= data.size();
        off += kDirEntrySize) {
-    uint8_t len = p[off + 4];
-    if (len == name.size() &&
-        std::memcmp(p + off + 5, name.data(), len) == 0) {
+    if (SlotHolds(p + off, name)) {
       uint8_t zero[kDirEntrySize] = {0};
       return io_->Write(dir, off,
                         std::string_view(reinterpret_cast<char*>(zero),
@@ -93,6 +98,9 @@ StatusOr<std::vector<DirEntry>> Directory::List(const Inode& dir,
     if (len == 0) continue;
     DirEntry e;
     e.inode = DecodeFixed32(p + off);
+    if (len > kMaxNameLen || e.inode >= num_inodes_) {
+      return Status::Corruption("directory holds a malformed entry");
+    }
     e.name.assign(reinterpret_cast<const char*>(p + off + 5), len);
     out.push_back(std::move(e));
   }

@@ -25,10 +25,15 @@ struct DirEntry {
   uint32_t inode = 0;
 };
 
-// Stateless directory operations over a directory inode.
+// Stateless directory operations over a directory inode. Slots read back
+// are checked before they are trusted: a name that overruns its slot
+// matches no Lookup or Remove, an inode number past the table's
+// `num_inodes` is Corruption when Lookup would return it, and List reports
+// either as Corruption.
 class Directory {
  public:
-  explicit Directory(FileIo* io) : io_(io) {}
+  Directory(FileIo* io, uint32_t num_inodes)
+      : io_(io), num_inodes_(num_inodes) {}
 
   // Finds `name`; returns its inode number.
   StatusOr<uint32_t> Lookup(const Inode& dir, const std::string& name,
@@ -50,6 +55,7 @@ class Directory {
 
  private:
   FileIo* io_;
+  uint32_t num_inodes_;
 };
 
 }  // namespace stegfs

@@ -22,6 +22,11 @@ Status FileIo::ReadVerified(Inode* inode, uint64_t offset, uint64_t n,
 Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
                         BlockStore* store, BlockAllocator* alloc,
                         bool* inode_dirty, std::string* out) {
+  if (inode->size > mapper_.MaxFileBlocks() * block_size_) {
+    // Only a hostile or corrupt inode gets here; Write and Truncate
+    // never grow a file past the mapping's reach.
+    return Status::Corruption("inode size exceeds the maximum file size");
+  }
   if (offset >= inode->size) return Status::OK();
   n = std::min(n, inode->size - offset);
   out->reserve(out->size() + n);

@@ -96,7 +96,7 @@ PlainFs::PlainFs(BlockDevice* device, const Superblock& super,
       inodes_(cache_.get(), layout_),
       file_io_(layout_.block_size),
       store_(cache_.get()),
-      dir_ops_(&file_io_),
+      dir_ops_(&file_io_, layout_.num_inodes),
       allocator_(this),
       rng_(options.rng_seed),
       // The engine transfers through the same retry decorator as the

@@ -781,5 +781,35 @@ TEST(BufferCacheTest, FlushIsIdempotent) {
   EXPECT_EQ(cache.stats().writebacks, wb);  // nothing dirty the second time
 }
 
+// WriteBackDirty skips shards with nothing dirty. A shard must still be
+// written back when a write dirties it after a flush, or when its flush
+// failed and left the entries dirty.
+TEST(BufferCacheTest, WriteBackReachesEveryShardDirtiedAgain) {
+  test::FaultyDevice dev(512, 64);
+  BufferCache cache(&dev, 64, WritePolicy::kWriteBack, 4);
+  ASSERT_EQ(cache.shard_count(), 4u);
+  std::vector<uint8_t> buf(512);
+  for (uint64_t b = 0; b < 8; ++b) {
+    ASSERT_TRUE(cache.Write(b, Pattern(512, b).data()).ok());
+  }
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(cache.dirty_count(), 0u);
+
+  ASSERT_TRUE(cache.Write(5, Pattern(512, 50).data()).ok());
+  dev.FailWrites();
+  EXPECT_FALSE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(cache.dirty_count(), 1u);
+  dev.Heal();
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  ASSERT_TRUE(dev.ReadBlock(5, buf.data()).ok());
+  EXPECT_EQ(buf, Pattern(512, 50));
+
+  ASSERT_TRUE(cache.Write(2, Pattern(512, 20).data()).ok());
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  ASSERT_TRUE(dev.ReadBlock(2, buf.data()).ok());
+  EXPECT_EQ(buf, Pattern(512, 20));
+}
+
 }  // namespace
 }  // namespace stegfs

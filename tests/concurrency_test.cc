@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -348,6 +349,75 @@ TEST(StegFsConcurrencyTest, ThreadPoolDrivesManySessions) {
   pool.WaitIdle();
   EXPECT_EQ(failures.load(), 0);
   CheckSpaceInvariants(fs);
+}
+
+// Creates under fresh keys claim their header blocks without walking, so
+// on a nearly full volume concurrent creates race for the same few free
+// candidates. Every object must still get its own header and anchor
+// blocks and read back exactly, live and after a remount.
+TEST(StegFsConcurrencyTest, ConcurrentCreatesOnANearlyFullVolume) {
+  const int kSessions = 4;
+  const int kObjects = 8;
+  MemBlockDevice dev(1024, 32768);
+  StegFormatOptions fo = SmallFormat("conc-create");
+  fo.journal_blocks = 64;
+  ASSERT_TRUE(StegFs::Format(&dev, fo).ok());
+  StegFsOptions so;
+  so.mount.durability = Durability::kJournal;
+  auto mounted = StegFs::Mount(&dev, so);
+  ASSERT_TRUE(mounted.ok()) << mounted.status().ToString();
+  StegFs* fs = mounted->get();
+  BlockBitmap* bitmap = fs->plain()->bitmap();
+  Xoshiro fill(21);
+  const uint64_t total = fs->plain()->layout().num_blocks;
+  while (bitmap->free_count() > total / 10) {
+    ASSERT_TRUE(bitmap->AllocateByPolicy(AllocPolicy::kRandom, &fill).ok());
+  }
+
+  auto uid_of = [](int t) { return "s" + std::to_string(t); };
+  auto obj_of = [](int i) { return "o" + std::to_string(i); };
+  auto content_of = [](int t, int i) {
+    return RandomData(3000, 900 + t * 50 + i);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSessions; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kObjects; ++i) {
+        ASSERT_TRUE(
+            fs->StegCreate(uid_of(t), obj_of(i), "uak", HiddenType::kFile)
+                .ok());
+        ASSERT_TRUE(fs->StegConnect(uid_of(t), obj_of(i), "uak").ok());
+        ASSERT_TRUE(
+            fs->HiddenWriteAll(uid_of(t), obj_of(i), content_of(t, i)).ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::set<uint64_t> header_blocks;
+  for (int t = 0; t < kSessions; ++t) {
+    for (int i = 0; i < kObjects; ++i) {
+      auto obj = fs->ConnectedForTesting(uid_of(t), obj_of(i));
+      ASSERT_TRUE(obj.ok()) << uid_of(t) << "/" << obj_of(i);
+      EXPECT_TRUE(header_blocks.insert((*obj)->header_block()).second);
+      EXPECT_TRUE(header_blocks.insert((*obj)->anchor_block()).second);
+      EXPECT_EQ(fs->HiddenReadAll(uid_of(t), obj_of(i)).value(),
+                content_of(t, i));
+    }
+  }
+  CheckSpaceInvariants(fs);
+  ASSERT_TRUE(fs->Flush().ok());
+  mounted->reset();
+
+  auto remounted = StegFs::Mount(&dev, so);
+  ASSERT_TRUE(remounted.ok());
+  for (int t = 0; t < kSessions; ++t) {
+    for (int i = 0; i < kObjects; ++i) {
+      ASSERT_TRUE((*remounted)->StegConnect(uid_of(t), obj_of(i), "uak").ok());
+      EXPECT_EQ((*remounted)->HiddenReadAll(uid_of(t), obj_of(i)).value(),
+                content_of(t, i));
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // model, not just hygiene.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "blockdev/mem_block_device.h"
@@ -15,6 +16,8 @@
 #include "core/hidden_header.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "fs/directory.h"
+#include "fs/inode.h"
 #include "fs/layout.h"
 #include "fs/plain_fs.h"
 #include "journal/journal.h"
@@ -379,6 +382,162 @@ TEST(DecodeRobustnessTest, DurableMountOfHostileRing) {
   // mount: garbage never authenticates, and the flipped records target
   // data blocks only.
   EXPECT_GE(mounted, 100);
+}
+
+// --- Inode table and plain directories ------------------------------------
+// Inode::DecodeFrom takes every byte as it finds it (type, size, block
+// pointers), and directory slots carry raw inode numbers and name lengths.
+// On a populated volume whose inode table or directory blocks turn
+// hostile, mount, List, Stat, ReadFile and Fsck must each end OK or in a
+// Status, with every allocation bounded by the volume's geometry.
+
+constexpr uint32_t kPlainBs = 1024;
+constexpr uint64_t kPlainBlocks = 4096;
+
+// Where the hostile bytes go: inode-table and directory-data blocks, and
+// the live bytes (in-use inode slots, used directory slots) inside them.
+struct PlainTargets {
+  struct Region {
+    uint64_t block;
+    uint32_t live_bytes;  // the used prefix of the block
+  };
+  std::vector<Region> inode_blocks;
+  std::vector<Region> dir_blocks;
+};
+
+// Formats and populates a plain volume: nested directories, a root
+// directory spanning two blocks, files with direct, single- and
+// double-indirect extents.
+void BuildPopulatedPlainVolume(MemBlockDevice* dev, PlainTargets* targets) {
+  ASSERT_TRUE(PlainFs::Format(dev, FormatOptions{}).ok());
+  {
+    MountOptions mo;
+    mo.cache_blocks = 64;
+    auto fs = PlainFs::Mount(dev, mo);
+    ASSERT_TRUE(fs.ok());
+    Xoshiro rng(11);
+    ASSERT_TRUE((*fs)->MkDir("/a").ok());
+    ASSERT_TRUE((*fs)->MkDir("/a/b").ok());
+    const std::pair<const char*, size_t> files[] = {
+        {"/a/small", 100}, {"/a/b/indirect", 20 << 10}, {"/big", 300 << 10}};
+    for (const auto& [path, size] : files) {
+      auto bytes = RandomBytes(&rng, size);
+      ASSERT_TRUE((*fs)->WriteFile(path, std::string(bytes.begin(),
+                                                     bytes.end())).ok());
+    }
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(
+          (*fs)->WriteFile("/f" + std::to_string(i), "file " +
+                                                         std::to_string(i))
+              .ok());
+    }
+    ASSERT_TRUE((*fs)->Flush().ok());
+  }
+  std::vector<uint8_t> block(kPlainBs);
+  ASSERT_TRUE(dev->ReadBlock(0, block.data()).ok());
+  auto sb = Superblock::DecodeFrom(block.data(), block.size());
+  ASSERT_TRUE(sb.ok());
+  const Layout layout = sb->ComputeLayout();
+  const uint32_t per_block = kPlainBs / kInodeSize;
+  for (uint64_t b = 0; b < layout.inode_table_blocks; ++b) {
+    ASSERT_TRUE(dev->ReadBlock(layout.inode_table_start + b, block.data())
+                    .ok());
+    uint32_t live = 0;
+    for (uint32_t i = 0; i < per_block; ++i) {
+      const Inode ino = Inode::DecodeFrom(block.data() + i * kInodeSize);
+      if (!ino.InUse()) continue;
+      live = (i + 1) * kInodeSize;
+      if (ino.type != InodeType::kDirectory) continue;
+      const uint64_t dir_blocks = (ino.size + kPlainBs - 1) / kPlainBs;
+      for (uint64_t d = 0; d < dir_blocks && d < kDirectPointers; ++d) {
+        const uint64_t used = std::min<uint64_t>(ino.size - d * kPlainBs,
+                                                 kPlainBs);
+        targets->dir_blocks.push_back(
+            {ino.direct[d], static_cast<uint32_t>(used)});
+      }
+    }
+    if (live != 0) {
+      targets->inode_blocks.push_back({layout.inode_table_start + b, live});
+    }
+  }
+}
+
+// Lists `path` and everything under it, reading every file. Depth and
+// visits are capped: a hostile entry can point a directory at an
+// ancestor, and the walk itself must not hang.
+void WalkPlainTree(PlainFs* fs, const std::string& path, int depth,
+                   int* visits) {
+  if (depth > 4) return;
+  auto entries = fs->List(path);
+  if (!entries.ok()) return;
+  for (const DirEntry& e : *entries) {
+    if (++*visits > 200) return;
+    const std::string child = (path == "/" ? "" : path) + "/" + e.name;
+    auto info = fs->Stat(child);
+    if (!info.ok()) continue;
+    if (info->type == InodeType::kDirectory) {
+      WalkPlainTree(fs, child, depth + 1, visits);
+    } else {
+      (void)fs->ReadFile(child);
+    }
+  }
+}
+
+TEST(DecodeRobustnessTest, HostileInodesAndPlainDirectories) {
+  MemBlockDevice pristine(kPlainBs, kPlainBlocks);
+  PlainTargets targets;
+  BuildPopulatedPlainVolume(&pristine, &targets);
+  ASSERT_GE(targets.inode_blocks.size(), 1u);
+  ASSERT_GE(targets.dir_blocks.size(), 4u);  // root spans two blocks
+
+  MountOptions mo;
+  mo.cache_blocks = 64;
+  Xoshiro rng(12);
+  std::vector<uint8_t> block(kPlainBs);
+  int mounted = 0;
+  for (int i = 0; i < 300; ++i) {
+    MemBlockDevice dev(kPlainBs, kPlainBlocks);
+    for (uint64_t b = 0; b < kPlainBlocks; ++b) {
+      ASSERT_TRUE(pristine.ReadBlock(b, block.data()).ok());
+      ASSERT_TRUE(dev.WriteBlock(b, block.data()).ok());
+    }
+    const auto& pool =
+        i % 2 == 0 ? targets.inode_blocks : targets.dir_blocks;
+    const PlainTargets::Region& t = pool[rng.Uniform(pool.size())];
+    ASSERT_TRUE(dev.ReadBlock(t.block, block.data()).ok());
+    switch ((i / 2) % 3) {
+      case 0:  // the whole block is garbage
+        rng.FillBytes(block.data(), block.size());
+        break;
+      case 1: {  // one live inode or directory slot is garbage
+        const uint32_t slot =
+            (i % 2 == 0) ? kInodeSize : static_cast<uint32_t>(kDirEntrySize);
+        const uint32_t at =
+            static_cast<uint32_t>(rng.Uniform(t.live_bytes / slot)) * slot;
+        rng.FillBytes(block.data() + at, slot);
+        break;
+      }
+      default: {  // 1-4 bit flips in the live bytes
+        std::vector<uint8_t> live(block.begin(),
+                                  block.begin() + t.live_bytes);
+        FlipBits(&live, &rng);
+        std::copy(live.begin(), live.end(), block.begin());
+        break;
+      }
+    }
+    ASSERT_TRUE(dev.WriteBlock(t.block, block.data()).ok());
+
+    auto fs = PlainFs::Mount(&dev, mo);
+    if (!fs.ok()) continue;  // a clean Status is an acceptable outcome
+    ++mounted;
+    int visits = 0;
+    WalkPlainTree(fs->get(), "/", 0, &visits);
+    journal::FsckReport report;
+    (void)(*fs)->Fsck(&report);
+  }
+  // Mount decodes the inode table without judging it, so every run mounts
+  // and the walk and fsck above see each hostile image.
+  EXPECT_EQ(mounted, 300);
 }
 
 }  // namespace

@@ -145,6 +145,57 @@ TEST_F(LocatorTest, ClaimFailsOnFullVolume) {
   EXPECT_TRUE(locator_.ClaimHeaderBlock("x", "y").status().IsNoSpace());
 }
 
+// A checking claim reads the allocated candidates it steps over and
+// refuses, claiming nothing, when one holds this (name, key)'s header.
+TEST_F(LocatorTest, CheckingClaimRejectsSteppedOverHeader) {
+  auto claim = locator_.ClaimHeaderBlock("obj", "k");
+  ASSERT_TRUE(claim.ok());
+  PlantHeader("obj", "k", claim->header_block);
+  const uint64_t free_before = bitmap_.free_count();
+
+  crypto::BlockCrypter crypter("k");
+  EXPECT_TRUE(locator_.ClaimHeaderBlock("obj", "k", &crypter)
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(bitmap_.free_count(), free_before);
+  // Another key's sequence and signature differ: its claim goes through.
+  crypto::BlockCrypter other("k2");
+  EXPECT_TRUE(locator_.ClaimHeaderBlock("obj", "k2", &other).ok());
+}
+
+TEST_F(LocatorTest, CheckingClaimStepsOverForeignBlocks) {
+  CandidateSequence seq("obj", "k", layout_);
+  const uint64_t first = seq.Next();
+  const uint64_t second = seq.Next();
+  ASSERT_TRUE(bitmap_.Allocate(first).ok());
+  std::vector<uint8_t> noise(layout_.block_size, 0x5c);
+  ASSERT_TRUE(cache_.Write(first, noise.data()).ok());
+
+  crypto::BlockCrypter crypter("k");
+  auto claim = locator_.ClaimHeaderBlock("obj", "k", &crypter);
+  ASSERT_TRUE(claim.ok()) << claim.status().ToString();
+  EXPECT_EQ(claim->header_block, second);
+  EXPECT_EQ(claim->probes, 2u);
+}
+
+// More stepped-over candidates than one probe batch holds: the batches
+// checked on the way (not only the last one) are matched too.
+TEST_F(LocatorTest, CheckingClaimSeesHeaderPastOneBatch) {
+  CandidateSequence seq("obj", "k", layout_);
+  std::vector<uint64_t> run;
+  while (run.size() < 600) {
+    const uint64_t c = seq.Next();
+    if (bitmap_.IsAllocated(c)) continue;  // the sequence may repeat
+    ASSERT_TRUE(bitmap_.Allocate(c).ok());
+    run.push_back(c);
+  }
+  PlantHeader("obj", "k", run[100]);
+  crypto::BlockCrypter crypter("k");
+  EXPECT_TRUE(locator_.ClaimHeaderBlock("obj", "k", &crypter)
+                  .status()
+                  .IsAlreadyExists());
+}
+
 TEST_F(LocatorTest, TwoObjectsCoexistOnOverlappingChains) {
   // Create many objects; all must remain locatable.
   crypto::BlockCrypter crypters[8] = {

@@ -128,7 +128,8 @@ TEST_F(ObsCapiTest, LocatorSeriesCountProbesPerWalk) {
   std::string metrics(text, len);
   steg_buffer_free(text);
 
-  // The create proved its name new with full walks; the connect found it.
+  // The create's Open of alice's not-yet-existing UAK directory walked to
+  // NotFound; the connect found the object.
   EXPECT_GE(ExposedValue(metrics, "stegfs_locator_probes_not_found_count"), 1);
   EXPECT_GE(ExposedValue(metrics, "stegfs_locator_probes_found_count"), 1);
   // Probe histograms are counts, exposed unscaled (not as seconds): one

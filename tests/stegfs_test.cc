@@ -5,6 +5,7 @@
 #include "blockdev/mem_block_device.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "util/hex.h"
 #include "util/random.h"
 
@@ -339,6 +340,176 @@ TEST_F(StegFsTest, ConnectIsIdempotent) {
   ASSERT_TRUE(fs_->StegConnect("alice", "x", "uak-a").ok());
   ASSERT_TRUE(fs_->StegConnect("alice", "x", "uak-a").ok());
   EXPECT_EQ(fs_->ConnectedObjects("alice").size(), 1u);
+}
+
+// Every mount used to replay one FAK stream from the fixed default seed,
+// so after a remount a "fresh" FAK could be the key of a live object: here
+// the second FAK drawn, which the hide gave to d/x. The create then either
+// met that object's header (a false AlreadyExists) or, claiming without a
+// walk, shadowed it and lost its content.
+TEST_F(StegFsTest, FreshFaksDoNotRepeatAcrossMounts) {
+  ASSERT_TRUE(fs_->plain()->MkDir("/d").ok());
+  ASSERT_TRUE(fs_->plain()->WriteFile("/d/x", "X-content").ok());
+  ASSERT_TRUE(fs_->StegHide("alice", "/d", "d", "uak-a").ok());
+  Remount();
+
+  ASSERT_TRUE(
+      fs_->StegCreate("alice", "zz", "uak-a", HiddenType::kFile).ok());
+  Status created = fs_->StegCreate("alice", "d/x", "uak-a", HiddenType::kFile);
+  ASSERT_TRUE(created.ok()) << created.ToString();
+  ASSERT_TRUE(fs_->StegConnect("alice", "d/x", "uak-a").ok());
+  ASSERT_TRUE(fs_->HiddenWriteAll("alice", "d/x", "NEW").ok());
+  ASSERT_TRUE(fs_->DisconnectAll("alice").ok());
+
+  ASSERT_TRUE(fs_->StegUnhide("alice", "/d", "d", "uak-a").ok());
+  auto data = fs_->plain()->ReadFile("/d/x");
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, "X-content");
+}
+
+// Header walks recorded so far on this mount under one locator series.
+uint64_t Walks(StegFs* fs, const std::string& series) {
+  const obs::RegistrySnapshot snap =
+      fs->plain()->metrics_registry()->Snapshot();
+  const obs::HistogramSnapshot* h = snap.histogram(series);
+  return h == nullptr ? 0 : h->count;
+}
+
+uint64_t NotFoundWalks(StegFs* fs) {
+  return Walks(fs, "stegfs_locator_probes_not_found");
+}
+
+// A user's first create opens its UAK directory, which does not exist
+// yet: one NotFound walk, and the directory is then claimed without a
+// second one.
+TEST_F(StegFsTest, FirstCreateWalksOnceForTheUakDirectory) {
+  const uint64_t before = NotFoundWalks(fs_.get());
+  ASSERT_TRUE(
+      fs_->StegCreate("alice", "first", "uak-a", HiddenType::kFile).ok());
+  EXPECT_EQ(NotFoundWalks(fs_.get()), before + 1);
+}
+
+// Creates under a fresh FAK claim without walking: no NotFound walk for
+// StegCreate, StegHide (file and directory tree) or RevokeSharing, and
+// every object still connects and reads back.
+TEST_F(StegFsTest, FreshKeyCreatesWalkNothing) {
+  ASSERT_TRUE(
+      fs_->StegCreate("alice", "warm", "uak-a", HiddenType::kFile).ok());
+  uint64_t walks = NotFoundWalks(fs_.get());
+
+  ASSERT_TRUE(
+      fs_->StegCreate("alice", "doc", "uak-a", HiddenType::kFile).ok());
+  EXPECT_EQ(NotFoundWalks(fs_.get()), walks) << "StegCreate";
+
+  ASSERT_TRUE(fs_->plain()->WriteFile("/f", "file-content").ok());
+  ASSERT_TRUE(fs_->plain()->MkDir("/tree").ok());
+  ASSERT_TRUE(fs_->plain()->WriteFile("/tree/leaf", "leaf-content").ok());
+  walks = NotFoundWalks(fs_.get());
+  ASSERT_TRUE(fs_->StegHide("alice", "/f", "f", "uak-a").ok());
+  ASSERT_TRUE(fs_->StegHide("alice", "/tree", "tree", "uak-a").ok());
+  EXPECT_EQ(NotFoundWalks(fs_.get()), walks) << "StegHide";
+
+  ASSERT_TRUE(fs_->StegConnect("alice", "doc", "uak-a").ok());
+  ASSERT_TRUE(fs_->HiddenWriteAll("alice", "doc", "doc-content").ok());
+  ASSERT_TRUE(fs_->DisconnectAll("alice").ok());
+  walks = NotFoundWalks(fs_.get());
+  ASSERT_TRUE(fs_->RevokeSharing("alice", "doc", "uak-a", "doc-v2").ok());
+  EXPECT_EQ(NotFoundWalks(fs_.get()), walks) << "RevokeSharing";
+
+  Remount();
+  ASSERT_TRUE(fs_->StegConnect("alice", "doc-v2", "uak-a").ok());
+  ASSERT_TRUE(fs_->StegConnect("alice", "f", "uak-a").ok());
+  ASSERT_TRUE(fs_->StegConnect("alice", "tree", "uak-a").ok());
+  EXPECT_EQ(fs_->HiddenReadAll("alice", "doc-v2").value(), "doc-content");
+  EXPECT_EQ(fs_->HiddenReadAll("alice", "f").value(), "file-content");
+  EXPECT_EQ(fs_->HiddenReadAll("alice", "tree/leaf").value(), "leaf-content");
+}
+
+TEST_F(StegFsTest, DuplicateCreateIsRejectedByTheDirectory) {
+  ASSERT_TRUE(
+      fs_->StegCreate("alice", "dup", "uak-a", HiddenType::kFile).ok());
+  const uint64_t walks = NotFoundWalks(fs_.get());
+  EXPECT_TRUE(fs_->StegCreate("alice", "dup", "uak-a", HiddenType::kFile)
+                  .IsAlreadyExists());
+  EXPECT_EQ(NotFoundWalks(fs_.get()), walks);
+}
+
+// The claim-only create still refuses a (name, key) whose header is on
+// the volume: the claim steps over it and checks its signature.
+TEST_F(StegFsTest, ClaimOnlyCreateRejectsAnExistingHeader) {
+  HiddenVolume vol = fs_->VolumeCtx();
+  auto first = HiddenObject::Create(vol, "raw-obj", "raw-key",
+                                    HiddenType::kFile);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE((*first)->Sync().ok());
+  const uint64_t free_before = fs_->plain()->bitmap()->free_count();
+  EXPECT_TRUE(HiddenObject::CreateClaimOnly(vol, "raw-obj", "raw-key",
+                                            HiddenType::kFile)
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(fs_->plain()->bitmap()->free_count(), free_before);
+}
+
+// Caller-supplied keys keep the full walks: a raw create of an existing
+// (name, key) is refused by a walk that finds its header.
+TEST_F(StegFsTest, CallerKeyCreateStillWalks) {
+  HiddenVolume vol = fs_->VolumeCtx();
+  auto first = HiddenObject::Create(vol, "raw-obj", "raw-key",
+                                    HiddenType::kFile);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE((*first)->Sync().ok());
+  const uint64_t found = Walks(fs_.get(), "stegfs_locator_probes_found");
+  EXPECT_TRUE(
+      HiddenObject::Create(vol, "raw-obj", "raw-key", HiddenType::kFile)
+          .status()
+          .IsAlreadyExists());
+  EXPECT_EQ(Walks(fs_.get(), "stegfs_locator_probes_found"), found + 1);
+}
+
+// On a durable mount, an object whose primary header is torn lives on in
+// its anchor; a create must find that and refuse.
+TEST(StegFsDurableCreateTest, CallerKeyCreateFindsAnchorOfTornPrimary) {
+  MemBlockDevice dev(1024, 32768);
+  StegFormatOptions fo = FastFormat();
+  fo.journal_blocks = 64;
+  ASSERT_TRUE(StegFs::Format(&dev, fo).ok());
+  StegFsOptions so;
+  so.mount.durability = Durability::kJournal;
+  auto fs = StegFs::Mount(&dev, so);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  HiddenVolume vol = (*fs)->VolumeCtx();
+  ASSERT_TRUE(vol.durable);
+
+  uint64_t primary = 0;
+  {
+    auto obj =
+        HiddenObject::Create(vol, "raw-obj", "raw-key", HiddenType::kFile);
+    ASSERT_TRUE(obj.ok());
+    ASSERT_TRUE((*obj)->WriteAll("anchored").ok());
+    ASSERT_TRUE((*obj)->Sync().ok());
+    primary = (*obj)->header_block();
+    ASSERT_NE((*obj)->anchor_block(), 0u);
+  }
+  std::vector<uint8_t> noise(1024);
+  Xoshiro rng(77);
+  rng.FillBytes(noise.data(), noise.size());
+  ASSERT_TRUE(vol.cache->Write(primary, noise.data()).ok());
+
+  EXPECT_TRUE(
+      HiddenObject::Create(vol, "raw-obj", "raw-key", HiddenType::kFile)
+          .status()
+          .IsAlreadyExists());
+  // A claim-only create passes the torn primary but steps over the anchor
+  // on its anchor claim; it refuses and gives back the primary it claimed.
+  const uint64_t free_before = vol.bitmap->free_count();
+  EXPECT_TRUE(HiddenObject::CreateClaimOnly(vol, "raw-obj", "raw-key",
+                                            HiddenType::kFile)
+                  .status()
+                  .IsAlreadyExists());
+  EXPECT_EQ(vol.bitmap->free_count(), free_before);
+  auto reopened = HiddenObject::Open(vol, "raw-obj", "raw-key");
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->ReadAll().value(), "anchored");
 }
 
 // Format is deterministic in its entropy: the default Table 1 dummy
