@@ -146,6 +146,19 @@ class AsyncBlockDevice {
   virtual IoTicket SubmitWrite(std::vector<ConstBlockIoVec> iov,
                                IoCompletionFn done = nullptr) = 0;
 
+  // Runs `task` on one of the engine's workers, behind the batches
+  // already queued there: CPU work that belongs beside the I/O (the
+  // extent crypto fan-out of EncryptedBlockStore). Fire-and-forget — the
+  // task keeps alive whatever it touches, and Drain() does not wait for
+  // it. The default runs it inline, for engines without workers.
+  virtual void SubmitTask(std::function<void()> task) { task(); }
+  // How many workers SubmitTask spreads over (0 = it runs inline).
+  virtual size_t workers() const { return 0; }
+  // True on one of the engine's own workers. A thread that waits on this
+  // engine's tickets must never be one: the wait could block on tasks
+  // queued behind it.
+  virtual bool OnWorkerThread() const { return false; }
+
   // Blocks until every batch submitted so far has completed. Destructors
   // of all engines drain, so fire-and-forget submitters (the cache's
   // prefetcher) need no bookkeeping.

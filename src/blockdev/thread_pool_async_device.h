@@ -21,6 +21,15 @@
 // slice runs under an "async.transfer" span continued from the
 // submitter's trace context, so a retry's "fault.retry" span stays in the
 // submitting operation's tree.
+//
+// The workers also carry the hidden data path's AES. A read batch's
+// completion runs on the worker that finished its last slice, so the
+// cache inserts the ciphertext and EncryptedBlockStore then decrypts the
+// group right there, before the ticket unblocks (the finalize order of
+// async_block_device.h). SubmitTask queues the store's crypto fan-out
+// behind the transfers. Neither waits on the engine, and no thread that
+// waits on the engine may be a worker (OnWorkerThread), or it could
+// block on work queued behind itself.
 #ifndef STEGFS_BLOCKDEV_THREAD_POOL_ASYNC_DEVICE_H_
 #define STEGFS_BLOCKDEV_THREAD_POOL_ASYNC_DEVICE_H_
 
@@ -29,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "blockdev/async_block_device.h"
@@ -53,6 +63,12 @@ class ThreadPoolAsyncDevice : public AsyncBlockDevice {
                       IoCompletionFn done = nullptr) override;
   IoTicket SubmitWrite(std::vector<ConstBlockIoVec> iov,
                        IoCompletionFn done = nullptr) override;
+
+  void SubmitTask(std::function<void()> task) override {
+    pool_.Submit(std::move(task));
+  }
+  size_t workers() const override { return pool_.size(); }
+  bool OnWorkerThread() const override { return pool_.OnWorkerThread(); }
 
   void Drain() override;
   AsyncIoStats stats() const override;

@@ -337,11 +337,15 @@ void BufferCache::SetAsyncEngine(AsyncBlockDevice* engine) {
 }
 
 CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
-                                          uint8_t* out) {
+                                          uint8_t* out, FillFn on_fill,
+                                          std::vector<size_t>* ready) {
   CacheIoTicket result;
   AsyncBlockDevice* engine = async_engine();
   if (engine == nullptr || n == 0) {
     result.base_ = ReadBatch(blocks, n, out);
+    if (ready != nullptr && result.base_.ok()) {
+      for (size_t i = 0; i < n; ++i) ready->push_back(i);
+    }
     return result;
   }
   const size_t bs = device_->block_size();
@@ -356,6 +360,7 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
     Shard* shard = &shards_[idx];
     std::vector<BlockIoVec> iov;
     std::vector<std::pair<size_t, size_t>> dups;
+    std::vector<size_t> filled;  // miss and duplicate positions, for on_fill
     uint64_t gen;
     first_pos.clear();
     {
@@ -371,6 +376,7 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
           Entry& e = Touch(shard, found->second);
           CountHit(e);
           std::memcpy(out + pos * bs, e.data.data(), bs);
+          if (ready != nullptr) ready->push_back(pos);
           continue;
         }
         auto [it, fresh] = first_pos.try_emplace(blocks[pos], pos);
@@ -383,6 +389,7 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
           hits_.Increment();
           dups.push_back({pos, it->second});
         }
+        if (on_fill) filled.push_back(pos);
       }
     }
     if (iov.empty()) continue;
@@ -396,16 +403,19 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
     std::vector<BlockIoVec> engine_iov = iov;
     result.tickets_.push_back(engine->SubmitRead(
         std::move(engine_iov),
-        [this, idx, iov = std::move(iov),
-         dups = std::move(dups), gen, out, bs, fill_t0,
-         span_ctx](const Status& s) {
-          obs::Span span(span_ctx, "cache.fill", "cache");
-          if (fill_t0 != 0) fill_ns_.Record(obs::NowNanos() - fill_t0);
-          if (!s.ok()) return;  // nothing inserted; Wait() reports the error
-          for (const auto& [pos, first] : dups) {
-            std::memcpy(out + pos * bs, out + first * bs, bs);
+        [this, idx, iov = std::move(iov), dups = std::move(dups), gen, out,
+         bs, fill_t0, span_ctx, on_fill,
+         filled = std::move(filled)](const Status& s) {
+          {
+            obs::Span span(span_ctx, "cache.fill", "cache");
+            if (fill_t0 != 0) fill_ns_.Record(obs::NowNanos() - fill_t0);
+            if (!s.ok()) return;  // nothing inserted; Wait() reports it
+            for (const auto& [pos, first] : dups) {
+              std::memcpy(out + pos * bs, out + first * bs, bs);
+            }
+            CompleteAsyncRead(idx, iov, gen, /*prefetch=*/false);
           }
-          CompleteAsyncRead(idx, iov, gen, /*prefetch=*/false);
+          if (on_fill) on_fill(filled);
         }));
   }
   return result;

@@ -42,6 +42,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -190,9 +191,22 @@ class BufferCache {
   // misses count identically; insert-time eviction replay happens only
   // when the generation guard admits the insert.
   //
+  // Two optional hooks let a caller transform the bytes where they land
+  // (EncryptedBlockStore decrypts them there):
+  //   - `ready` receives the request positions whose bytes are already
+  //     in `out` when the call returns: the hits, or every position when
+  //     the call degrades to the synchronous ReadBatch.
+  //   - `on_fill` runs once per shard group whose miss read succeeded,
+  //     on the engine thread that completed it, with the group's miss
+  //     and duplicate positions. It runs after the cache has taken its
+  //     copy of the bytes, outside the shard lock, and before Wait() can
+  //     return, so whatever it writes into `out` stays out of the cache.
+  //
   // `blocks` and `out` must stay alive until Wait() returns.
+  using FillFn = std::function<void(const std::vector<size_t>& positions)>;
   CacheIoTicket ReadBatchAsync(const uint64_t* blocks, size_t n,
-                               uint8_t* out);
+                               uint8_t* out, FillFn on_fill = nullptr,
+                               std::vector<size_t>* ready = nullptr);
   // Async batch write (write-through only — under write-back the device
   // is not involved, so this degrades to the synchronous WriteBatch).
   // Device batches are submitted per shard group; each submission claims

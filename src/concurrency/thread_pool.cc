@@ -5,6 +5,11 @@
 namespace stegfs {
 namespace concurrency {
 
+namespace {
+// The pool whose WorkerLoop the calling thread runs (null elsewhere).
+thread_local const ThreadPool* tls_pool = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
@@ -35,7 +40,10 @@ void ThreadPool::WaitIdle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
+bool ThreadPool::OnWorkerThread() const { return tls_pool == this; }
+
 void ThreadPool::WorkerLoop() {
+  tls_pool = this;
   for (;;) {
     std::function<void()> task;
     {

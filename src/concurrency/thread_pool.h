@@ -35,6 +35,8 @@ class ThreadPool {
   void WaitIdle();
 
   size_t size() const { return workers_.size(); }
+  // True when called from one of this pool's worker threads.
+  bool OnWorkerThread() const;
 
  private:
   void WorkerLoop();

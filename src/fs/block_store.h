@@ -12,7 +12,6 @@
 #ifndef STEGFS_FS_BLOCK_STORE_H_
 #define STEGFS_FS_BLOCK_STORE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -21,7 +20,6 @@
 
 #include "cache/buffer_cache.h"
 #include "crypto/block_crypter.h"
-#include "obs/trace.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -86,9 +84,9 @@ class CacheBlockStore : public BlockStore {
 
 class EncryptedBlockStore : public BlockStore {
  public:
-  // Sub-batch size of the async pipeline: small enough that four stages
-  // fit comfortably inside one FileIo 256-block chunk, large enough that
-  // a submission amortizes its bookkeeping.
+  // Extents larger than this take the engine path (below); smaller ones
+  // stay on the synchronous path. Reads are submitted in sub-batches of
+  // this many blocks.
   static constexpr size_t kAsyncSubBatch = 64;
 
   EncryptedBlockStore(BufferCache* cache, const crypto::BlockCrypter* crypter)
@@ -108,95 +106,29 @@ class EncryptedBlockStore : public BlockStore {
     return cache_->Write(block, tmp.data());
   }
 
-  // Whole-extent fast path. Synchronous form: one vectored cache/device
-  // transfer, then one pipelined batch decrypt/encrypt over the extent.
-  // With an async engine attached to the cache and more than one
-  // sub-batch of work, this becomes a 2-stage software pipeline over
-  // kAsyncSubBatch-block sub-batches: while sub-batch i decrypts on the
-  // CPU, sub-batch i+1's device I/O is in flight — the overlap that makes
-  // random-placed hidden extents (which can never coalesce) fast.
-  Status ReadBlocks(const uint64_t* blocks, size_t n,
-                    uint8_t* out) override {
-    const size_t bs = cache_->block_size();
-    if (cache_->async_engine() == nullptr || n <= kAsyncSubBatch) {
-      obs::Span span("store.read", "store");
-      STEGFS_RETURN_IF_ERROR(cache_->ReadBatch(blocks, n, out));
-      std::vector<crypto::CryptSpan> spans(n);
-      for (size_t i = 0; i < n; ++i) spans[i] = {blocks[i], out + i * bs};
-      crypter_->DecryptBlocks(spans.data(), n, bs);
-      return Status::OK();
-    }
-    obs::Span pipeline_span("store.read_pipeline", "store");
-    // Submit every sub-batch up front (they all target disjoint ranges of
-    // `out`), then wait + decrypt in order: sub-batch i decrypts while
-    // i+1..k are still in flight, and the engine sees the deepest
-    // possible queue.
-    std::vector<CacheIoTicket> tickets;
-    tickets.reserve((n + kAsyncSubBatch - 1) / kAsyncSubBatch);
-    for (size_t off = 0; off < n; off += kAsyncSubBatch) {
-      const size_t count = std::min(n - off, kAsyncSubBatch);
-      tickets.push_back(
-          cache_->ReadBatchAsync(blocks + off, count, out + off * bs));
-    }
-    std::vector<crypto::CryptSpan> spans(kAsyncSubBatch);
-    Status first;
-    for (size_t t = 0, off = 0; t < tickets.size();
-         ++t, off += kAsyncSubBatch) {
-      Status s = tickets[t].Wait();
-      if (!s.ok()) {
-        if (first.ok()) first = s;
-        continue;  // keep draining: `out` may be freed on return
-      }
-      if (!first.ok()) continue;  // don't decrypt past the first error
-      obs::Span decrypt_span("store.decrypt_subbatch", "store");
-      const size_t count = std::min(n - off, kAsyncSubBatch);
-      for (size_t i = 0; i < count; ++i) {
-        spans[i] = {blocks[off + i], out + (off + i) * bs};
-      }
-      crypter_->DecryptBlocks(spans.data(), count, bs);
-    }
-    return first;
-  }
-
+  // Whole-extent transfers. Without an async engine, or for at most
+  // kAsyncSubBatch blocks: one vectored cache transfer and one batch
+  // decrypt/encrypt on the caller's thread.
+  //
+  // With an engine, the extent's AES runs on the engine's workers as well:
+  //   - ReadBlocks keeps the extent's tail, n / (workers + 1) blocks, for
+  //     the caller to read and decrypt itself, and submits the rest up
+  //     front in kAsyncSubBatch-block sub-batches. Each shard group's
+  //     misses decrypt on the worker that completes their device read,
+  //     after the cache has copied the ciphertext; the hits, already in
+  //     `out`, are decrypted by the caller and the workers together.
+  //   - WriteBlocks encrypts the extent into a staging copy on the caller
+  //     and the workers together, then hands it to the cache as one batch
+  //     write. (Under write-back, the policy of journaled mounts, that
+  //     write never reaches the device: the cache's async write path is
+  //     for write-through only.)
+  // Plaintext only ever lands in the caller's buffer; the cache and the
+  // device see ciphertext. Every task that writes `out` has finished
+  // before the call returns, error or not. The caller must not be an
+  // engine worker (debug-asserted): it waits on the engine.
+  Status ReadBlocks(const uint64_t* blocks, size_t n, uint8_t* out) override;
   Status WriteBlocks(const uint64_t* blocks, size_t n,
-                     const uint8_t* data) override {
-    const size_t bs = cache_->block_size();
-    AsyncBlockDevice* engine = cache_->async_engine();
-    if (engine == nullptr || n <= kAsyncSubBatch) {
-      obs::Span span("store.write", "store");
-      std::vector<uint8_t> tmp(data, data + n * bs);
-      std::vector<crypto::CryptSpan> spans(n);
-      for (size_t i = 0; i < n; ++i) {
-        spans[i] = {blocks[i], tmp.data() + i * bs};
-      }
-      crypter_->EncryptBlocks(spans.data(), n, bs);
-      return cache_->WriteBatch(blocks, n, tmp.data());
-    }
-    // Pipeline the mirror image: encrypt sub-batch i+1 while sub-batch
-    // i's device write is in flight.
-    obs::Span pipeline_span("store.write_pipeline", "store");
-    std::vector<uint8_t> tmp(n * bs);  // ciphertext staging
-    std::vector<crypto::CryptSpan> spans(kAsyncSubBatch);
-    std::vector<CacheIoTicket> tickets;
-    tickets.reserve((n + kAsyncSubBatch - 1) / kAsyncSubBatch);
-    for (size_t off = 0; off < n; off += kAsyncSubBatch) {
-      const size_t count = std::min(n - off, kAsyncSubBatch);
-      uint8_t* stage = tmp.data() + off * bs;
-      std::memcpy(stage, data + off * bs, count * bs);
-      for (size_t i = 0; i < count; ++i) {
-        spans[i] = {blocks[off + i], stage + i * bs};
-      }
-      crypter_->EncryptBlocks(spans.data(), count, bs);
-      tickets.push_back(cache_->WriteBatchAsync(blocks + off, count, stage));
-    }
-    // Wait ALL before the staging memory dies; first error wins.
-    Status first;
-    for (CacheIoTicket& t : tickets) {
-      Status st = t.Wait();
-      if (first.ok() && !st.ok()) first = st;
-    }
-    return first;
-  }
+                     const uint8_t* data) override;
 
   // The cache holds ciphertext, so prefetched blocks decrypt on demand.
   void Prefetch(const uint64_t* blocks, size_t n) override {

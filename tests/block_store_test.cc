@@ -1,0 +1,312 @@
+// EncryptedBlockStore's engine path against its synchronous path: extents
+// of more than kAsyncSubBatch blocks read and write through the async
+// engine, with their AES spread over the engine's workers and the caller.
+// The plaintext, the device image and the cache contents must be exactly
+// what the synchronous path produces, for hits, misses and duplicate
+// blocks under both write policies; a failed sub-batch must return its
+// error with no task left writing the caller's buffer.
+#include "fs/block_store.h"
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstring>
+#include <future>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "blockdev/mem_block_device.h"
+#include "blockdev/thread_pool_async_device.h"
+#include "fault/fault_injection_device.h"
+#include "util/random.h"  // Xoshiro
+
+namespace stegfs {
+namespace {
+
+constexpr uint32_t kBs = 512;
+constexpr uint64_t kBlocks = 1024;
+constexpr size_t kN = 200;  // > kAsyncSubBatch: takes the engine path
+static_assert(kN > EncryptedBlockStore::kAsyncSubBatch);
+
+void FillRandom(MemBlockDevice* dev, uint64_t seed) {
+  Xoshiro rng(seed);
+  for (uint8_t& b : *dev->mutable_raw()) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+}
+
+// kN request positions over ~150 distinct blocks: every fourth position
+// repeats an earlier block, the rest are spread over the volume.
+std::vector<uint64_t> RequestWithDuplicates() {
+  std::vector<uint64_t> blocks(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    blocks[i] = (i % 4 == 3) ? blocks[i / 2] : (i * 37 + 11) % kBlocks;
+  }
+  return blocks;
+}
+
+std::vector<uint64_t> DistinctRequest() {
+  std::vector<uint64_t> blocks(kN);
+  for (size_t i = 0; i < kN; ++i) blocks[i] = (i * 53 + 7) % kBlocks;
+  return blocks;
+}
+
+// One cache + store over its own device, with or without an engine.
+struct Stack {
+  Stack(MemBlockDevice* dev, WritePolicy policy, size_t shards,
+        const crypto::BlockCrypter* crypter, bool with_engine)
+      : cache(dev, 512, policy, shards), store(&cache, crypter) {
+    if (with_engine) {
+      engine = std::make_unique<ThreadPoolAsyncDevice>(dev, 2);
+      cache.SetAsyncEngine(engine.get());
+    }
+  }
+  ~Stack() {
+    if (engine != nullptr) {
+      engine->Drain();
+      cache.SetAsyncEngine(nullptr);
+    }
+  }
+
+  BufferCache cache;
+  EncryptedBlockStore store;
+  std::unique_ptr<ThreadPoolAsyncDevice> engine;
+};
+
+// Expects the current bytes of every block in `blocks`, as the cache
+// serves them, to be the device's; returns how many the cache held.
+size_t ExpectCacheMatchesDevice(BufferCache* cache, MemBlockDevice* dev,
+                                const std::vector<uint64_t>& blocks) {
+  std::vector<uint8_t> probed(blocks.size() * kBs);
+  size_t hits = 0;
+  EXPECT_TRUE(
+      cache->ProbeBatch(blocks.data(), blocks.size(), probed.data(), &hits)
+          .ok());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(std::memcmp(probed.data() + i * kBs,
+                          dev->raw().data() + blocks[i] * kBs, kBs),
+              0)
+        << "cache entry of block " << blocks[i] << " is not the device's";
+  }
+  return hits;
+}
+
+struct Config {
+  WritePolicy policy;
+  size_t shards;
+};
+
+class EnginePathTest : public ::testing::TestWithParam<Config> {};
+
+TEST_P(EnginePathTest, ReadsMatchSyncPathOverHitsMissesAndDuplicates) {
+  const Config cfg = GetParam();
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice sync_dev(kBs, kBlocks), async_dev(kBs, kBlocks);
+  FillRandom(&sync_dev, 7);
+  FillRandom(&async_dev, 7);
+  Stack sync(&sync_dev, cfg.policy, cfg.shards, &crypter, false);
+  Stack async(&async_dev, cfg.policy, cfg.shards, &crypter, true);
+
+  const std::vector<uint64_t> blocks = RequestWithDuplicates();
+  // Warm both caches the same way: demand-read hits on every fifth
+  // request position, prefetched hits on every seventh.
+  std::vector<uint8_t> one(kBs);
+  std::vector<uint64_t> prefetch;
+  for (size_t i = 0; i < kN; ++i) {
+    if (i % 5 == 0) {
+      ASSERT_TRUE(sync.cache.Read(blocks[i], one.data()).ok());
+      ASSERT_TRUE(async.cache.Read(blocks[i], one.data()).ok());
+    } else if (i % 7 == 1) {
+      prefetch.push_back(blocks[i]);
+    }
+  }
+  async.cache.Prefetch(prefetch.data(), prefetch.size());
+  async.engine->Drain();
+  ASSERT_GT(async.cache.stats().prefetched, 0u);
+
+  std::vector<uint8_t> want(kN * kBs), got(kN * kBs);
+  ASSERT_TRUE(sync.store.ReadBlocks(blocks.data(), kN, want.data()).ok());
+  ASSERT_TRUE(async.store.ReadBlocks(blocks.data(), kN, got.data()).ok());
+  EXPECT_EQ(got, want);
+  EXPECT_GT(async.cache.stats().async_batched_reads, 0u);
+
+  // The plaintext is the device ciphertext decrypted, position by position.
+  for (size_t i = 0; i < kN; ++i) {
+    std::vector<uint8_t> plain(async_dev.raw().data() + blocks[i] * kBs,
+                               async_dev.raw().data() + (blocks[i] + 1) * kBs);
+    crypter.DecryptBlock(blocks[i], plain.data(), kBs);
+    EXPECT_EQ(std::memcmp(got.data() + i * kBs, plain.data(), kBs), 0)
+        << "position " << i;
+  }
+  EXPECT_EQ(async_dev.raw(), sync_dev.raw());
+  // Every block is cached now, as ciphertext.
+  EXPECT_EQ(ExpectCacheMatchesDevice(&async.cache, &async_dev, blocks), kN);
+}
+
+TEST_P(EnginePathTest, WritesMatchSyncPathImageAndCache) {
+  const Config cfg = GetParam();
+  crypto::BlockCrypter crypter("block-store-test-key");
+  for (const std::vector<uint64_t>& blocks :
+       {DistinctRequest(), RequestWithDuplicates()}) {
+    MemBlockDevice sync_dev(kBs, kBlocks), async_dev(kBs, kBlocks);
+    FillRandom(&sync_dev, 11);
+    FillRandom(&async_dev, 11);
+    Stack sync(&sync_dev, cfg.policy, cfg.shards, &crypter, false);
+    Stack async(&async_dev, cfg.policy, cfg.shards, &crypter, true);
+
+    std::vector<uint8_t> data(kN * kBs);
+    Xoshiro rng(3);
+    for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+    const std::vector<uint8_t> plaintext = data;
+    ASSERT_TRUE(sync.store.WriteBlocks(blocks.data(), kN, data.data()).ok());
+    ASSERT_TRUE(async.store.WriteBlocks(blocks.data(), kN, data.data()).ok());
+    EXPECT_EQ(data, plaintext) << "the caller's plaintext was modified";
+
+    // Both caches hold the same ciphertext for every block. Under
+    // write-through the devices already hold it too; under write-back
+    // they do after the flush.
+    std::vector<uint8_t> sync_cached(kN * kBs), async_cached(kN * kBs);
+    size_t sync_hits = 0, async_hits = 0;
+    ASSERT_TRUE(sync.cache
+                    .ProbeBatch(blocks.data(), kN, sync_cached.data(),
+                                &sync_hits)
+                    .ok());
+    ASSERT_TRUE(async.cache
+                    .ProbeBatch(blocks.data(), kN, async_cached.data(),
+                                &async_hits)
+                    .ok());
+    EXPECT_EQ(async_hits, kN);
+    EXPECT_EQ(sync_hits, kN);
+    EXPECT_EQ(async_cached, sync_cached);
+    if (cfg.policy == WritePolicy::kWriteThrough) {
+      EXPECT_EQ(async_dev.raw(), sync_dev.raw());
+    }
+    ASSERT_TRUE(sync.cache.Flush().ok());
+    ASSERT_TRUE(async.cache.Flush().ok());
+    EXPECT_EQ(async_dev.raw(), sync_dev.raw());
+    EXPECT_EQ(ExpectCacheMatchesDevice(&async.cache, &async_dev, blocks), kN);
+
+    // The device holds ciphertext that decrypts to the last write of
+    // each block.
+    std::vector<uint8_t> back(kN * kBs);
+    ASSERT_TRUE(async.store.ReadBlocks(blocks.data(), kN, back.data()).ok());
+    for (size_t i = 0; i < kN; ++i) {
+      size_t last = i;
+      for (size_t j = i; j < kN; ++j) {
+        if (blocks[j] == blocks[i]) last = j;
+      }
+      EXPECT_EQ(std::memcmp(back.data() + i * kBs,
+                            plaintext.data() + last * kBs, kBs),
+                0)
+          << "position " << i;
+      EXPECT_NE(std::memcmp(async_dev.raw().data() + blocks[i] * kBs,
+                            plaintext.data() + last * kBs, kBs),
+                0)
+          << "block " << blocks[i] << " reached the device in plaintext";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndShards, EnginePathTest,
+    ::testing::Values(Config{WritePolicy::kWriteBack, 1},
+                      Config{WritePolicy::kWriteBack, 4},
+                      Config{WritePolicy::kWriteThrough, 1},
+                      Config{WritePolicy::kWriteThrough, 4}),
+    [](const ::testing::TestParamInfo<Config>& info) {
+      return std::string(info.param.policy == WritePolicy::kWriteBack
+                             ? "WriteBack"
+                             : "WriteThrough") +
+             std::to_string(info.param.shards) + "Shards";
+    });
+
+// A failed sub-batch returns its error, and once ReadBlocks returns no
+// task writes the caller's buffer any more: not the sub-batches slowed
+// down behind the failure, not their decrypts. The buffer is refilled
+// with a sentinel after the call and must keep it; then it is freed, so
+// under ASan a late write would also be a heap-use-after-free.
+TEST(EnginePathFaultTest, FailedSubBatchReturnsErrorAndLeavesBufferAlone) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  // Fail the first sub-batch's first block, then the caller's own share.
+  for (uint64_t failing : {uint64_t{0}, uint64_t{kN - 1}}) {
+    fault::FaultInjectionBlockDevice dev(kBs, kBlocks);
+    FillRandom(dev.mem(), 5);
+    BufferCache cache(&dev, 512, WritePolicy::kWriteThrough, 4);
+    ThreadPoolAsyncDevice engine(&dev, 2);
+    cache.SetAsyncEngine(&engine);
+    EncryptedBlockStore store(&cache, &crypter);
+
+    fault::FaultRule fail;
+    fail.op = fault::FaultRule::Op::kRead;
+    fail.kind = fault::FaultRule::Kind::kUntaggedError;
+    fail.count = fault::FaultRule::kForever;
+    fail.block_lo = fail.block_hi = failing;
+    dev.AddRule(fail);
+    fault::FaultRule slow;
+    slow.op = fault::FaultRule::Op::kRead;
+    slow.kind = fault::FaultRule::Kind::kLatencySpike;
+    slow.count = fault::FaultRule::kForever;
+    slow.block_lo = 64;
+    slow.block_hi = 127;
+    slow.delay_us = 300;
+    dev.AddRule(slow);
+
+    std::vector<uint64_t> blocks(kN);
+    for (size_t i = 0; i < kN; ++i) blocks[i] = i;
+    auto out = std::make_unique<std::vector<uint8_t>>(kN * kBs);
+    EXPECT_TRUE(store.ReadBlocks(blocks.data(), kN, out->data()).IsIOError())
+        << "failing block " << failing;
+    std::memset(out->data(), 0xA5, out->size());
+    engine.Drain();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    for (size_t i = 0; i < out->size(); ++i) {
+      ASSERT_EQ((*out)[i], 0xA5) << "byte " << i << " written after return";
+    }
+    out.reset();
+    engine.Drain();
+    cache.SetAsyncEngine(nullptr);
+  }
+}
+
+TEST(EngineWorkerTest, OnWorkerThreadOnlyInsideEngineTasks) {
+  MemBlockDevice dev(kBs, 16);
+  ThreadPoolAsyncDevice engine(&dev, 2);
+  EXPECT_EQ(engine.workers(), 2u);
+  EXPECT_FALSE(engine.OnWorkerThread());
+  std::promise<bool> inside;
+  engine.SubmitTask([&] { inside.set_value(engine.OnWorkerThread()); });
+  EXPECT_TRUE(inside.get_future().get());
+  // Another engine's worker is not this engine's.
+  ThreadPoolAsyncDevice other(&dev, 1);
+  std::promise<bool> foreign;
+  other.SubmitTask([&] { foreign.set_value(engine.OnWorkerThread()); });
+  EXPECT_FALSE(foreign.get_future().get());
+}
+
+#ifndef NDEBUG
+// Debug builds refuse to enter the engine path on an engine worker: its
+// waits could block on tasks queued behind the waiting worker.
+TEST(EngineWorkerDeathTest, EnginePathOnAWorkerAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        crypto::BlockCrypter crypter("block-store-test-key");
+        MemBlockDevice dev(kBs, kBlocks);
+        BufferCache cache(&dev, 512);
+        ThreadPoolAsyncDevice engine(&dev, 2);
+        cache.SetAsyncEngine(&engine);
+        EncryptedBlockStore store(&cache, &crypter);
+        std::vector<uint64_t> blocks = DistinctRequest();
+        std::vector<uint8_t> out(kN * kBs);
+        engine.SubmitTask([&] {
+          (void)store.ReadBlocks(blocks.data(), kN, out.data());
+        });
+        std::this_thread::sleep_for(std::chrono::seconds(10));
+      },
+      "OnWorkerThread");
+}
+#endif
+
+}  // namespace
+}  // namespace stegfs

@@ -11,6 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "blockdev/mem_block_device.h"
+#include "blockdev/thread_pool_async_device.h"
+#include "cache/buffer_cache.h"
+#include "fs/block_store.h"
+
 namespace stegfs {
 namespace obs {
 namespace {
@@ -197,6 +202,85 @@ TEST(TraceRecorderTest, SlowOpThresholdDumpsWithoutCrashing) {
   // The dump goes to stderr; the assertion is that the tree walk on a
   // just-closed root is safe and the events were still recorded.
   EXPECT_EQ(rec.Events().size(), 2u);
+}
+
+// The extent crypto the engine path runs on engine workers stays in the
+// operation's tree: a cold pipelined read decrypts its misses where their
+// reads complete, and every store.decrypt span, whichever thread ran it,
+// chains up to the op's one root; so do a pipelined write's
+// store.encrypt spans.
+TEST(TraceSpanTest, EnginePathCryptoSpansSitInTheOpTree) {
+  MemBlockDevice dev(512, 1024);
+  BufferCache cache(&dev, 512);
+  ThreadPoolAsyncDevice engine(&dev, 2);
+  cache.SetAsyncEngine(&engine);
+  crypto::BlockCrypter crypter("trace-test-key");
+  EncryptedBlockStore store(&cache, &crypter);
+  std::vector<uint64_t> blocks(200);
+  for (size_t i = 0; i < blocks.size(); ++i) blocks[i] = i * 5;
+  std::vector<uint8_t> buf(blocks.size() * 512);
+
+  TraceRecorder rec(8192);
+  rec.Start();
+  uint64_t read_op = 0, write_op = 0;
+  {
+    Span root(&rec, "read", "test");
+    read_op = root.context().op_id;
+    ASSERT_TRUE(store.ReadBlocks(blocks.data(), blocks.size(), buf.data())
+                    .ok());
+  }
+  {
+    Span root(&rec, "write", "test");
+    write_op = root.context().op_id;
+    ASSERT_TRUE(store.WriteBlocks(blocks.data(), blocks.size(), buf.data())
+                    .ok());
+  }
+  engine.Drain();
+  cache.SetAsyncEngine(nullptr);
+  rec.Stop();
+
+  std::vector<TraceEvent> events = rec.Events();
+  EXPECT_EQ(rec.dropped(), 0u);
+  std::map<uint64_t, const TraceEvent*> by_span;
+  std::map<uint64_t, const TraceEvent*> root_of_op;
+  for (const TraceEvent& ev : events) {
+    by_span[ev.span_id] = &ev;
+    if (ev.parent_span == 0) {
+      EXPECT_EQ(root_of_op.count(ev.op_id), 0u) << "second root";
+      root_of_op[ev.op_id] = &ev;
+    }
+  }
+  ASSERT_EQ(root_of_op.count(read_op), 1u);
+  ASSERT_EQ(root_of_op.count(write_op), 1u);
+
+  // Follows parent links from `ev`; true when they end at its op's root.
+  auto reaches_root = [&](const TraceEvent& ev) {
+    const TraceEvent* at = &ev;
+    for (int hops = 0; hops < 16 && at->parent_span != 0; ++hops) {
+      auto parent = by_span.find(at->parent_span);
+      if (parent == by_span.end()) return false;
+      at = parent->second;
+    }
+    return at == root_of_op[ev.op_id];
+  };
+  const uint32_t caller_tid = root_of_op[read_op]->tid;
+  size_t decrypts = 0, worker_decrypts = 0, encrypts = 0;
+  for (const TraceEvent& ev : events) {
+    const std::string name = ev.name;
+    if (name == "store.decrypt") {
+      EXPECT_EQ(ev.op_id, read_op);
+      EXPECT_TRUE(reaches_root(ev)) << "decrypt span outside the op's tree";
+      ++decrypts;
+      if (ev.tid != caller_tid) ++worker_decrypts;
+    } else if (name == "store.encrypt") {
+      EXPECT_EQ(ev.op_id, write_op);
+      EXPECT_TRUE(reaches_root(ev)) << "encrypt span outside the op's tree";
+      ++encrypts;
+    }
+  }
+  EXPECT_GT(decrypts, 0u);
+  EXPECT_GT(worker_decrypts, 0u) << "no miss decrypted on an engine worker";
+  EXPECT_GT(encrypts, 0u);
 }
 
 }  // namespace
