@@ -250,11 +250,11 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   std::vector<LatRow> lat_rows;
-  uint64_t prefetch_hits = 0;
   DeviceBatchStats dev_stats;
   {
+    // No readahead request: readahead arms only with an async engine, and
+    // this phase measures the call-and-wait path.
     StegFsOptions opts;
-    opts.mount.readahead_blocks = 16;
     // One shard: a single sequential session wants whole-extent device
     // coalescing, not lock parallelism (see buffer_cache.h).
     opts.mount.cache_shards = 1;
@@ -277,7 +277,6 @@ int main(int argc, char** argv) {
       rows.push_back(r);
     }
     if (!(*fs)->Flush().ok()) return 1;
-    prefetch_hits = (*fs)->plain()->cache()->stats().prefetch_hits;
     dev_stats = device->get()->batch_stats();
     CollectLat(&lat_rows, (*fs)->plain()->metrics_registry()->Snapshot(),
                "sync_batch",
@@ -474,7 +473,6 @@ int main(int argc, char** argv) {
   uint64_t red_stripes_encoded = 0, red_shares_written = 0;
   {
     StegFsOptions opts;
-    opts.mount.readahead_blocks = kDefaultReadahead;
     opts.mount.cache_shards = 1;
     opts.mount.durable_flush = false;
     auto fs = StegFs::Mount(device->get(), opts);
@@ -524,7 +522,6 @@ int main(int argc, char** argv) {
     auto timed_leg = [&](bool enabled, double* read_out,
                          double* write_out) -> bool {
       StegFsOptions opts;
-      opts.mount.readahead_blocks = kDefaultReadahead;
       opts.mount.cache_shards = 1;
       opts.mount.durable_flush = false;
       opts.mount.fault.enabled = enabled;
@@ -572,13 +569,11 @@ int main(int argc, char** argv) {
   }
   bool pass = read_speedup_1mib >= kTarget;
   std::printf(
-      "\nbatched tier %s; coalesced runs %llu; vectored blocks %llu; "
-      "prefetch hits %llu\n1 MiB sequential-read speedup %.2fx "
-      "(target >= %.1fx): %s\n",
+      "\nbatched tier %s; coalesced runs %llu; vectored blocks %llu\n"
+      "1 MiB sequential-read speedup %.2fx (target >= %.1fx): %s\n",
       batched_tier, static_cast<unsigned long long>(dev_stats.coalesced_runs),
       static_cast<unsigned long long>(dev_stats.vectored_blocks),
-      static_cast<unsigned long long>(prefetch_hits), read_speedup_1mib,
-      kTarget, pass ? "PASS" : "FAIL");
+      read_speedup_1mib, kTarget, pass ? "PASS" : "FAIL");
 
   // The async floor compares against the SYNC BATCH path (phase B), not
   // the per-block baseline: it isolates what submit/complete overlap buys
@@ -704,12 +699,10 @@ int main(int argc, char** argv) {
     std::fprintf(json,
                  "  ],\n  \"dev_coalesced_runs\": %llu,\n"
                  "  \"dev_vectored_blocks\": %llu,\n"
-                 "  \"prefetch_hits\": %llu,\n"
                  "  \"read_speedup_at_1mib\": %.3f,\n"
                  "  \"target\": %.1f,\n  \"pass\": %s,\n",
                  static_cast<unsigned long long>(dev_stats.coalesced_runs),
                  static_cast<unsigned long long>(dev_stats.vectored_blocks),
-                 static_cast<unsigned long long>(prefetch_hits),
                  read_speedup_1mib, kTarget, pass ? "true" : "false");
     std::fprintf(json, "  \"async\": {\n    \"engine\": \"%s\",\n",
                  async_engine_name);

@@ -1,24 +1,29 @@
-// AsyncBlockDevice: the submit/complete half of the storage stack.
+// AsyncBlockDevice: the submit/complete half of the storage stack, for
+// reads.
 //
-// The synchronous BlockDevice::ReadBlocks/WriteBlocks calls coalesce well
-// but serialize the machine: the device idles while the CPU encrypts and
-// the CPU idles while the device transfers. AsyncBlockDevice splits every
-// batch into a submission (returns immediately with a waitable IoTicket)
-// and a completion (an optional callback that runs exactly once when the
-// whole batch is done), so the layers above can keep several batches in
-// flight and overlap crypto with device time. This is what makes
-// random-placed hidden blocks fast: their requests can never coalesce
-// into contiguous runs (the placement randomness IS the deniability), but
-// they can all be in flight at once.
+// The synchronous BlockDevice::ReadBlocks call coalesces well but
+// serializes the machine: the device idles while the CPU decrypts and the
+// CPU idles while the device transfers. AsyncBlockDevice splits every
+// read batch into a submission (returns immediately with a waitable
+// IoTicket) and a completion (an optional callback that runs exactly once
+// when the whole batch is done), so the layers above can keep several
+// batches in flight and overlap crypto with device time. This is what
+// makes random-placed hidden blocks fast to read: their requests can
+// never coalesce into contiguous runs (the placement randomness IS the
+// deniability), but they can all be in flight at once.
+//
+// Writes never go through an engine. Under write-back (every journaled
+// mount) a write only reaches the cache, and under write-through the
+// cache writes the device synchronously under its shard lock; the engine
+// helps a write with its encryption only (SubmitTask).
 //
 // The implementation is ThreadPoolAsyncDevice, which adapts any
 // synchronous BlockDevice via a small thread pool, so the decorated
-// devices (SimDisk, ThrottledBlockDevice, FaultInjectionBlockDevice, the
-// crash recorder) keep their per-request accounting and fault-injection
-// semantics (blockdev/thread_pool_async_device.h). On fault-tolerant
-// mounts that base device is the sync retry decorator
-// (fault/retrying_device.h), so the engine needs no retry layer of its
-// own.
+// devices (SimDisk, ThrottledBlockDevice, FaultInjectionBlockDevice)
+// keep their per-request accounting and fault-injection semantics
+// (blockdev/thread_pool_async_device.h). On fault-tolerant mounts that
+// base device is the sync retry decorator (fault/retrying_device.h), so
+// the engine needs no retry layer of its own.
 //
 // Contracts shared by every implementation:
 //   - The buffers referenced by a submitted iov must stay alive until the
@@ -31,8 +36,7 @@
 //     completion thread behind itself).
 //   - A batch has no intra-batch ordering guarantee: its blocks may
 //     transfer in any order and a mid-batch error does NOT say which
-//     blocks transferred. Callers needing orderly duplicates (two writes
-//     to one block in one batch) must use the synchronous path.
+//     blocks transferred.
 //   - Threads blocked in Wait() must not hold any lock a completion
 //     callback can take (see the lock hierarchy in docs/ARCHITECTURE.md).
 //   - Finalize order: run `done` FIRST (before the ticket unblocks, and
@@ -137,14 +141,12 @@ class AsyncBlockDevice {
   // Static identifier, e.g. "thread-pool".
   virtual const char* engine_name() const = 0;
 
-  // Submits one batch; the engine owns the iov vector (moved in), the
-  // caller keeps the data buffers alive until completion. `done` (may be
-  // empty) runs exactly once with the final batch status, BEFORE the
-  // returned ticket unblocks. An empty iov completes inline with OK.
+  // Submits one read batch; the engine owns the iov vector (moved in),
+  // the caller keeps the target buffers alive until completion. `done`
+  // (may be empty) runs exactly once with the final batch status, BEFORE
+  // the returned ticket unblocks. An empty iov completes inline with OK.
   virtual IoTicket SubmitRead(std::vector<BlockIoVec> iov,
                               IoCompletionFn done = nullptr) = 0;
-  virtual IoTicket SubmitWrite(std::vector<ConstBlockIoVec> iov,
-                               IoCompletionFn done = nullptr) = 0;
 
   // Runs `task` on one of the engine's workers, behind the batches
   // already queued there: CPU work that belongs beside the I/O (the

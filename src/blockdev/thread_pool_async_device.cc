@@ -51,10 +51,8 @@ void ThreadPoolAsyncDevice::Finalize(const std::shared_ptr<Batch>& batch) {
   batch->completion.Complete(status);
 }
 
-template <typename Vec, typename Transfer>
-IoTicket ThreadPoolAsyncDevice::Submit(std::vector<Vec> iov,
-                                       IoCompletionFn done,
-                                       Transfer transfer) {
+IoTicket ThreadPoolAsyncDevice::SubmitRead(std::vector<BlockIoVec> iov,
+                                           IoCompletionFn done) {
   if (iov.empty()) {
     if (done) done(Status::OK());
     return IoTicket();
@@ -81,17 +79,19 @@ IoTicket ThreadPoolAsyncDevice::Submit(std::vector<Vec> iov,
   // The iov lives in one shared vector; each slice transfers a disjoint
   // [begin, end) range of it through the base device's vectored call,
   // under the submitter's trace context.
-  auto shared_iov = std::make_shared<std::vector<Vec>>(std::move(iov));
+  auto shared_iov =
+      std::make_shared<std::vector<BlockIoVec>>(std::move(iov));
   const obs::SpanContext ctx = obs::CurrentSpanContext();
   const size_t n = shared_iov->size();
   const size_t per = (n + slices - 1) / slices;
   for (size_t s = 0; s < slices; ++s) {
     const size_t begin = s * per;
     const size_t end = std::min(n, begin + per);
-    pool_.Submit([this, batch, shared_iov, begin, end, transfer, ctx] {
+    pool_.Submit([this, batch, shared_iov, begin, end, ctx] {
       {
         obs::Span span(ctx, "async.transfer", "blockdev");
-        batch->RecordError(transfer(shared_iov->data() + begin, end - begin));
+        batch->RecordError(
+            base_->ReadBlocks(shared_iov->data() + begin, end - begin));
       }
       if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         Finalize(batch);
@@ -99,22 +99,6 @@ IoTicket ThreadPoolAsyncDevice::Submit(std::vector<Vec> iov,
     });
   }
   return ticket;
-}
-
-IoTicket ThreadPoolAsyncDevice::SubmitRead(std::vector<BlockIoVec> iov,
-                                           IoCompletionFn done) {
-  return Submit(std::move(iov), std::move(done),
-                [this](const BlockIoVec* v, size_t n) {
-                  return base_->ReadBlocks(v, n);
-                });
-}
-
-IoTicket ThreadPoolAsyncDevice::SubmitWrite(std::vector<ConstBlockIoVec> iov,
-                                            IoCompletionFn done) {
-  return Submit(std::move(iov), std::move(done),
-                [this](const ConstBlockIoVec* v, size_t n) {
-                  return base_->WriteBlocks(v, n);
-                });
 }
 
 void ThreadPoolAsyncDevice::Drain() {

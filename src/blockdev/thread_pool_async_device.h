@@ -1,14 +1,14 @@
 // ThreadPoolAsyncDevice: the portable async engine — adapts any
 // synchronous BlockDevice to the AsyncBlockDevice interface by running
-// each batch's slices on a small worker pool (the PR 2 thread pool).
+// each read batch's slices on a small worker pool
+// (concurrency/thread_pool.h).
 //
 // Because every transfer ends up in the base device's own vectored
-// ReadBlocks/WriteBlocks (whose default is the per-block loop), the
-// decorated devices keep their semantics unchanged: SimDisk still charges
-// its model per request, ThrottledBlockDevice still sleeps per block, and
-// FaultInjectionBlockDevice still applies its schedule per operation, and
-// the crash recorder still sees every write. That is what lets the whole
-// async data path be fault- and crash-tested.
+// ReadBlocks (whose default is the per-block loop), the decorated devices
+// keep their semantics unchanged: SimDisk still charges its model per
+// request, ThrottledBlockDevice still sleeps per block, and
+// FaultInjectionBlockDevice still applies its schedule per operation.
+// That is what lets the whole async read path be fault-tested.
 //
 // A batch is split into at most `workers` slices so its blocks transfer in
 // parallel; the last slice to finish completes the batch (exactly once)
@@ -61,8 +61,6 @@ class ThreadPoolAsyncDevice : public AsyncBlockDevice {
 
   IoTicket SubmitRead(std::vector<BlockIoVec> iov,
                       IoCompletionFn done = nullptr) override;
-  IoTicket SubmitWrite(std::vector<ConstBlockIoVec> iov,
-                       IoCompletionFn done = nullptr) override;
 
   void SubmitTask(std::function<void()> task) override {
     pool_.Submit(std::move(task));
@@ -102,9 +100,6 @@ class ThreadPoolAsyncDevice : public AsyncBlockDevice {
     }
   };
 
-  template <typename Vec, typename Transfer>
-  IoTicket Submit(std::vector<Vec> iov, IoCompletionFn done,
-                  Transfer transfer);
   void Finalize(const std::shared_ptr<Batch>& batch);
 
   BlockDevice* base_;

@@ -117,7 +117,6 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
   Shard* shard = &shards_[idx];
   std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
   shard->gen++;  // invalidates in-flight async reads' snapshots
-  const uint64_t seq = ++shard->write_seq;
   if (policy_ == WritePolicy::kWriteThrough) {
     STEGFS_RETURN_IF_ERROR(device_->WriteBlock(block, data));
   }
@@ -127,7 +126,6 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
     CountHit(e);
     std::memcpy(e.data.data(), data, e.data.size());
     MarkWritten(shard, &e);
-    e.wseq = seq;
     return Status::OK();
   }
   misses_.Increment();
@@ -136,7 +134,6 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
   e.block = block;
   e.data.assign(data, data + device_->block_size());
   MarkWritten(shard, &e);
-  e.wseq = seq;
   shard->lru.push_front(std::move(e));
   shard->map[block] = shard->lru.begin();
   return Status::OK();
@@ -283,7 +280,6 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
     Shard* shard = &shards_[idx];
     std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
     shard->gen++;  // invalidates in-flight async reads' snapshots
-    const uint64_t seq = ++shard->write_seq;
 
     if (policy_ == WritePolicy::kWriteThrough) {
       // One vectored device call per shard group, in request order (a
@@ -315,7 +311,6 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
         CountHit(e);
         std::memcpy(e.data.data(), data + pos * bs, bs);
         MarkWritten(shard, &e);
-        e.wseq = seq;
         continue;
       }
       misses_.Increment();
@@ -324,7 +319,6 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
       e.block = blocks[pos];
       e.data.assign(data + pos * bs, data + pos * bs + bs);
       MarkWritten(shard, &e);
-      e.wseq = seq;
       shard->lru.push_front(std::move(e));
       shard->map[blocks[pos]] = shard->lru.begin();
     }
@@ -449,121 +443,6 @@ void BufferCache::CompleteAsyncRead(size_t idx,
   }
 }
 
-CacheIoTicket BufferCache::WriteBatchAsync(const uint64_t* blocks, size_t n,
-                                           const uint8_t* data) {
-  CacheIoTicket result;
-  AsyncBlockDevice* engine = async_engine();
-  // Write-back never touches the device here, and duplicate blocks need
-  // the sync path's ordering (async batches are unordered).
-  bool sync_fallback =
-      engine == nullptr || n == 0 || policy_ != WritePolicy::kWriteThrough;
-  if (!sync_fallback) {
-    std::unordered_set<uint64_t> seen;
-    for (size_t i = 0; i < n && !sync_fallback; ++i) {
-      sync_fallback = !seen.insert(blocks[i]).second;
-    }
-  }
-  if (sync_fallback) {
-    result.base_ = WriteBatch(blocks, n, data);
-    return result;
-  }
-  const size_t bs = device_->block_size();
-  batched_writes_.Add(n);
-  async_batched_writes_.Add(n);
-
-  auto groups = GroupByShard(blocks, n);
-  for (size_t idx = 0; idx < groups.size(); ++idx) {
-    const std::vector<size_t>& group = groups[idx];
-    if (group.empty()) continue;
-    uint64_t seq;
-    {
-      // The device mutation begins now: claim the shard's next write
-      // sequence (per block, so later writers supersede us per block, not
-      // per shard) and invalidate in-flight read snapshots.
-      std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-      Shard* shard = &shards_[idx];
-      shard->gen++;
-      seq = ++shard->write_seq;
-      for (size_t pos : group) shard->pending_writes[blocks[pos]] = seq;
-    }
-    std::vector<ConstBlockIoVec> iov;
-    iov.reserve(group.size());
-    for (size_t pos : group) iov.push_back({blocks[pos], data + pos * bs});
-    std::vector<size_t> positions = group;
-    const obs::SpanContext span_ctx = obs::CurrentSpanContext();
-    result.tickets_.push_back(engine->SubmitWrite(
-        std::move(iov),
-        [this, idx, positions = std::move(positions), blocks, data, seq,
-         span_ctx](const Status& s) {
-          obs::Span span(span_ctx, "cache.write_complete", "cache");
-          CompleteAsyncWrite(idx, positions, blocks, data, seq, s);
-        }));
-  }
-  return result;
-}
-
-void BufferCache::CompleteAsyncWrite(size_t idx,
-                                     const std::vector<size_t>& positions,
-                                     const uint64_t* blocks,
-                                     const uint8_t* data, uint64_t seq,
-                                     const Status& status) {
-  const size_t bs = device_->block_size();
-  Shard* shard = &shards_[idx];
-  std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-  if (!status.ok()) {
-    // Mid-batch device error: an unknown prefix landed, so drop exactly
-    // this group's entries — the cache then re-reads the device's
-    // authoritative bytes. Never dirty under write-through, so dropping
-    // loses nothing.
-    for (size_t pos : positions) {
-      auto claim = shard->pending_writes.find(blocks[pos]);
-      if (claim != shard->pending_writes.end() && claim->second == seq) {
-        shard->pending_writes.erase(claim);
-      }
-      auto found = shard->map.find(blocks[pos]);
-      if (found != shard->map.end()) {
-        shard->lru.erase(found->second);
-        shard->map.erase(found);
-      }
-    }
-    return;
-  }
-  // Replay the entry updates per block: keep anything a NEWER write set
-  // (its bytes supersede ours in the device too, for serialized
-  // writers), take ours otherwise. This per-block ordering is what lets
-  // a pipeline's sibling sub-batches — disjoint blocks, same shard —
-  // each cache their own group.
-  for (size_t pos : positions) {
-    auto claim = shard->pending_writes.find(blocks[pos]);
-    const bool latest_claim =
-        claim != shard->pending_writes.end() && claim->second == seq;
-    if (latest_claim) shard->pending_writes.erase(claim);
-    auto found = shard->map.find(blocks[pos]);
-    if (found != shard->map.end()) {
-      if (found->second->wseq > seq) continue;  // superseded: keep newer
-      Entry& e = Touch(shard, found->second);
-      CountHit(e);
-      std::memcpy(e.data.data(), data + pos * bs, bs);
-      e.dirty = false;
-      e.wseq = seq;
-      continue;
-    }
-    // No entry: safe to insert only while our claim is still the
-    // block's latest (a later in-flight async write, or a DropAll that
-    // cleared the claims, means our bytes may not be what the device
-    // will hold).
-    if (!latest_claim) continue;
-    misses_.Increment();
-    if (!EnsureRoom(shard).ok()) return;
-    Entry e;
-    e.block = blocks[pos];
-    e.data.assign(data + pos * bs, data + pos * bs + bs);
-    e.wseq = seq;
-    shard->lru.push_front(std::move(e));
-    shard->map[e.block] = shard->lru.begin();
-  }
-}
-
 Status BufferCache::CheckpointBlock(uint64_t block, const uint8_t* data) {
   const size_t bs = device_->block_size();
   size_t idx = ShardOf(block);
@@ -582,49 +461,9 @@ Status BufferCache::CheckpointBlock(uint64_t block, const uint8_t* data) {
   return Status::OK();
 }
 
-void BufferCache::SetPrefetchPool(concurrency::ThreadPool* pool) {
-  prefetch_pool_.store(pool, std::memory_order_release);
-}
-
-void BufferCache::PopulateShard(size_t idx,
-                                const std::vector<uint64_t>& blocks) {
-  // Sub-batches of a few blocks, each fully under the shard lock (the
-  // device read must stay inside the lock for the same reason the demand
-  // path's does — an unlocked read could insert bytes staler than a
-  // racing write), but releasing between sub-batches bounds how long a
-  // demand access can stall behind background I/O.
-  constexpr size_t kSubBatch = 8;
-  const size_t bs = device_->block_size();
-  Shard* shard = &shards_[idx];
-  std::vector<uint8_t> buf(kSubBatch * bs);
-  std::vector<BlockIoVec> iov;
-  for (size_t start = 0; start < blocks.size(); start += kSubBatch) {
-    const size_t end = std::min(blocks.size(), start + kSubBatch);
-    std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-    iov.clear();
-    for (size_t i = start; i < end; ++i) {
-      if (shard->map.find(blocks[i]) == shard->map.end()) {
-        iov.push_back({blocks[i], buf.data() + iov.size() * bs});
-      }
-    }
-    if (iov.empty()) continue;
-    // Best-effort: a failed prefetch read just leaves the blocks uncached.
-    if (!device_->ReadBlocks(iov.data(), iov.size()).ok()) return;
-    for (size_t i = 0; i < iov.size(); ++i) {
-      if (!EnsureRoom(shard).ok()) return;
-      Entry e;
-      e.block = iov[i].block;
-      e.data.assign(buf.data() + i * bs, buf.data() + (i + 1) * bs);
-      e.prefetched = true;
-      shard->lru.push_front(std::move(e));
-      shard->map[e.block] = shard->lru.begin();
-      prefetched_.Increment();
-    }
-  }
-}
-
 void BufferCache::Prefetch(const uint64_t* blocks, size_t n) {
-  if (n == 0) return;
+  AsyncBlockDevice* engine = async_engine();
+  if (engine == nullptr || n == 0) return;
   std::vector<uint64_t> wanted;
   wanted.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -632,59 +471,39 @@ void BufferCache::Prefetch(const uint64_t* blocks, size_t n) {
   }
   if (wanted.empty()) return;
 
-  AsyncBlockDevice* engine = async_engine();
-  if (engine != nullptr) {
-    // Pure submitter: the engine carries the I/O and its completion
-    // handler does the insert, so no pool thread ever blocks on a
-    // background read. Fire-and-forget: the dropped ticket is covered by
-    // the engine's Drain/destructor, and a failed read just leaves the
-    // blocks uncached.
-    const size_t bs = device_->block_size();
-    auto groups = GroupByShard(wanted.data(), wanted.size());
-    for (size_t idx = 0; idx < groups.size(); ++idx) {
-      if (groups[idx].empty()) continue;
-      std::vector<uint64_t> need;
-      uint64_t gen;
-      {
-        std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-        gen = shards_[idx].gen;
-        for (size_t pos : groups[idx]) {
-          if (shards_[idx].map.find(wanted[pos]) == shards_[idx].map.end()) {
-            need.push_back(wanted[pos]);
-          }
+  // Pure submitter: the engine carries the I/O and its completion
+  // handler does the insert, so no thread ever blocks on a background
+  // read. Fire-and-forget: the dropped ticket is covered by the engine's
+  // Drain/destructor, and a failed read just leaves the blocks uncached.
+  const size_t bs = device_->block_size();
+  auto groups = GroupByShard(wanted.data(), wanted.size());
+  for (size_t idx = 0; idx < groups.size(); ++idx) {
+    if (groups[idx].empty()) continue;
+    std::vector<uint64_t> need;
+    uint64_t gen;
+    {
+      std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
+      gen = shards_[idx].gen;
+      for (size_t pos : groups[idx]) {
+        if (shards_[idx].map.find(wanted[pos]) == shards_[idx].map.end()) {
+          need.push_back(wanted[pos]);
         }
       }
-      if (need.empty()) continue;
-      auto buf = std::make_shared<std::vector<uint8_t>>(need.size() * bs);
-      std::vector<BlockIoVec> iov(need.size());
-      for (size_t i = 0; i < need.size(); ++i) {
-        iov[i] = {need[i], buf->data() + i * bs};
-      }
-      std::vector<BlockIoVec> engine_iov = iov;
-      engine->SubmitRead(std::move(engine_iov),
-                         [this, idx, iov = std::move(iov), buf,
-                          gen](const Status& s) {
-                           if (!s.ok()) return;  // best-effort
-                           CompleteAsyncRead(idx, iov, gen,
-                                             /*prefetch=*/true);
-                         });
     }
-    return;
+    if (need.empty()) continue;
+    auto buf = std::make_shared<std::vector<uint8_t>>(need.size() * bs);
+    std::vector<BlockIoVec> iov(need.size());
+    for (size_t i = 0; i < need.size(); ++i) {
+      iov[i] = {need[i], buf->data() + i * bs};
+    }
+    std::vector<BlockIoVec> engine_iov = iov;
+    engine->SubmitRead(std::move(engine_iov),
+                       [this, idx, iov = std::move(iov), buf,
+                        gen](const Status& s) {
+                         if (!s.ok()) return;  // best-effort
+                         CompleteAsyncRead(idx, iov, gen, /*prefetch=*/true);
+                       });
   }
-
-  concurrency::ThreadPool* pool =
-      prefetch_pool_.load(std::memory_order_acquire);
-  if (pool == nullptr) return;
-  pool->Submit([this, wanted = std::move(wanted)] {
-    auto groups = GroupByShard(wanted.data(), wanted.size());
-    for (size_t idx = 0; idx < groups.size(); ++idx) {
-      if (groups[idx].empty()) continue;
-      std::vector<uint64_t> shard_blocks;
-      shard_blocks.reserve(groups[idx].size());
-      for (size_t pos : groups[idx]) shard_blocks.push_back(wanted[pos]);
-      PopulateShard(idx, shard_blocks);
-    }
-  });
 }
 
 Status BufferCache::FlushShard(Shard* shard,
@@ -762,11 +581,9 @@ void BufferCache::DropAll() {
     shard.lru.clear();
     shard.map.clear();
     // Callers drop the cache because the device was rewritten underneath
-    // it; anything read OR written before the rewrite must not come back
-    // (cleared claims make in-flight async write completions skip their
-    // re-inserts too).
+    // it; nothing an in-flight async read fetched before the rewrite may
+    // come back.
     shard.gen++;
-    shard.pending_writes.clear();
   }
 }
 
@@ -780,10 +597,7 @@ CacheStats BufferCache::stats() const {
   s.batched_writes = batched_writes_.value();
   s.prefetched = prefetched_.value();
   s.prefetch_hits = prefetch_hits_.value();
-  s.async_batched_reads =
-      async_batched_reads_.value();
-  s.async_batched_writes =
-      async_batched_writes_.value();
+  s.async_batched_reads = async_batched_reads_.value();
   return s;
 }
 
@@ -809,9 +623,6 @@ void BufferCache::RegisterMetrics(obs::MetricsRegistry* reg) const {
   reg->RegisterCounter("stegfs_cache_async_batched_reads_total",
                        "Blocks read through the async batch path",
                        &async_batched_reads_);
-  reg->RegisterCounter("stegfs_cache_async_batched_writes_total",
-                       "Blocks written through the async batch path",
-                       &async_batched_writes_);
   reg->RegisterHistogram("stegfs_cache_fill_seconds",
                          "Demand miss fill latency (device read)",
                          &fill_ns_);

@@ -37,6 +37,12 @@
 //                   benchmarks so each logical operation's trace contains
 //                   its own writes, making interleaved replay attribution
 //                   exact)
+//
+// One write path, two read paths: every write (Write, WriteBatch) reaches
+// the cache, and under kWriteThrough the device, synchronously under its
+// shard lock, whether or not an async engine is attached. An attached
+// engine carries reads only: ReadBatchAsync's misses and Prefetch's
+// background loads.
 #ifndef STEGFS_CACHE_BUFFER_CACHE_H_
 #define STEGFS_CACHE_BUFFER_CACHE_H_
 
@@ -54,7 +60,6 @@
 #include "blockdev/async_block_device.h"
 #include "blockdev/block_device.h"
 #include "concurrency/shard_lock.h"
-#include "concurrency/thread_pool.h"
 #include "obs/metrics.h"
 #include "util/status.h"
 
@@ -71,13 +76,12 @@ struct CacheStats {
   // Blocks moved through ReadBatch / WriteBatch.
   uint64_t batched_reads = 0;
   uint64_t batched_writes = 0;
-  // Blocks inserted by the async prefetcher, and how many of those were
+  // Blocks inserted by the engine prefetcher, and how many of those were
   // later claimed by a demand read before eviction.
   uint64_t prefetched = 0;
   uint64_t prefetch_hits = 0;
-  // Blocks moved through the async batch paths (subset of batched_*).
+  // Blocks moved through ReadBatchAsync (a subset of batched_reads).
   uint64_t async_batched_reads = 0;
-  uint64_t async_batched_writes = 0;
 
   double HitRate() const {
     uint64_t total = hits + misses;
@@ -168,12 +172,12 @@ class BufferCache {
   Status ProbeBatch(const uint64_t* blocks, size_t n, uint8_t* out,
                     size_t* cache_hits = nullptr);
 
-  // Attaches an async I/O engine. While attached, ReadBatchAsync /
-  // WriteBatchAsync submit real asynchronous device I/O and Prefetch
-  // becomes a pure submitter (no thread pool needed). The engine must be
-  // drained and destroyed before the cache (PlainFs declares it after the
-  // cache for exactly this reason) or detached first. nullptr detaches;
-  // the async entry points then degrade to the synchronous batch calls.
+  // Attaches an async I/O engine for reads. While attached,
+  // ReadBatchAsync submits its misses to the engine and Prefetch loads
+  // blocks in the background through it. The engine must be drained and
+  // destroyed before the cache (PlainFs declares it after the cache for
+  // exactly this reason) or detached first. nullptr detaches;
+  // ReadBatchAsync then degrades to ReadBatch and Prefetch to a no-op.
   void SetAsyncEngine(AsyncBlockDevice* engine);
   AsyncBlockDevice* async_engine() const {
     return async_engine_.load(std::memory_order_acquire);
@@ -181,8 +185,8 @@ class BufferCache {
 
   // Async batch read: hits are copied to `out` inline; each shard's
   // distinct misses are submitted to the engine as one batch WITHOUT the
-  // shard lock held across the wait (the PR 3 sync path holds it — that
-  // is its concurrent-miss dedup, and why it cannot overlap anything).
+  // shard lock held across the wait (ReadBatch holds it — that is its
+  // concurrent-miss dedup, and why it cannot overlap anything).
   // The completion handler re-acquires the shard lock and inserts the
   // fetched blocks, guarded by a per-shard generation counter: if any
   // write/invalidation touched the shard since submission, the inserts
@@ -207,33 +211,11 @@ class BufferCache {
   CacheIoTicket ReadBatchAsync(const uint64_t* blocks, size_t n,
                                uint8_t* out, FillFn on_fill = nullptr,
                                std::vector<size_t>* ready = nullptr);
-  // Async batch write (write-through only — under write-back the device
-  // is not involved, so this degrades to the synchronous WriteBatch).
-  // Device batches are submitted per shard group; each submission claims
-  // the shard's next write sequence, and the completion handler replays
-  // the entry updates under the shard lock PER BLOCK: an entry a newer
-  // write already updated is kept, older-or-unwritten entries take this
-  // batch's bytes, and a block whose entry is gone is re-inserted only
-  // while this batch's claim is still the block's latest — so a
-  // pipeline's sibling sub-batches (disjoint blocks) all stay cached.
-  // On a mid-batch device error the group's cached entries are
-  // invalidated — mirroring the PR 3 write-through contract — so the
-  // cache re-reads the device's authoritative bytes. A batch containing
-  // duplicate blocks degrades to the synchronous path (async batches
-  // have no intra-batch ordering), and concurrent UNSERIALIZED writes to
-  // the same block remain the caller's race, exactly as with a real
-  // kernel page cache — every in-tree writer serializes per object.
-  //
-  // `blocks` and `data` must stay alive until Wait() returns.
-  CacheIoTicket WriteBatchAsync(const uint64_t* blocks, size_t n,
-                                const uint8_t* data);
-
-  // Attaches the worker pool the async prefetcher runs on (nullptr
-  // detaches; then Prefetch becomes a no-op unless an async engine is
-  // attached). The pool must outlive the cache or be detached first.
-  void SetPrefetchPool(concurrency::ThreadPool* pool);
   // Schedules a background load of the given blocks into the cache
-  // (best-effort: errors are swallowed, already-cached blocks skipped).
+  // through the attached engine (best-effort: errors are swallowed,
+  // already-cached and out-of-range blocks skipped; without an engine
+  // nothing is loaded). The caller never waits: the engine's completion
+  // inserts the blocks under the same generation guard as ReadBatchAsync.
   // A later demand read that claims a prefetched entry counts as a normal
   // hit plus one prefetch_hit.
   void Prefetch(const uint64_t* blocks, size_t n);
@@ -307,10 +289,6 @@ class BufferCache {
     bool dirty = false;
     // Inserted by the prefetcher and not yet claimed by a demand access.
     bool prefetched = false;
-    // Shard write sequence of the last write that set these bytes (0 for
-    // read-inserted entries). Async write completions use it to decide
-    // whether their bytes are newer than the entry's.
-    uint64_t wseq = 0;
   };
   using EntryList = std::list<Entry>;
 
@@ -320,30 +298,17 @@ class BufferCache {
     EntryList lru;  // front = most recently used
     std::unordered_map<uint64_t, EntryList::iterator> map;
     // Bumped (under the stripe) by anything that begins changing this
-    // shard's device bytes: entry writes, async write SUBMISSIONS,
-    // write-through invalidations, DropAll. Async READ completions
-    // compare it against their submission-time snapshot and skip their
-    // inserts on mismatch — that is what makes inserting device bytes
-    // read OUTSIDE the shard lock safe.
+    // shard's device bytes or entries: writes, checkpoints, DropAll.
+    // Async read completions (ReadBatchAsync, Prefetch) compare it
+    // against their submission-time snapshot and skip their inserts on
+    // mismatch — that is what makes inserting device bytes read OUTSIDE
+    // the shard lock safe.
     uint64_t gen = 0;
-    // Monotonic ordering of writes in this shard. Every sync write group
-    // and every async write submission claims the next value; entries
-    // record their writer's value in Entry::wseq, so an async write
-    // completion can tell "a newer write superseded me, keep the entry"
-    // from "my bytes are the newest, replay them" — per BLOCK, which is
-    // what lets a pipeline's sibling sub-batches (disjoint blocks, same
-    // shard) all cache their groups instead of invalidating each other.
-    uint64_t write_seq = 0;
     // False only while no entry is dirty: set by every write that leaves
     // one dirty, cleared by a flush that wrote every dirty entry back.
     // A barrier's WriteBackDirty then skips clean shards without walking
     // their LRU lists under the exclusive lock.
     bool has_dirty = false;
-    // Blocks with an async write in flight -> that write's sequence
-    // (latest submission wins; erased at completion). An absent entry is
-    // insert-safe for a completing write only while its claim is still
-    // the block's latest.
-    std::unordered_map<uint64_t, uint64_t> pending_writes;
   };
 
   static size_t AutoShardCount(size_t capacity_blocks);
@@ -362,18 +327,11 @@ class BufferCache {
     e->dirty = (policy_ == WritePolicy::kWriteBack);
     shard->has_dirty |= e->dirty;
   }
-  // Loads the listed blocks into one shard (missing ones only) with a
-  // single vectored device read. Used by the pool-based prefetcher.
-  void PopulateShard(size_t idx, const std::vector<uint64_t>& blocks);
-
-  // Completion handlers of the async paths (run on engine threads; take
-  // the shard stripe, never hold it across device I/O except dirty-victim
-  // write-back, same as the sync path).
+  // Completion handler of the async reads (runs on an engine thread;
+  // takes the shard stripe, never holds it across device I/O except
+  // dirty-victim write-back, same as the sync path).
   void CompleteAsyncRead(size_t idx, const std::vector<BlockIoVec>& misses,
                          uint64_t gen, bool prefetch);
-  void CompleteAsyncWrite(size_t idx, const std::vector<size_t>& positions,
-                          const uint64_t* blocks, const uint8_t* data,
-                          uint64_t seq, const Status& status);
 
   // Request positions grouped per shard, in request order (index into the
   // caller's blocks array). Shards with no requests are empty.
@@ -395,7 +353,6 @@ class BufferCache {
   std::shared_ptr<const std::unordered_set<uint64_t>> parked_;
   concurrency::StripedSharedMutex locks_;
   std::vector<Shard> shards_;
-  std::atomic<concurrency::ThreadPool*> prefetch_pool_{nullptr};
   std::atomic<AsyncBlockDevice*> async_engine_{nullptr};
 
   obs::Counter hits_;
@@ -407,7 +364,6 @@ class BufferCache {
   obs::Counter prefetched_;
   obs::Counter prefetch_hits_;
   obs::Counter async_batched_reads_;
-  obs::Counter async_batched_writes_;
   obs::Histogram fill_ns_;
   std::atomic<uint64_t> dirty_epoch_{1};
 };

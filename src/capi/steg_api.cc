@@ -118,8 +118,9 @@ stegfs::StatusOr<std::unique_ptr<stegfs::StegFs>> MountOn(
   // request a 16-block readahead window — one default shared with the
   // benches instead of the old 8-here/16-there split (the sweep behind
   // the choice lives in BENCH_io.json / docs/ARCHITECTURE.md
-  // "Readahead"). On single-core hosts the window degrades to off,
-  // observably via steg_stats readahead_active/readahead_window.
+  // "Readahead"). The engine is what carries readahead; on single-core
+  // hosts the window degrades to off, observably via steg_stats
+  // readahead_active/readahead_window.
   options.mount.io_engine = stegfs::IoEngine::kAuto;
   options.mount.readahead_blocks = 16;
   // Durable by default; volumes formatted before the journal existed

@@ -86,7 +86,7 @@ typedef struct stegfs_stats {
   /* batched data path */
   uint64_t cache_batched_reads;  /* blocks moved through batch reads */
   uint64_t cache_batched_writes; /* blocks moved through batch writes */
-  uint64_t cache_prefetched;     /* blocks loaded by the readahead pool */
+  uint64_t cache_prefetched;     /* blocks loaded by the engine readahead */
   uint64_t cache_prefetch_hits;  /* prefetched blocks later demand-read */
   uint64_t dev_vectored_blocks;  /* blocks moved through vectored dev I/O */
   uint64_t dev_coalesced_runs;   /* contiguous runs >= 2 blocks coalesced
@@ -101,8 +101,8 @@ typedef struct stegfs_stats {
   uint64_t io_submitted_batches; /* batches handed to the engine */
   uint64_t io_completed_batches; /* batches fully completed */
   uint64_t io_inflight_blocks;   /* point-in-time blocks in flight */
-  /* readahead observability: the window silently degrades to off when it
-   * cannot help (no engine and no spare core), and these make that
+  /* readahead observability: the window degrades to off when it cannot
+   * help (no async engine, or no spare core), and these make that
    * visible instead of the old silent zeroing */
   uint32_t readahead_active; /* 1 when a prefetcher is armed */
   uint32_t readahead_window; /* effective window in blocks (0 when off) */

@@ -45,13 +45,14 @@ std::string HiddenObject::AnchorName(const std::string& physical_name) {
 }
 
 Status HiddenObject::CommitBarrier() {
-  // The write-barrier contract: an engine's in-flight writes are not
-  // "completed" until Drain returns, and Sync() only orders completed
-  // writes. Both engines implement Drain; the sync mount has none.
-  // WriteBackDirty (not Flush) so the barrier costs exactly ONE device
-  // sync. When the volume has a barrier coalescer, arrive there instead:
-  // it runs the same drain/write-back/sync sequence, shared with every
-  // concurrent barrier (other hidden commits, journal batch commits).
+  // The write-barrier contract: Sync() only orders completed writes.
+  // Every write completes synchronously (the engine carries reads only),
+  // so the drain just waits out in-flight engine reads; the sync mount
+  // has no engine. WriteBackDirty (not Flush) so the barrier costs
+  // exactly ONE device sync. When the volume has a barrier coalescer,
+  // arrive there instead: it runs the same drain/write-back/sync
+  // sequence, shared with every concurrent barrier (other hidden
+  // commits, journal batch commits).
   if (vol_.barrier != nullptr) return vol_.barrier->Arrive();
   if (vol_.engine != nullptr) vol_.engine->Drain();
   STEGFS_RETURN_IF_ERROR(vol_.cache->WriteBackDirty());

@@ -60,14 +60,14 @@ struct HiddenVolume {
   // below the per-object lock, above the bitmap/cache internal locks.
   std::mutex* alloc_mu = nullptr;
   // Readahead window (file blocks) hinted after every extent read; only
-  // effective when the shared cache has a prefetch pool attached.
+  // effective when the shared cache has an async engine attached.
   uint32_t readahead = 0;
   // Durable-commit wiring (Durability::kJournal mounts). When `durable`
   // is set, every header update runs the dual-header commit protocol
   // (anchor image -> barrier -> primary image) and Sync/Remove issue real
-  // write barriers through `device` (draining `engine` first — the async
-  // half of the barrier contract). All three stay null/false for the
-  // historical behavior every seeded test pins.
+  // write barriers through `device` (draining `engine`'s in-flight reads
+  // first). All three stay null/false for the historical behavior every
+  // seeded test pins.
   BlockDevice* device = nullptr;
   AsyncBlockDevice* engine = nullptr;
   bool durable = false;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_set>
 
 #include "crypto/gf256.h"
 #include "util/coding.h"
@@ -73,15 +74,24 @@ Status RedundancyManager::Load(uint32_t first_block, BlockStore* store) {
     return Status::OK();
   };
 
+  // Chain and parity blocks are data-region blocks, and a chain visits
+  // each block once. Anything else is hostile: a pointer past the volume
+  // would index the bitmap out of range, one into the metadata region
+  // would later be freed into the pool and overwritten, and a cycle would
+  // re-read one block for as many chunks as the decoded stripe count asks.
+  auto pointer_ok = [this](uint64_t b) {
+    return bitmap_ == nullptr || (b >= bitmap_->layout().data_start &&
+                                  b < bitmap_->total_count());
+  };
   const size_t payload_per = block_size_ - kChainHeaderBytes;
   const size_t entry_bytes = 4u * (1 + policy_.parity() + policy_.n);
   std::vector<uint8_t> block(block_size_);
   std::vector<uint8_t> flat;
+  std::unordered_set<uint64_t> visited;
   uint64_t cur = first_block;
   uint64_t chunks_expected = 1;  // revised after the first chunk
   for (uint64_t i = 0; i < chunks_expected; ++i) {
-    if (cur == 0 ||
-        (bitmap_ != nullptr && cur >= bitmap_->total_count())) {
+    if (cur == 0 || !pointer_ok(cur) || !visited.insert(cur).second) {
       return degrade();
     }
     STEGFS_RETURN_IF_ERROR(store->ReadBlock(cur, block.data()));
@@ -111,6 +121,7 @@ Status RedundancyManager::Load(uint32_t first_block, BlockStore* store) {
     for (uint32_t i = 0; i < policy_.parity(); ++i) {
       st.parity[i] = DecodeFixed32(p);
       p += 4;
+      if (st.parity[i] != 0 && !pointer_ok(st.parity[i])) return degrade();
     }
     for (uint32_t i = 0; i < policy_.n; ++i) {
       st.sums[i] = DecodeFixed32(p);

@@ -185,7 +185,7 @@ Status EncryptedBlockStore::WriteBlocks(const uint64_t* blocks, size_t n,
       engine, crypter_, std::move(spans), bs, /*encrypt=*/true, ctx);
   job->Work(ctx);
   job->WaitAll();
-  return cache_->WriteBatchAsync(blocks, n, tmp.data()).Wait();
+  return cache_->WriteBatch(blocks, n, tmp.data());
 }
 
 }  // namespace stegfs

@@ -118,10 +118,10 @@ class EncryptedBlockStore : public BlockStore {
   //     after the cache has copied the ciphertext; the hits, already in
   //     `out`, are decrypted by the caller and the workers together.
   //   - WriteBlocks encrypts the extent into a staging copy on the caller
-  //     and the workers together, then hands it to the cache as one batch
-  //     write. (Under write-back, the policy of journaled mounts, that
-  //     write never reaches the device: the cache's async write path is
-  //     for write-through only.)
+  //     and the workers together, then hands it to the cache as one
+  //     synchronous WriteBatch, as the engineless path does. (Under
+  //     write-back, the policy of journaled mounts, that write never
+  //     reaches the device.)
   // Plaintext only ever lands in the caller's buffer; the cache and the
   // device see ciphertext. Every task that writes `out` has finished
   // before the call returns, error or not. The caller must not be an

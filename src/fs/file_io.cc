@@ -124,9 +124,10 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
   }
 
   // Hint the window after the extent — but only for multi-block extents:
-  // a block-at-a-time reader would enqueue one prefetch task per block,
+  // a block-at-a-time reader would submit one prefetch batch per block,
   // all chasing the block the next call is about to demand-read anyway,
-  // and the task overhead swamps the win (measured 0.6x on one core).
+  // and the submission overhead swamps the win (measured 0.6x on one
+  // core).
   if (readahead_ > 0 && total_blocks >= 2) {
     IssueReadahead(*inode, offset / block_size_ + (offset % block_size_ != 0),
                    store);

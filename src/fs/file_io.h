@@ -68,8 +68,8 @@ class FileIo {
 
   // Readahead window in file blocks: after each Read, the next `blocks`
   // mapped blocks are hinted to the store's prefetcher (0 = off, the
-  // default). Takes effect only when the underlying cache has a prefetch
-  // pool attached.
+  // default). Takes effect only when the underlying cache has an async
+  // engine attached.
   void set_readahead(uint32_t blocks) { readahead_ = blocks; }
   uint32_t readahead() const { return readahead_; }
 

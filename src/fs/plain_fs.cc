@@ -107,21 +107,16 @@ PlainFs::PlainFs(BlockDevice* device, const Superblock& super,
                      ? std::make_unique<ThreadPoolAsyncDevice>(data_device())
                      : nullptr) {
   if (io_engine_ != nullptr) cache_->SetAsyncEngine(io_engine_.get());
-  // Readahead needs a second core: even with an async engine (a pure
-  // submitter — no thread ever blocks on the background read) the
-  // completion inserts and hit copies still run on the demand path's only
-  // core, and the bench measures that as a 0.6x LOSS at window 16 on one
-  // core (sweep in BENCH_io.json). So the option degrades to off on
-  // single-core hosts — observably: readahead_blocks() returns the
-  // effective window and steg_stats surfaces readahead_active/window.
-  // With two or more cores the engine carries the prefetch I/O; only
-  // engineless mounts need the one-thread pool.
-  if (options.readahead_blocks > 0 &&
+  // Readahead is the engine's: its prefetch is a pure submitter (no
+  // thread ever blocks on the background read), so a kSync mount has no
+  // prefetcher and the option degrades to off there. It also needs a
+  // second core: the completion inserts and hit copies still run on the
+  // demand path's only core, and the bench measures that as a 0.6x LOSS
+  // at window 16 on one core. The degradation is observable:
+  // readahead_blocks() returns the effective window and steg_stats
+  // surfaces readahead_active/window.
+  if (options.readahead_blocks > 0 && io_engine_ != nullptr &&
       std::thread::hardware_concurrency() >= 2) {
-    if (io_engine_ == nullptr) {
-      prefetch_pool_ = std::make_unique<concurrency::ThreadPool>(1);
-      cache_->SetPrefetchPool(prefetch_pool_.get());
-    }
     file_io_.set_readahead(options.readahead_blocks);
   } else {
     options_.readahead_blocks = 0;

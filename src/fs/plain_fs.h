@@ -31,7 +31,6 @@
 #include "fault/retry_policy.h"
 #include "fault/retrying_device.h"
 #include "concurrency/group_barrier.h"
-#include "concurrency/thread_pool.h"
 #include "fs/bitmap.h"
 #include "fs/directory.h"
 #include "fs/file_io.h"
@@ -97,11 +96,11 @@ struct MountOptions {
   uint64_t rng_seed = 0x5742;  // placement randomness (deterministic)
   // Readahead window in blocks after every extent read (plain AND hidden
   // files). 0 = off (the default, preserving seeded cache behavior).
-  // When > 0 the prefetcher arms on multi-core hosts only — on one core
-  // the prefetch work steals the demand path's cycles (bench-measured
-  // 0.6x at window 16, even with an async engine) — carried by the async
-  // engine when one is attached, else by a one-thread prefetch pool. The
-  // effective state is observable: readahead_blocks() and steg_stats'
+  // When > 0 the prefetcher arms only where it can pay: the async engine
+  // carries it, so kSync mounts leave it off, and on one core the
+  // prefetch work steals the demand path's cycles (bench-measured 0.6x
+  // at window 16), so single-core hosts leave it off too. The effective
+  // state is observable: readahead_blocks() and steg_stats'
   // readahead_active/readahead_window report the degradation.
   uint32_t readahead_blocks = 0;
   // Async engine for the data path (hidden extents pipeline decrypt with
@@ -241,9 +240,9 @@ class PlainFs {
   Xoshiro* rng() { return &rng_; }
   AllocPolicy policy() const { return options_.policy; }
   // Effective readahead window: 0 when off, including when the option was
-  // requested but no async engine attached AND the host has no spare core
-  // for the prefetch thread (steg_stats surfaces this as
-  // readahead_active/readahead_window so the degradation is observable).
+  // requested but the mount has no async engine or the host no spare core
+  // (steg_stats surfaces this as readahead_active/readahead_window so the
+  // degradation is observable).
   uint32_t readahead_blocks() const { return options_.readahead_blocks; }
   // The attached async engine (nullptr on kSync mounts) and its name
   // ("sync" when none).
@@ -430,11 +429,8 @@ class PlainFs {
                                   // journal before the write lands
   std::unordered_set<uint64_t> txn_parked_;  // blocks THIS txn parked
   std::vector<uint64_t> txn_pending_frees_;  // deferred until commit
-  // Declared last: the pool's tasks touch cache_, so it must be drained
-  // and joined (destroyed) before the cache goes away.
-  std::unique_ptr<concurrency::ThreadPool> prefetch_pool_;
-  // Declared after the pool (destroyed first): engine destructors drain,
-  // and in-flight completion handlers touch cache_ — which outlives both.
+  // Declared last (destroyed first): engine destructors drain, and
+  // in-flight completion handlers touch cache_, which outlives the engine.
   std::unique_ptr<AsyncBlockDevice> io_engine_;
 };
 

@@ -18,6 +18,7 @@
 
 #include "blockdev/mem_block_device.h"
 #include "blockdev/thread_pool_async_device.h"
+#include "core/stegfs.h"
 #include "fault/fault_injection_device.h"
 #include "util/random.h"  // Xoshiro
 
@@ -282,6 +283,62 @@ TEST(EngineWorkerTest, OnWorkerThreadOnlyInsideEngineTasks) {
   std::promise<bool> foreign;
   other.SubmitTask([&] { foreign.set_value(engine.OnWorkerThread()); });
   EXPECT_FALSE(foreign.get_future().get());
+}
+
+// On a mounted volume the engine carries reads only: a hidden write of
+// more than kAsyncSubBatch blocks encrypts on the engine's workers but
+// submits nothing to the engine, and leaves the image a kSync mount
+// leaves, under both write policies.
+TEST(EngineMountTest, HiddenWritesSubmitNothingAndMatchTheSyncImage) {
+  const std::string data = [] {
+    std::string d(150 * 1024, '\0');  // 150 blocks: takes the engine path
+    Xoshiro rng(9);
+    for (char& c : d) c = static_cast<char>(rng.Next());
+    return d;
+  }();
+  for (WritePolicy policy :
+       {WritePolicy::kWriteBack, WritePolicy::kWriteThrough}) {
+    auto image = [&](IoEngine engine) {
+      MemBlockDevice dev(1024, 8192);
+      StegFormatOptions fmt;
+      fmt.params.dummy_file_count = 2;
+      fmt.params.dummy_file_avg_bytes = 8 << 10;
+      fmt.entropy = "engine-mount-test";
+      EXPECT_TRUE(StegFs::Format(&dev, fmt).ok());
+      StegFsOptions opts;
+      opts.mount.io_engine = engine;
+      opts.mount.write_policy = policy;
+      auto fs = StegFs::Mount(&dev, opts);
+      EXPECT_TRUE(fs.ok()) << fs.status().ToString();
+      if (!fs.ok()) return std::vector<uint8_t>();
+      EXPECT_TRUE((*fs)->StegCreate("u", "big", "uak", HiddenType::kFile).ok());
+      EXPECT_TRUE((*fs)->StegConnect("u", "big", "uak").ok());
+      AsyncBlockDevice* io = (*fs)->plain()->io_engine();
+      EXPECT_EQ(io != nullptr, engine == IoEngine::kAuto);
+      const uint64_t before = io != nullptr ? io->stats().submitted_blocks : 0;
+      EXPECT_TRUE((*fs)->HiddenWrite("u", "big", 0, data).ok());
+      EXPECT_TRUE((*fs)->HiddenWrite("u", "big", 4096, data).ok());
+      if (io != nullptr) {
+        EXPECT_EQ(io->stats().submitted_blocks, before);
+      }
+      auto back = (*fs)->HiddenReadAll("u", "big");
+      EXPECT_TRUE(back.ok());
+      if (back.ok()) {
+        EXPECT_EQ(back->substr(0, 4096), data.substr(0, 4096));
+        EXPECT_EQ(back->substr(4096), data);
+      }
+      EXPECT_TRUE((*fs)->DisconnectAll("u").ok());
+      EXPECT_TRUE((*fs)->Flush().ok());
+      fs->reset();
+      return dev.raw();
+    };
+    const std::vector<uint8_t> sync_image = image(IoEngine::kSync);
+    const std::vector<uint8_t> engine_image = image(IoEngine::kAuto);
+    ASSERT_FALSE(sync_image.empty());
+    EXPECT_TRUE(engine_image == sync_image)
+        << (policy == WritePolicy::kWriteBack ? "write-back"
+                                              : "write-through");
+  }
 }
 
 #ifndef NDEBUG

@@ -233,43 +233,6 @@ TEST(BufferCacheTest, BatchPreservesSeededEvictionOrder) {
   }
 }
 
-TEST(BufferCacheTest, PrefetchPopulatesAndCountsHits) {
-  MemBlockDevice dev(512, 64);
-  std::vector<uint8_t> data = Pattern(512, 3);
-  for (uint64_t b = 8; b < 12; ++b) {
-    ASSERT_TRUE(dev.WriteBlock(b, data.data()).ok());
-  }
-  BufferCache cache(&dev, 16);
-  concurrency::ThreadPool pool(1);
-  cache.SetPrefetchPool(&pool);
-
-  uint64_t blocks[4] = {8, 9, 10, 11};
-  cache.Prefetch(blocks, 4);
-  pool.WaitIdle();
-  EXPECT_EQ(cache.stats().prefetched, 4u);
-  EXPECT_EQ(cache.stats().prefetch_hits, 0u);
-  EXPECT_EQ(cache.size(), 4u);
-
-  // Demand reads claim the prefetched entries: hits, and prefetch_hits.
-  std::vector<uint8_t> out(512);
-  ASSERT_TRUE(cache.Read(9, out.data()).ok());
-  EXPECT_EQ(out, data);
-  ASSERT_TRUE(cache.Read(10, out.data()).ok());
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().prefetch_hits, 2u);
-  // A re-read of a claimed entry is a plain hit, not a prefetch hit.
-  ASSERT_TRUE(cache.Read(9, out.data()).ok());
-  EXPECT_EQ(cache.stats().prefetch_hits, 2u);
-
-  // Prefetching cached or out-of-range blocks is a harmless no-op.
-  uint64_t mixed[3] = {9, 1000000, 11};
-  cache.Prefetch(mixed, 3);
-  pool.WaitIdle();
-  EXPECT_EQ(cache.stats().prefetched, 4u);
-  cache.SetPrefetchPool(nullptr);
-}
-
 // A device fault inside a batch's miss fetch surfaces the error and
 // leaves the cache consistent: no entry is inserted from the failed
 // fetch, so a healed retry re-reads everything from the device.
@@ -294,7 +257,53 @@ TEST(BufferCacheTest, ReadBatchSurfacesFaultWithoutCachingGarbage) {
   EXPECT_EQ(cache.size(), 4u);
 }
 
-// --- async data path ----------------------------------------------------
+// The write-through contract of WriteBatch: a mid-batch device fault
+// invalidates exactly the failed group's entries — the cache never serves
+// bytes older than the device — and other entries survive.
+TEST(BufferCacheTest, WriteThroughBatchFaultInvalidatesExactlyTheGroup) {
+  test::FaultyDevice dev(512, 64);
+  // One shard so "the group" is the whole batch and the test is exact.
+  BufferCache cache(&dev, 16, WritePolicy::kWriteThrough, 1);
+
+  // Warm entries 0..3 (old bytes) plus an unrelated entry 20.
+  std::vector<uint8_t> old_data = Pattern(512, 1);
+  for (uint64_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(cache.Write(b, old_data.data()).ok());
+  }
+  std::vector<uint8_t> other = Pattern(512, 50);
+  ASSERT_TRUE(cache.Write(20, other.data()).ok());
+  ASSERT_EQ(cache.size(), 5u);
+
+  // Fault mid-batch: a prefix of the new bytes lands on the device, then
+  // the batch fails.
+  dev.FailWrites(/*after=*/2);
+  uint64_t blocks[4] = {0, 1, 2, 3};
+  std::vector<uint8_t> new_data(4 * 512);
+  for (size_t i = 0; i < new_data.size(); ++i) {
+    new_data[i] = static_cast<uint8_t>(i * 3 + 1);
+  }
+  EXPECT_FALSE(cache.WriteBatch(blocks, 4, new_data.data()).ok());
+  dev.Heal();
+
+  // Exactly the group is gone; the unrelated entry survives.
+  EXPECT_EQ(cache.size(), 1u);
+  std::vector<uint8_t> out(512);
+  uint64_t misses0 = cache.stats().misses;
+  ASSERT_TRUE(cache.Read(20, out.data()).ok());
+  EXPECT_EQ(out, other);
+  EXPECT_EQ(cache.stats().misses, misses0);  // still cached
+
+  // Reads of the group now come from the device — whatever prefix landed
+  // there is what the cache serves, never the stale pre-fault entries.
+  std::vector<uint8_t> raw(512);
+  for (uint64_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(cache.Read(b, out.data()).ok());
+    ASSERT_TRUE(dev.inner()->ReadBlock(b, raw.data()).ok());
+    EXPECT_EQ(out, raw) << "block " << b << " differs from the device";
+  }
+}
+
+// --- async read path ----------------------------------------------------
 
 // Completes batches only when the test says so: SubmitRead performs the
 // base device read at submission time (capturing the bytes of that
@@ -313,11 +322,6 @@ class ManualAsyncDevice : public AsyncBlockDevice {
   IoTicket SubmitRead(std::vector<BlockIoVec> iov,
                       IoCompletionFn done) override {
     Status s = base_->ReadBlocks(iov.data(), iov.size());
-    return Defer(std::move(done), std::move(s));
-  }
-  IoTicket SubmitWrite(std::vector<ConstBlockIoVec> iov,
-                       IoCompletionFn done) override {
-    Status s = base_->WriteBlocks(iov.data(), iov.size());
     return Defer(std::move(done), std::move(s));
   }
 
@@ -385,80 +389,6 @@ TEST(BufferCacheAsyncTest, ReadBatchAsyncMatchesSyncResults) {
   cache.SetAsyncEngine(nullptr);
 }
 
-TEST(BufferCacheAsyncTest, WriteBatchAsyncWriteThroughRoundTrips) {
-  MemBlockDevice dev(512, 32);
-  BufferCache cache(&dev, 16, WritePolicy::kWriteThrough);
-  ThreadPoolAsyncDevice engine(&dev, 2);
-  cache.SetAsyncEngine(&engine);
-
-  uint64_t blocks[3] = {9, 4, 17};
-  std::vector<uint8_t> data(3 * 512);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 13);
-  }
-  ASSERT_TRUE(cache.WriteBatchAsync(blocks, 3, data.data()).Wait().ok());
-  EXPECT_EQ(cache.stats().async_batched_writes, 3u);
-
-  // Device has the bytes (write-through) and so does the cache.
-  std::vector<uint8_t> raw(512);
-  ASSERT_TRUE(dev.ReadBlock(4, raw.data()).ok());
-  EXPECT_EQ(std::memcmp(raw.data(), data.data() + 512, 512), 0);
-  std::vector<uint8_t> out(3 * 512);
-  ASSERT_TRUE(cache.ReadBatch(blocks, 3, out.data()).ok());
-  EXPECT_EQ(out, data);
-  cache.SetAsyncEngine(nullptr);
-}
-
-// The PR 3 write-through contract on the async path: a mid-batch device
-// fault invalidates exactly the failed group's entries — the cache never
-// serves bytes older than the device — and other entries survive.
-TEST(BufferCacheAsyncTest, AsyncWriteFaultInvalidatesExactlyTheGroup) {
-  test::FaultyDevice dev(512, 64);
-  // One shard so "the group" is the whole batch and the test is exact.
-  BufferCache cache(&dev, 16, WritePolicy::kWriteThrough, 1);
-  ThreadPoolAsyncDevice engine(&dev, 1);
-  cache.SetAsyncEngine(&engine);
-
-  // Warm entries 0..3 (old bytes) plus an unrelated entry 20.
-  std::vector<uint8_t> old_data = Pattern(512, 1);
-  for (uint64_t b = 0; b < 4; ++b) {
-    ASSERT_TRUE(cache.Write(b, old_data.data()).ok());
-  }
-  std::vector<uint8_t> other = Pattern(512, 50);
-  ASSERT_TRUE(cache.Write(20, other.data()).ok());
-  ASSERT_EQ(cache.size(), 5u);
-
-  // Fault mid-batch: an unknown prefix of the new bytes lands on the
-  // device, then the batch fails.
-  dev.FailWrites(/*after=*/2);
-  uint64_t blocks[4] = {0, 1, 2, 3};
-  std::vector<uint8_t> new_data(4 * 512);
-  for (size_t i = 0; i < new_data.size(); ++i) {
-    new_data[i] = static_cast<uint8_t>(i * 3 + 1);
-  }
-  EXPECT_FALSE(
-      cache.WriteBatchAsync(blocks, 4, new_data.data()).Wait().ok());
-  dev.Heal();
-
-  // Exactly the group is gone; the unrelated entry survives.
-  EXPECT_EQ(cache.size(), 1u);
-  std::vector<uint8_t> out(512);
-  uint64_t misses0 = cache.stats().misses;
-  ASSERT_TRUE(cache.Read(20, out.data()).ok());
-  EXPECT_EQ(out, other);
-  EXPECT_EQ(cache.stats().misses, misses0);  // still cached
-
-  // Reads of the group now come from the device — whatever prefix landed
-  // there is what the cache serves, never the stale pre-fault entries.
-  for (uint64_t b = 0; b < 4; ++b) {
-    ASSERT_TRUE(cache.Read(b, out.data()).ok());
-    ASSERT_TRUE(dev.inner()->ReadBlock(b, old_data.data()).ok());
-    EXPECT_EQ(std::memcmp(out.data(), old_data.data(), 512), 0)
-        << "block " << b << " differs from the device";
-  }
-  cache.SetAsyncEngine(nullptr);
-}
-
 // Generation guard: a write that lands while an async miss read is in
 // flight must prevent the read's (stale) bytes from being inserted.
 TEST(BufferCacheAsyncTest, RacedWriteBeatsInFlightReadInsert) {
@@ -487,77 +417,6 @@ TEST(BufferCacheAsyncTest, RacedWriteBeatsInFlightReadInsert) {
   cache.SetAsyncEngine(nullptr);
 }
 
-// Same ordering on the write side: if a second write to the SAME block
-// lands while an async write is in flight, the completion must not
-// resurrect the first write's bytes into the cache.
-TEST(BufferCacheAsyncTest, RacedWriteSupersedesInFlightWriteReplay) {
-  MemBlockDevice dev(512, 32);
-  BufferCache cache(&dev, 8, WritePolicy::kWriteThrough, 1);
-  ManualAsyncDevice engine(&dev);
-  cache.SetAsyncEngine(&engine);
-
-  uint64_t blocks[1] = {3};
-  std::vector<uint8_t> first = Pattern(512, 10);
-  CacheIoTicket t = cache.WriteBatchAsync(blocks, 1, first.data());
-  // A racing sync write supersedes the in-flight one (newer write_seq).
-  std::vector<uint8_t> second = Pattern(512, 20);
-  ASSERT_TRUE(cache.Write(3, second.data()).ok());
-  engine.Release();
-  ASSERT_TRUE(t.Wait().ok());
-  // The completion kept the newer entry; cache and device agree on the
-  // last write.
-  std::vector<uint8_t> out(512);
-  ASSERT_TRUE(cache.Read(3, out.data()).ok());
-  EXPECT_EQ(out, second);
-  std::vector<uint8_t> raw(512);
-  ASSERT_TRUE(dev.ReadBlock(3, raw.data()).ok());
-  EXPECT_EQ(out, raw);
-  cache.SetAsyncEngine(nullptr);
-}
-
-// Regression: a pipelined write's sibling sub-batches (disjoint blocks,
-// same shard, overlapping flights) must ALL cache their groups — the
-// write ordering is per block, not per shard, so siblings don't
-// invalidate each other.
-TEST(BufferCacheAsyncTest, OverlappingSiblingWriteBatchesAllStayCached) {
-  MemBlockDevice dev(512, 64);
-  BufferCache cache(&dev, 32, WritePolicy::kWriteThrough, 1);
-  ManualAsyncDevice engine(&dev);
-  cache.SetAsyncEngine(&engine);
-
-  // Three overlapping sub-batches, as EncryptedBlockStore's pipeline
-  // submits them: all in flight together, completing in order.
-  uint64_t g1[4] = {0, 1, 2, 3};
-  uint64_t g2[4] = {10, 11, 12, 13};
-  uint64_t g3[4] = {20, 21, 22, 23};
-  std::vector<uint8_t> d1(4 * 512), d2(4 * 512), d3(4 * 512);
-  for (size_t i = 0; i < d1.size(); ++i) {
-    d1[i] = 1;
-    d2[i] = 2;
-    d3[i] = 3;
-  }
-  CacheIoTicket t1 = cache.WriteBatchAsync(g1, 4, d1.data());
-  CacheIoTicket t2 = cache.WriteBatchAsync(g2, 4, d2.data());
-  CacheIoTicket t3 = cache.WriteBatchAsync(g3, 4, d3.data());
-  engine.Release();
-  ASSERT_TRUE(t1.Wait().ok());
-  ASSERT_TRUE(t2.Wait().ok());
-  ASSERT_TRUE(t3.Wait().ok());
-
-  // Every group is cached: re-reads are pure hits.
-  EXPECT_EQ(cache.size(), 12u);
-  uint64_t misses0 = cache.stats().misses;
-  std::vector<uint8_t> out(4 * 512);
-  ASSERT_TRUE(cache.ReadBatch(g1, 4, out.data()).ok());
-  EXPECT_EQ(out, d1);
-  ASSERT_TRUE(cache.ReadBatch(g2, 4, out.data()).ok());
-  EXPECT_EQ(out, d2);
-  ASSERT_TRUE(cache.ReadBatch(g3, 4, out.data()).ok());
-  EXPECT_EQ(out, d3);
-  EXPECT_EQ(cache.stats().misses, misses0);
-  cache.SetAsyncEngine(nullptr);
-}
-
 TEST(BufferCacheAsyncTest, PrefetchIsAPureSubmitterWithEngine) {
   MemBlockDevice dev(512, 64);
   std::vector<uint8_t> data = Pattern(512, 3);
@@ -565,21 +424,33 @@ TEST(BufferCacheAsyncTest, PrefetchIsAPureSubmitterWithEngine) {
     ASSERT_TRUE(dev.WriteBlock(b, data.data()).ok());
   }
   BufferCache cache(&dev, 16);
+  uint64_t blocks[4] = {8, 9, 10, 11};
+
+  // Without an engine there is no prefetcher: nothing is loaded.
+  cache.Prefetch(blocks, 4);
+  EXPECT_EQ(cache.stats().prefetched, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // The engine is the whole mechanism.
   ThreadPoolAsyncDevice engine(&dev, 2);
   cache.SetAsyncEngine(&engine);
-  // Deliberately NO prefetch pool: the engine is the whole mechanism.
-
-  uint64_t blocks[4] = {8, 9, 10, 11};
   cache.Prefetch(blocks, 4);
   engine.Drain();
   EXPECT_EQ(cache.stats().prefetched, 4u);
   EXPECT_EQ(cache.size(), 4u);
 
+  // Demand reads claim the prefetched entries: hits, and prefetch_hits.
   std::vector<uint8_t> out(512);
   ASSERT_TRUE(cache.Read(9, out.data()).ok());
   EXPECT_EQ(out, data);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().prefetch_hits, 1u);
+  ASSERT_TRUE(cache.Read(10, out.data()).ok());
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().prefetch_hits, 2u);
+  // A re-read of a claimed entry is a plain hit, not a prefetch hit.
+  ASSERT_TRUE(cache.Read(9, out.data()).ok());
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().prefetch_hits, 2u);
 
   // Out-of-range and already-cached blocks stay harmless no-ops.
   uint64_t mixed[3] = {9, 1000000, 11};

@@ -11,14 +11,19 @@
 #include <cstring>
 
 #include "blockdev/mem_block_device.h"
+#include "cache/buffer_cache.h"
 #include "core/backup.h"
 #include "core/hidden_directory.h"
 #include "core/hidden_header.h"
+#include "core/hidden_object.h"
+#include "core/redundancy.h"
+#include "crypto/block_crypter.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "fs/directory.h"
 #include "fs/inode.h"
 #include "fs/layout.h"
+#include "fs/block_store.h"
 #include "fs/plain_fs.h"
 #include "journal/journal.h"
 #include "journal/recovery.h"
@@ -538,6 +543,206 @@ TEST(DecodeRobustnessTest, HostileInodesAndPlainDirectories) {
   // Mount decodes the inode table without judging it, so every run mounts
   // and the walk and fsck above see each hostile image.
   EXPECT_EQ(mounted, 300);
+}
+
+// --- Stripe-map chain ------------------------------------------------------
+// A redundant object's stripe map lives in a chain of FAK-encrypted blocks,
+// [next u32][sum u32][payload], named by the hidden header. `sum` covers
+// the payload only. Hostile chain bytes are written two ways: as raw
+// ciphertext (what an intruder without the key can do: the block decrypts
+// to noise) and as plaintext with a matching sum (what the unkeyed sum's
+// 2^-32 collisions, or a key holder, can do), which reaches the decoder
+// behind the checksum. Open (RedundancyManager::Load), a following read,
+// the scrub fsck runs and a rewrite must each end OK, with coverage
+// degraded, or in a clean Status; a read that succeeds returns the data.
+
+constexpr uint32_t kChainBs = 1024;
+constexpr uint64_t kChainBlocks = 8192;
+constexpr size_t kChainHeader = 8;  // [next u32][sum u32]
+const char* const kChainObj = "striped";
+const char* const kChainKey = "striped-fak";
+
+// One small volume with a kIda(3,4) object whose map spans two chain
+// blocks. Construction is deterministic, so every instance lays the object
+// out identically.
+struct ChainVolume {
+  ChainVolume()
+      : layout(Layout::Compute(kChainBs, kChainBlocks, 128)),
+        dev(kChainBs, kChainBlocks),
+        cache(&dev, 256),
+        bitmap(layout),
+        rng(31),
+        crypter(kChainKey),
+        store(&cache, &crypter) {
+    vol.cache = &cache;
+    vol.bitmap = &bitmap;
+    vol.layout = layout;
+    vol.params = StegParams{};
+    vol.rng = &rng;
+    vol.probe_limit = 200;
+  }
+
+  // Creates the object, writes `data` and returns the chain's blocks.
+  std::vector<uint64_t> Populate(const std::string& data) {
+    auto obj = HiddenObject::Create(vol, kChainObj, kChainKey,
+                                    HiddenType::kFile,
+                                    RedundancyPolicy::Ida(3, 4));
+    EXPECT_TRUE(obj.ok()) << obj.status().ToString();
+    if (!obj.ok()) return {};
+    EXPECT_TRUE((*obj)->WriteAll(data).ok());
+    EXPECT_TRUE((*obj)->Sync().ok());
+    std::vector<uint8_t> block(kChainBs);
+    EXPECT_TRUE(store.ReadBlock((*obj)->header_block(), block.data()).ok());
+    auto header = HiddenHeader::DecodeFrom(block.data(), block.size());
+    EXPECT_TRUE(header.ok());
+    std::vector<uint64_t> chain;
+    for (uint64_t b = header.ok() ? header->red_map_block : 0;
+         b != 0 && chain.size() < 16; b = DecodeFixed32(block.data())) {
+      chain.push_back(b);
+      EXPECT_TRUE(store.ReadBlock(b, block.data()).ok());
+    }
+    return chain;
+  }
+
+  std::vector<uint8_t> ReadPlain(uint64_t b) {
+    std::vector<uint8_t> block(kChainBs);
+    EXPECT_TRUE(store.ReadBlock(b, block.data()).ok());
+    return block;
+  }
+  // Writes a plaintext chain block; with `fix_sum` its sum matches the
+  // payload, so the block passes Load's checksum.
+  void WritePlain(uint64_t b, std::vector<uint8_t> block, bool fix_sum) {
+    if (fix_sum) {
+      EncodeFixed32(block.data() + 4,
+                    BlockSum32(block.data() + kChainHeader,
+                               kChainBs - kChainHeader));
+    }
+    ASSERT_TRUE(store.WriteBlock(b, block.data()).ok());
+  }
+
+  Layout layout;
+  MemBlockDevice dev;
+  BufferCache cache;
+  BlockBitmap bitmap;
+  Xoshiro rng;
+  crypto::BlockCrypter crypter;
+  EncryptedBlockStore store;
+  HiddenVolume vol;
+};
+
+TEST(DecodeRobustnessTest, HostileStripeMapChain) {
+  Xoshiro data_rng(41);
+  const std::vector<uint8_t> bytes = RandomBytes(&data_rng, 200 << 10);
+  const std::string data(bytes.begin(), bytes.end());
+  // 200 blocks make 67 stripes of 24 map bytes each: two chain blocks.
+  const size_t entry = 4 * (1 + 1 + 4);  // present, parity, 4 sums
+  const size_t stripes_in_head = (kChainBs - kChainHeader - 4) / entry;
+  const size_t max_stripes = (2 * (kChainBs - kChainHeader) - 4) / entry;
+
+  Xoshiro rng(42);
+  int opened = 0, read_ok = 0;
+  for (int i = 0; i < 140; ++i) {
+    ChainVolume v;
+    const std::vector<uint64_t> chain = v.Populate(data);
+    ASSERT_EQ(chain.size(), 2u);
+    // Nothing in this harness owns the metadata region, so no outcome may
+    // write it.
+    ASSERT_TRUE(v.cache.Flush().ok());
+    const size_t meta_bytes = v.layout.data_start * kChainBs;
+    const std::vector<uint8_t> meta(v.dev.raw().begin(),
+                                    v.dev.raw().begin() + meta_bytes);
+    const uint64_t target = chain[rng.Uniform(chain.size())];
+    std::vector<uint8_t> block = v.ReadPlain(target);
+    // Block numbers a hostile pointer aims at: past the end, inside the
+    // metadata region, the chain's own blocks.
+    const uint32_t hostile_ptrs[] = {
+        static_cast<uint32_t>(kChainBlocks + rng.Uniform(1u << 20)),
+        static_cast<uint32_t>(rng.Uniform(v.layout.data_start)),
+        static_cast<uint32_t>(chain[0]), static_cast<uint32_t>(target),
+        static_cast<uint32_t>(rng.Next())};
+    const uint32_t hostile =
+        hostile_ptrs[rng.Uniform(sizeof(hostile_ptrs) / sizeof(uint32_t))];
+    switch (i % 7) {
+      case 0: {  // ciphertext garbage
+        std::vector<uint8_t> raw = RandomBytes(&rng, kChainBs);
+        ASSERT_TRUE(v.cache.Write(target, raw.data()).ok());
+        break;
+      }
+      case 1: {  // ciphertext bit flips
+        std::vector<uint8_t> raw(kChainBs);
+        ASSERT_TRUE(v.cache.Read(target, raw.data()).ok());
+        FlipBits(&raw, &rng);
+        ASSERT_TRUE(v.cache.Write(target, raw.data()).ok());
+        break;
+      }
+      case 2:  // authentic garbage: next pointer, stripe count and entries
+        rng.FillBytes(block.data(), block.size());
+        v.WritePlain(target, block, /*fix_sum=*/true);
+        break;
+      case 3:  // authentic bit flips anywhere in the block
+        FlipBits(&block, &rng);
+        v.WritePlain(target, block, /*fix_sum=*/true);
+        break;
+      case 4: {  // an authentic entry whose parity pointer is hostile
+        block = v.ReadPlain(chain[0]);
+        // Stripe 0 is the one the rewrite below re-encodes.
+        const size_t s = rng.Uniform(2) ? 0 : rng.Uniform(stripes_in_head);
+        EncodeFixed32(block.data() + kChainHeader + 4 + s * entry + 4,
+                      hostile);
+        v.WritePlain(chain[0], block, /*fix_sum=*/true);
+        break;
+      }
+      case 5: {  // a cycle, optionally behind a huge stripe count
+        EncodeFixed32(block.data(), static_cast<uint32_t>(
+                                        rng.Uniform(2) ? target : chain[0]));
+        if (target == chain[0] && rng.Uniform(2)) {
+          EncodeFixed32(block.data() + kChainHeader, (1u << 24) - 1);
+        }
+        v.WritePlain(target, block, /*fix_sum=*/true);
+        break;
+      }
+      default:  // truncated: the head's next pointer is gone or hostile
+        block = v.ReadPlain(chain[0]);
+        EncodeFixed32(block.data(), rng.Uniform(2) ? 0 : hostile);
+        v.WritePlain(chain[0], block, /*fix_sum=*/false);
+        break;
+    }
+
+    auto obj = HiddenObject::Open(v.vol, kChainObj, kChainKey);
+    if (!obj.ok()) continue;  // a clean Status is an acceptable outcome
+    ++opened;
+    // No more stripes than the two chain blocks hold can come out of the
+    // map: more would mean chunks read from outside the chain (a cycle
+    // re-reading one block, for instance).
+    EXPECT_LE((*obj)->StripeCountForTesting(), max_stripes)
+        << "case " << i % 7;
+    auto content = (*obj)->ReadAll();
+    if (content.ok()) {
+      ++read_ok;
+      EXPECT_TRUE(*content == data) << "case " << i % 7;
+    }
+    // Half the runs rewrite before the scrub has replaced what it
+    // distrusts, half after.
+    RedundancyScrubReport report;
+    const bool scrub_first = (i / 7) % 2 == 0;
+    if (scrub_first) (void)(*obj)->ScrubShares(&report);
+    if ((*obj)->Write(0, "rewritten").ok() && (*obj)->Sync().ok()) {
+      auto again = (*obj)->ReadAll();
+      if (again.ok()) {
+        EXPECT_EQ(again->substr(0, 9), "rewritten") << "case " << i % 7;
+        EXPECT_EQ(again->substr(9), data.substr(9)) << "case " << i % 7;
+      }
+    }
+    if (!scrub_first) (void)(*obj)->ScrubShares(&report);
+    obj->reset();
+    ASSERT_TRUE(v.cache.Flush().ok());
+    EXPECT_TRUE(std::equal(meta.begin(), meta.end(), v.dev.raw().begin()))
+        << "case " << i % 7 << " wrote the metadata region";
+  }
+  // The header is untouched, so every run opens, and a map the decoder
+  // rejects only costs coverage: the data shares are the file blocks.
+  EXPECT_EQ(opened, 140);
+  EXPECT_GT(read_ok, 100);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "blockdev/mem_block_device.h"
 #include "util/random.h"
@@ -232,6 +233,29 @@ TEST_F(PlainFsTest, TotalPlainBytes) {
   ASSERT_TRUE(fs_->WriteFile("/a", std::string(1000, 'x')).ok());
   ASSERT_TRUE(fs_->WriteFile("/b", std::string(234, 'y')).ok());
   EXPECT_EQ(fs_->TotalPlainBytes(), 1234u);
+}
+
+// Readahead is the async engine's: a kSync mount that asks for a window
+// arms no prefetcher and reports 0, and a read on it prefetches nothing.
+TEST(PlainFsReadaheadTest, ArmsOnlyWithAnEngine) {
+  MemBlockDevice dev(1024, 16384);
+  ASSERT_TRUE(PlainFs::Format(&dev, FormatOptions{}).ok());
+  MountOptions mo;
+  mo.readahead_blocks = 16;
+  {
+    auto fs = PlainFs::Mount(&dev, mo);
+    ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+    EXPECT_EQ((*fs)->readahead_blocks(), 0u);
+    ASSERT_TRUE((*fs)->WriteFile("/f", RandomData(256 << 10, 5)).ok());
+    ASSERT_TRUE((*fs)->Flush().ok());
+    ASSERT_TRUE((*fs)->ReadFile("/f").ok());
+    EXPECT_EQ((*fs)->cache()->stats().prefetched, 0u);
+  }
+  mo.io_engine = IoEngine::kAuto;
+  auto fs = PlainFs::Mount(&dev, mo);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  const bool multi_core = std::thread::hardware_concurrency() >= 2;
+  EXPECT_EQ((*fs)->readahead_blocks(), multi_core ? 16u : 0u);
 }
 
 TEST(PlainFsFormatTest, MountRejectsUnformattedDevice) {
