@@ -133,15 +133,42 @@ static void BM_Decrypt2MBFile(benchmark::State& state) {
 }
 BENCHMARK(BM_Decrypt2MBFile)->Unit(benchmark::kMillisecond);
 
-static void BM_Sha256(benchmark::State& state) {
+// The two SHA-256 tiers head to head. 32 bytes is a hash-chain step or a
+// signature, 4080 bytes a hidden-header checksum, the two shapes every
+// connect hashes.
+static void BM_Sha256Tier(benchmark::State& state, crypto::ShaTier tier) {
+  crypto::ShaTier saved = crypto::ActiveShaTier();
+  if (!crypto::SetShaTier(tier)) {
+    state.SkipWithError("tier unsupported on this CPU");
+    return;
+  }
   std::string data(state.range(0), 'x');
   for (auto _ : state) {
     auto digest = crypto::Sha256::Hash(data);
     benchmark::DoNotOptimize(digest);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  crypto::SetShaTier(saved);
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+static void BM_Sha256_Portable(benchmark::State& state) {
+  BM_Sha256Tier(state, crypto::ShaTier::kPortable);
+}
+BENCHMARK(BM_Sha256_Portable)->Arg(32)->Arg(64)->Arg(1024)->Arg(4080)->Arg(65536);
+static void BM_Sha256_ShaNi(benchmark::State& state) {
+  BM_Sha256Tier(state, crypto::ShaTier::kShaNi);
+}
+BENCHMARK(BM_Sha256_ShaNi)->Arg(32)->Arg(64)->Arg(1024)->Arg(4080)->Arg(65536);
+
+// One BlockCrypter construction, as each hidden-object open pays it: two
+// HKDF expansions and two AES-256 key schedules.
+static void BM_BlockCrypterSetup(benchmark::State& state) {
+  const std::string key(32, 'k');
+  for (auto _ : state) {
+    crypto::BlockCrypter crypter(key);
+    benchmark::DoNotOptimize(&crypter);
+  }
+}
+BENCHMARK(BM_BlockCrypterSetup);
 
 static void BM_HashChainPrng(benchmark::State& state) {
   crypto::HashChainPrng prng(crypto::Sha256::Hash("seed"), 1 << 20);

@@ -88,7 +88,7 @@ constexpr uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                                0x20, 0x40, 0x80, 0x1b, 0x36};
 
 // Multiply in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1. Used for table
-// construction and key-schedule transforms only — the hot path is pure
+// construction only — encryption, decryption and key expansion are pure
 // table lookups.
 uint8_t GfMul(uint8_t a, uint8_t b) {
   uint8_t p = 0;
@@ -149,17 +149,12 @@ inline uint32_t SubWord(uint32_t w) {
 inline uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
 // InvMixColumns on a raw round-key word (for the equivalent inverse cipher).
-inline uint32_t InvMixColumnsWord(uint32_t w) {
-  uint8_t b0 = static_cast<uint8_t>(w >> 24);
-  uint8_t b1 = static_cast<uint8_t>(w >> 16);
-  uint8_t b2 = static_cast<uint8_t>(w >> 8);
-  uint8_t b3 = static_cast<uint8_t>(w);
-  uint8_t r0 = GfMul(b0, 14) ^ GfMul(b1, 11) ^ GfMul(b2, 13) ^ GfMul(b3, 9);
-  uint8_t r1 = GfMul(b0, 9) ^ GfMul(b1, 14) ^ GfMul(b2, 11) ^ GfMul(b3, 13);
-  uint8_t r2 = GfMul(b0, 13) ^ GfMul(b1, 9) ^ GfMul(b2, 14) ^ GfMul(b3, 11);
-  uint8_t r3 = GfMul(b0, 11) ^ GfMul(b1, 13) ^ GfMul(b2, 9) ^ GfMul(b3, 14);
-  return (static_cast<uint32_t>(r0) << 24) | (static_cast<uint32_t>(r1) << 16) |
-         (static_cast<uint32_t>(r2) << 8) | r3;
+// td[i][x] is InvMixColumns of InvSubBytes(x) placed in byte lane i, so
+// indexing it with SubBytes(b) leaves InvMixColumns of b alone: four table
+// lookups per word instead of sixteen GfMul loops.
+inline uint32_t InvMixColumnsWord(const AesTables& t, uint32_t w) {
+  return t.td[0][kSbox[w >> 24]] ^ t.td[1][kSbox[(w >> 16) & 0xff]] ^
+         t.td[2][kSbox[(w >> 8) & 0xff]] ^ t.td[3][kSbox[w & 0xff]];
 }
 
 inline uint32_t LoadWord(const uint8_t* p) {
@@ -201,10 +196,11 @@ void Aes::ExpandKey(const uint8_t* key, size_t key_len) {
 
   // Equivalent inverse cipher key schedule: reversed round order, with
   // InvMixColumns applied to every middle round key.
+  const AesTables& t = Tables();
   for (int round = 0; round <= rounds_; ++round) {
     for (int c = 0; c < 4; ++c) {
       uint32_t w = round_keys_[(rounds_ - round) * 4 + c];
-      if (round != 0 && round != rounds_) w = InvMixColumnsWord(w);
+      if (round != 0 && round != rounds_) w = InvMixColumnsWord(t, w);
       dec_round_keys_[round * 4 + c] = w;
     }
   }

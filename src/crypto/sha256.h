@@ -5,6 +5,14 @@
 //   - seeding and advancing the header-locator PRNG (paper 4, API 1:
 //     "the seed is recursively hashed to generate the pseudorandom numbers")
 //   - key derivation (crypto/keys.h)
+//
+// Two compression tiers, selected once at process start and overridable for
+// tests/benchmarks (the same shape as AesTier in aes.h):
+//   kShaNi    - the SHA extensions (SHA256RNDS2/MSG1/MSG2; runtime cpuid
+//               detection), fed every run of whole 64-byte blocks at once
+//   kPortable - the scalar FIPS 180-2 compression, the fallback on CPUs
+//               without SHA-NI and the reference the tests compare against
+// Both produce the same digest for every input.
 #ifndef STEGFS_CRYPTO_SHA256_H_
 #define STEGFS_CRYPTO_SHA256_H_
 
@@ -16,6 +24,17 @@
 
 namespace stegfs {
 namespace crypto {
+
+enum class ShaTier { kPortable, kShaNi };
+
+// The tier every Sha256 context currently compresses with. Defaults to
+// kShaNi when the CPU supports it, kPortable otherwise.
+ShaTier ActiveShaTier();
+// Short stable name of the active tier: "sha-ni" or "portable".
+const char* ShaTierName();
+// Overrides the tier (process-wide). Returns false — and changes nothing —
+// if the requested tier is unsupported on this CPU.
+bool SetShaTier(ShaTier tier);
 
 // 32-byte digest.
 using Sha256Digest = std::array<uint8_t, 32>;
@@ -45,6 +64,9 @@ class Sha256 {
   static Sha256Digest Hash2(const std::string& a, const std::string& b);
 
  private:
+  // Compresses n whole 64-byte blocks into state_ on the active tier.
+  void ProcessBlocks(const uint8_t* blocks, size_t n);
+  // The portable compression of one block.
   void ProcessBlock(const uint8_t block[64]);
 
   uint32_t state_[8];
