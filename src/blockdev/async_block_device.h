@@ -61,7 +61,8 @@
 
 namespace stegfs {
 
-// Point-in-time counters of an async engine (steg_stats exposes them).
+// Point-in-time counters of an async engine (steg_stats exposes the
+// in-flight gauge; the registry carries the cumulative batch counts).
 struct AsyncIoStats {
   uint64_t submitted_batches = 0;
   uint64_t submitted_blocks = 0;

@@ -135,9 +135,9 @@ class BlockDevice {
   // storage, regardless of flush_durability(). The journal's commit
   // protocol is built on this; decorators must forward it so barrier
   // ordering survives any device stack. In-memory devices complete
-  // immediately. NOTE: Sync() orders only COMPLETED writes — callers
-  // using an async engine must Drain() it first (the engine half of the
-  // write-barrier contract).
+  // immediately. Sync() orders only COMPLETED writes; every write in the
+  // stack completes before its caller returns (the async engine carries
+  // reads only), so a barrier needs no engine drain.
   virtual Status Sync() { return Flush(); }
 
   // Barrier count (for tests and the journal's stats). Devices that

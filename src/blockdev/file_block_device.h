@@ -43,10 +43,9 @@ class FileBlockDevice : public BlockDevice {
   Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override;
   DeviceBatchStats batch_stats() const override;
   // fdatasync by default: a volume that survives `steg_unmount` must also
-  // survive the power cut right after it (the PR 4 regression made this a
-  // page-cache no-op; the crash-consistency subsystem reverses that).
-  // set_flush_durability(kCacheOnly) restores the cheap behavior for
-  // benchmarks that only measure the data path.
+  // survive the power cut right after it. set_flush_durability(kCacheOnly)
+  // makes it a page-cache-only flush for benchmarks that only measure the
+  // data path.
   Status Flush() override;
   // Unconditional fdatasync — the journal's write barrier.
   Status Sync() override;

@@ -550,7 +550,6 @@ void BufferCache::ParkBlocks(
 
 Status BufferCache::WriteBackDirty(
     const std::unordered_set<uint64_t>* hold_back) {
-  dirty_epoch_.fetch_add(1, std::memory_order_relaxed);
   for (size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::shared_mutex> lock(locks_.stripe(i));
     STEGFS_RETURN_IF_ERROR(FlushShard(&shards_[i], hold_back));

@@ -21,8 +21,8 @@
 // leaves as one coalescable device call (bench_seq_throughput does this).
 //
 // Statistics are obs::Counter instruments (relaxed atomics): readers
-// (hit-rate probes, the C API's steg_stats) never take any lock, and a
-// mount registers them with its MetricsRegistry (RegisterMetrics) so
+// (hit-rate probes, the C API's steg_metric) never take a cache lock, and
+// a mount registers them with its MetricsRegistry (RegisterMetrics) so
 // they scrape through steg_metrics_text() under stable names.
 //
 // Single-threaded determinism: with one shard this behaves exactly like the
@@ -256,12 +256,6 @@ class BufferCache {
   // journal parks for the window between its ordered-data flush and its
   // commit barrier, then unparks before checkpointing.
   void ParkBlocks(std::shared_ptr<const std::unordered_set<uint64_t>> blocks);
-  // Dirty-epoch tracking: each write-back pass opens a new epoch; the
-  // counter together with dirty_count() makes writeback progress
-  // observable (steg_stats exposes both).
-  uint64_t dirty_epoch() const {
-    return dirty_epoch_.load(std::memory_order_relaxed);
-  }
   // Dirty blocks currently parked in the cache (all shards).
   size_t dirty_count() const;
   // Discards every cached block (dirty contents are LOST — recovery paths
@@ -365,7 +359,6 @@ class BufferCache {
   obs::Counter prefetch_hits_;
   obs::Counter async_batched_reads_;
   obs::Histogram fill_ns_;
-  std::atomic<uint64_t> dirty_epoch_{1};
 };
 
 }  // namespace stegfs

@@ -120,7 +120,7 @@ stegfs::StatusOr<std::unique_ptr<stegfs::StegFs>> MountOn(
   // the choice lives in BENCH_io.json / docs/ARCHITECTURE.md
   // "Readahead"). The engine is what carries readahead; on single-core
   // hosts the window degrades to off, observably via steg_stats
-  // readahead_active/readahead_window.
+  // readahead_window.
   options.mount.io_engine = stegfs::IoEngine::kAuto;
   options.mount.readahead_blocks = 16;
   // Durable by default; volumes formatted before the journal existed
@@ -205,80 +205,38 @@ const char* steg_strerror(stegfs_volume* vol) {
 int steg_stats(stegfs_volume* vol, stegfs_stats* out) {
   if (vol == nullptr || out == nullptr) return STEG_ERR_INVALID;
   stegfs::PlainFs* plain = vol->fs->plain();
-  // ONE consistent snapshot of every cumulative counter of the volume —
-  // the old field-by-field component reads could tear (hits from before a
-  // burst, misses from after it). Gauges and the space report are
-  // inherently point-in-time and stay separate.
-  stegfs::obs::RegistrySnapshot snap = plain->metrics_registry()->Snapshot();
   stegfs::SpaceReport sr = vol->fs->ReportSpace();
-  out->cache_hits = snap.counter("stegfs_cache_hits_total");
-  out->cache_misses = snap.counter("stegfs_cache_misses_total");
-  out->cache_evictions = snap.counter("stegfs_cache_evictions_total");
-  out->cache_writebacks = snap.counter("stegfs_cache_writebacks_total");
-  const uint64_t lookups = out->cache_hits + out->cache_misses;
-  out->cache_hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(out->cache_hits) /
-                         static_cast<double>(lookups);
   out->block_size = sr.block_size;
   out->total_blocks = sr.total_blocks;
   out->metadata_blocks = sr.metadata_blocks;
   out->allocated_blocks = sr.allocated_blocks;
   out->free_blocks = sr.free_blocks;
   out->plain_file_bytes = sr.plain_file_bytes;
-  out->cache_batched_reads = snap.counter("stegfs_cache_batched_reads_total");
-  out->cache_batched_writes =
-      snap.counter("stegfs_cache_batched_writes_total");
-  out->cache_prefetched = snap.counter("stegfs_cache_prefetched_total");
-  out->cache_prefetch_hits =
-      snap.counter("stegfs_cache_prefetch_hits_total");
-  out->dev_vectored_blocks =
-      snap.counter("stegfs_device_vectored_blocks_total");
-  out->dev_coalesced_runs =
-      snap.counter("stegfs_device_coalesced_runs_total");
-  out->crypto_tier = stegfs::crypto::AesTierName();
+  out->durability = plain->durable() ? "journal" : "none";
   out->io_engine = plain->io_engine_name();
-  out->io_submitted_batches =
-      snap.counter("stegfs_async_submitted_batches_total");
-  out->io_completed_batches =
-      snap.counter("stegfs_async_completed_batches_total");
+  out->crypto_tier = stegfs::crypto::AesTierName();
+  out->gf_tier = stegfs::crypto::GfTierName();
+  out->health = static_cast<int>(plain->health()->state());
+  out->health_name = plain->health()->state_name();
+  out->readahead_window = plain->readahead_blocks();
   out->io_inflight_blocks =
       plain->io_engine() != nullptr
           ? plain->io_engine()->stats().inflight_blocks
           : 0;
-  out->readahead_active = plain->readahead_blocks() > 0 ? 1 : 0;
-  out->readahead_window = plain->readahead_blocks();
-  out->durability = plain->durable() ? "journal" : "none";
-  out->journal_records =
-      snap.counter("stegfs_journal_records_committed_total");
-  out->journal_blocks_logged =
-      snap.counter("stegfs_journal_blocks_journaled_total");
-  out->journal_barrier_syncs =
-      snap.counter("stegfs_journal_barrier_syncs_total");
-  out->journal_overflows =
-      snap.counter("stegfs_journal_overflow_fallbacks_total");
-  out->journal_recovered_records = plain->recovery_report().records_replayed;
-  out->journal_group_txns = snap.counter("stegfs_journal_group_txns_total");
-  out->journal_group_batches =
-      snap.counter("stegfs_journal_group_batches_total");
-  out->journal_group_merged_blocks =
-      snap.counter("stegfs_journal_group_merged_blocks_total");
-  out->cache_dirty_epoch = plain->cache()->dirty_epoch();
   out->cache_dirty_blocks = plain->cache()->dirty_count();
-  out->gf_tier = stegfs::crypto::GfTierName();
-  out->red_stripes_encoded = snap.counter("stegfs_red_stripes_encoded_total");
-  out->red_shares_written = snap.counter("stegfs_red_shares_written_total");
-  out->red_degraded_reads = snap.counter("stegfs_red_degraded_reads_total");
-  out->red_shares_healed = snap.counter("stegfs_red_shares_healed_total");
-  out->red_verify_failures =
-      snap.counter("stegfs_red_verify_failures_total");
-  out->health = plain->health()->state_name();
-  out->fault_transient_errors =
-      snap.counter("stegfs_fault_transient_errors_total");
-  out->fault_retries = snap.counter("stegfs_fault_retries_total");
-  out->fault_retry_exhausted =
-      snap.counter("stegfs_fault_retry_exhausted_total");
+  out->journal_recovered_records = plain->recovery_report().records_replayed;
+  out->faults_injected =
+      vol->fault_device != nullptr ? vol->fault_device->faults_injected() : 0;
   return STEG_OK;
+}
+
+int steg_metric(stegfs_volume* vol, const char* name, uint64_t* value) {
+  if (vol == nullptr || name == nullptr || value == nullptr) {
+    return STEG_ERR_INVALID;
+  }
+  return vol->fs->plain()->metrics_registry()->FindCounter(name, value)
+             ? STEG_OK
+             : STEG_ERR_NOT_FOUND;
 }
 
 namespace {
@@ -346,28 +304,6 @@ int steg_fsck(stegfs_volume* vol, stegfs_fsck_report* out) {
   out->hidden_healed_shares = report.hidden_healed_shares;
   out->hidden_unrecoverable_stripes = report.hidden_unrecoverable_stripes;
   out->clean = report.clean ? 1 : 0;
-  return STEG_OK;
-}
-
-int steg_health(stegfs_volume* vol, stegfs_health* out) {
-  if (vol == nullptr || out == nullptr) return STEG_ERR_INVALID;
-  stegfs::PlainFs* plain = vol->fs->plain();
-  stegfs::fault::HealthMonitor* health = plain->health();
-  stegfs::fault::FaultStats* fs = plain->fault_stats();
-  out->state = static_cast<int>(health->state());
-  out->state_name = health->state_name();
-  out->degraded_transitions = health->degraded_transitions();
-  out->readonly_transitions = health->readonly_transitions();
-  out->rejected_writes = health->rejected_writes();
-  out->transient_errors = fs->transient_errors.value();
-  out->persistent_errors = fs->persistent_errors.value();
-  out->corruption_errors = fs->corruption_errors.value();
-  out->timeout_errors = fs->timeout_errors.value();
-  out->retries = fs->retries.value();
-  out->retry_successes = fs->retry_successes.value();
-  out->retry_exhausted = fs->retry_exhausted.value();
-  out->faults_injected =
-      vol->fault_device != nullptr ? vol->fault_device->faults_injected() : 0;
   return STEG_OK;
 }
 

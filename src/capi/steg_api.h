@@ -4,10 +4,10 @@
 //   steg_getentry, steg_addentry, steg_backup, steg_recovery
 //
 // plus the volume/session plumbing a C caller needs (mkfs/mount/unmount,
-// read/write on connected objects, steg_stats introspection). All
-// functions return 0 on success or a negative errno-style code;
-// steg_strerror() yields the detailed message of the calling thread's most
-// recent failure.
+// read/write on connected objects, steg_stats and steg_metric
+// introspection). All functions return 0 on success or a negative
+// errno-style code; steg_strerror() yields the detailed message of the
+// calling thread's most recent failure.
 //
 // Thread-safety: a mounted stegfs_volume handle is thread-safe — any
 // number of threads may issue calls on one handle concurrently, and calls
@@ -66,92 +66,59 @@ const char* steg_strerror(stegfs_volume* vol);
 
 /* --- introspection ----------------------------------------------------- */
 
-/* Point-in-time volume + buffer-cache counters. Cache counters are read
- * lock-free; space counters are consistent snapshots of the bitmap/inode
- * state. */
+/* The mount's health state machine (monotonic until steg_health_reset):
+ * HEALTHY -> DEGRADED on retry exhaustion or detected corruption (reads
+ * and writes keep flowing, redundancy heals what it can), -> READONLY on
+ * a persistent write fault (every mutating call then fails with
+ * STEG_ERR_PRECONDITION until reset; reads keep working). */
+#define STEG_HEALTH_HEALTHY 0
+#define STEG_HEALTH_DEGRADED 1
+#define STEG_HEALTH_READONLY 2
+
+/* The headline of a mounted volume: what the metrics registry cannot
+ * give. Every cumulative counter (cache, device, engine, journal,
+ * redundancy, fault and health series) is read by name with steg_metric;
+ * steg_metrics_text prints them all. Strings are static and never freed. */
 typedef struct stegfs_stats {
-  /* buffer cache */
-  uint64_t cache_hits;
-  uint64_t cache_misses;
-  uint64_t cache_evictions;
-  uint64_t cache_writebacks;
-  double cache_hit_rate; /* hits / (hits + misses), 0.0 when idle */
-  /* space report */
+  /* space report (consistent snapshot of the bitmap/inode state) */
   uint64_t block_size;
   uint64_t total_blocks;
   uint64_t metadata_blocks;
   uint64_t allocated_blocks; /* includes metadata */
   uint64_t free_blocks;
   uint64_t plain_file_bytes;
-  /* batched data path */
-  uint64_t cache_batched_reads;  /* blocks moved through batch reads */
-  uint64_t cache_batched_writes; /* blocks moved through batch writes */
-  uint64_t cache_prefetched;     /* blocks loaded by the engine readahead */
-  uint64_t cache_prefetch_hits;  /* prefetched blocks later demand-read */
-  uint64_t dev_vectored_blocks;  /* blocks moved through vectored dev I/O */
-  uint64_t dev_coalesced_runs;   /* contiguous runs >= 2 blocks coalesced
-                                    into one host transfer */
-  /* active AES backend: "aes-ni" or "t-table" (static string, never
-   * freed; stable for the process lifetime) */
-  const char* crypto_tier;
-  /* async I/O engine (static string, stable for the handle lifetime):
-   * "thread-pool" (every C API mount attaches it), or "sync" when no
-   * engine is attached */
-  const char* io_engine;
-  uint64_t io_submitted_batches; /* batches handed to the engine */
-  uint64_t io_completed_batches; /* batches fully completed */
-  uint64_t io_inflight_blocks;   /* point-in-time blocks in flight */
-  /* readahead observability: the window degrades to off when it cannot
-   * help (no async engine, or no spare core), and these make that
-   * visible instead of the old silent zeroing */
-  uint32_t readahead_active; /* 1 when a prefetcher is armed */
-  uint32_t readahead_window; /* effective window in blocks (0 when off) */
-  /* crash-consistency subsystem (all zero when the volume mounted without
-   * a journal): the write-ahead journal's commit counters plus what
-   * mount-time recovery replayed. Journaled durability composes only
-   * with a write-back cache: the journal's ordered protocol holds dirty
-   * metadata images back until their record commits, which a
-   * write-through cache (every write pushed to the device immediately)
-   * cannot honor — such a mount is refused up front with
-   * STEG_ERR_INVALID rather than silently downgraded. */
-  const char* durability;          /* "journal" or "none" (static string) */
-  uint64_t journal_records;        /* committed journal records */
-  uint64_t journal_blocks_logged;  /* metadata after-images written */
-  uint64_t journal_barrier_syncs;  /* write barriers issued by commits */
-  uint64_t journal_overflows;      /* txns too big for the ring */
+  /* names in effect for this mount */
+  const char* durability;  /* "journal" or "none". A journaled mount needs
+                              a write-back cache; a write-through one is
+                              refused with STEG_ERR_INVALID. */
+  const char* io_engine;   /* "thread-pool" (every C API mount attaches it)
+                              or "sync" when no engine is attached */
+  const char* crypto_tier; /* AES backend: "aes-ni" or "t-table" */
+  const char* gf_tier;     /* GF(256) backend: "gfni", "pshufb" or
+                              "gf-scalar" */
+  int health;              /* STEG_HEALTH_* */
+  const char* health_name; /* "healthy", "degraded" or "read-only" */
+  /* effective readahead window in blocks; 0 when it cannot help (no
+   * async engine, or no spare core for the prefetch) */
+  uint32_t readahead_window;
+  /* point-in-time gauges */
+  uint64_t io_inflight_blocks; /* blocks in flight on the engine */
+  uint64_t cache_dirty_blocks; /* dirty blocks parked in the cache */
   uint64_t journal_recovered_records; /* replayed by this mount's recovery */
-  /* group commit (PR 9): concurrent sessions' transactions batched into
-   * one merged journal record under one barrier sequence */
-  uint64_t journal_group_txns;     /* txns committed via batches */
-  uint64_t journal_group_batches;  /* merged batch records written */
-  uint64_t journal_group_merged_blocks; /* after-images saved by merging
-                                           (same-block images coalesced) */
-  uint64_t cache_dirty_epoch;      /* ordered-writeback epoch counter */
-  uint64_t cache_dirty_blocks;     /* dirty blocks parked in the cache */
-  /* redundancy / self-healing (all zero when no object carries a policy).
-   * gf_tier is the active GF(256) backend: "gfni", "pshufb" or
-   * "gf-scalar" (static string, stable for the process lifetime) */
-  const char* gf_tier;
-  uint64_t red_stripes_encoded;  /* parity (re)computations */
-  uint64_t red_shares_written;   /* parity share blocks written */
-  uint64_t red_degraded_reads;   /* stripes found degraded on read */
-  uint64_t red_shares_healed;    /* shares re-dispersed onto fresh blocks */
-  uint64_t red_verify_failures;  /* share checksum/bitmap verification
-                                    failures */
-  /* fault tolerance (PR 8; static string + counters, see steg_health for
-   * the full surface) */
-  const char* health;            /* "healthy", "degraded" or "read-only" */
-  uint64_t fault_transient_errors; /* transient/timeout-classed I/O errors */
-  uint64_t fault_retries;          /* retry attempts issued */
-  uint64_t fault_retry_exhausted;  /* ops that failed every attempt */
+  uint64_t faults_injected; /* fired by this handle's injection layer
+                               (steg_mount_faulty mounts only; else 0) */
 } stegfs_stats;
 
-/* Fills *out; safe to call concurrently with any other operation. All
- * cumulative counters come from ONE consistent snapshot of the volume's
- * metrics registry (no torn reads between related fields); only the
- * point-in-time gauges (inflight blocks, dirty blocks, space report) are
- * read separately. */
+/* Fills *out; safe to call concurrently with any other operation. */
 int steg_stats(stegfs_volume* vol, stegfs_stats* out);
+
+/* Current value of the counter registered under `name` in the volume's
+ * metrics registry, e.g. "stegfs_fault_retries_total" — any counter
+ * series steg_metrics_text prints. Returns STEG_ERR_NOT_FOUND for an
+ * unknown name or a histogram (histograms are in steg_metrics_text only),
+ * STEG_ERR_INVALID for a null argument; *value is written only on
+ * success. Safe concurrently with any other operation. */
+int steg_metric(stegfs_volume* vol, const char* name, uint64_t* value);
 
 /* --- observability ------------------------------------------------------ */
 
@@ -214,38 +181,6 @@ typedef struct stegfs_fsck_report {
 int steg_fsck(stegfs_volume* vol, stegfs_fsck_report* out);
 
 /* --- fault tolerance & degraded mode ----------------------------------- */
-
-/* The mount's health state machine (monotonic until steg_health_reset):
- * HEALTHY -> DEGRADED on retry exhaustion or detected corruption (reads
- * and writes keep flowing, redundancy heals what it can), -> READONLY on
- * a persistent write fault (every mutating call then fails with
- * STEG_ERR_PRECONDITION until reset; reads keep working). */
-#define STEG_HEALTH_HEALTHY 0
-#define STEG_HEALTH_DEGRADED 1
-#define STEG_HEALTH_READONLY 2
-
-typedef struct stegfs_health {
-  int state;              /* STEG_HEALTH_* */
-  const char* state_name; /* "healthy" / "degraded" / "read-only" (static) */
-  uint64_t degraded_transitions;
-  uint64_t readonly_transitions;
-  uint64_t rejected_writes;  /* mutating calls refused while read-only */
-  /* error taxonomy counters (classified at the device boundary) */
-  uint64_t transient_errors;
-  uint64_t persistent_errors;
-  uint64_t corruption_errors;
-  uint64_t timeout_errors;
-  /* retry/backoff layer */
-  uint64_t retries;         /* retry attempts issued */
-  uint64_t retry_successes; /* ops that succeeded on a retry */
-  uint64_t retry_exhausted; /* ops that failed every attempt */
-  /* faults fired by this handle's injection layer (steg_mount_faulty
-   * mounts only; 0 otherwise) */
-  uint64_t faults_injected;
-} stegfs_health;
-
-/* Fills *out; safe concurrently with any other operation. */
-int steg_health(stegfs_volume* vol, stegfs_health* out);
 
 /* Administrative re-arm after the operator fixed the underlying device:
  * returns the state machine to HEALTHY, re-enabling writes. Counters are

@@ -1,7 +1,7 @@
 // GroupBarrier: a sync-coalescing rendezvous for write barriers.
 //
-// Every durability site in the stack ends the same way: drain the async
-// engine, flush what's dirty, fdatasync. Under multi-session load those
+// Every durability site in the stack ends the same way: flush what's
+// dirty, fdatasync. Under multi-session load those
 // syncs stack up back to back — N sessions hitting their commit barriers
 // within one device-sync latency each pay for a full sync that the
 // previous caller's sync would have covered. GroupBarrier collapses them:
@@ -14,8 +14,8 @@
 // argument: a generation's barrier function begins strictly after every
 // member's arrival, so it covers all of their prior completed writes.
 //
-// The barrier function is supplied at construction (typically: engine
-// Drain + cache write-back of unparked dirty blocks + device Sync) and
+// The barrier function is supplied at construction (typically: cache
+// write-back of unparked dirty blocks + device Sync) and
 // runs on an arriving caller's thread — there is no dedicated thread and
 // no timer; coalescing happens exactly when concurrency exists and adds
 // zero latency when it doesn't.

@@ -33,7 +33,7 @@ enum class HiddenType : uint8_t {
   kDirectory = 2,  // 'd'
 };
 
-// Per-object redundancy policy (PR 6): how extents are protected against
+// Per-object redundancy policy: how extents are protected against
 // the paper's central availability hazard — hidden blocks look free to
 // plain allocations and can be silently overwritten.
 enum class RedundancyKind : uint8_t {
@@ -101,8 +101,8 @@ struct HiddenHeader {
   uint32_t partner = 0;
   // Redundancy policy + first block of the FAK-encrypted stripe-map chain
   // (0 = none). Packed into the 7 former pad bytes after the type, so the
-  // layout is unchanged and pre-PR 6 headers (all-zero pad) decode as
-  // kNone.
+  // layout is unchanged and headers written without a policy (all-zero
+  // pad) decode as kNone.
   RedundancyPolicy redundancy;
   uint32_t red_map_block = 0;
 

@@ -45,16 +45,14 @@ std::string HiddenObject::AnchorName(const std::string& physical_name) {
 }
 
 Status HiddenObject::CommitBarrier() {
-  // The write-barrier contract: Sync() only orders completed writes.
-  // Every write completes synchronously (the engine carries reads only),
-  // so the drain just waits out in-flight engine reads; the sync mount
-  // has no engine. WriteBackDirty (not Flush) so the barrier costs
-  // exactly ONE device sync. When the volume has a barrier coalescer,
-  // arrive there instead: it runs the same drain/write-back/sync
-  // sequence, shared with every concurrent barrier (other hidden
-  // commits, journal batch commits).
+  // The write-barrier contract: Sync() only orders completed writes, and
+  // every write completes before its caller returns (the async engine
+  // carries reads only), so nothing needs draining first. WriteBackDirty
+  // (not Flush) so the barrier costs exactly ONE device sync. When the
+  // volume has a barrier coalescer, arrive there instead: it runs the
+  // same write-back/sync sequence, shared with every concurrent barrier
+  // (other hidden commits, journal batch commits).
   if (vol_.barrier != nullptr) return vol_.barrier->Arrive();
-  if (vol_.engine != nullptr) vol_.engine->Drain();
   STEGFS_RETURN_IF_ERROR(vol_.cache->WriteBackDirty());
   return vol_.device->Sync();
 }

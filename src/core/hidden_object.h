@@ -25,7 +25,6 @@
 #include <string_view>
 #include <vector>
 
-#include "blockdev/async_block_device.h"
 #include "blockdev/block_device.h"
 #include "cache/buffer_cache.h"
 #include "concurrency/group_barrier.h"
@@ -65,14 +64,12 @@ struct HiddenVolume {
   // Durable-commit wiring (Durability::kJournal mounts). When `durable`
   // is set, every header update runs the dual-header commit protocol
   // (anchor image -> barrier -> primary image) and Sync/Remove issue real
-  // write barriers through `device` (draining `engine`'s in-flight reads
-  // first). All three stay null/false for the historical behavior every
-  // seeded test pins.
+  // write barriers through `device`. Both stay null/false for the
+  // non-durable behavior every seeded test pins.
   BlockDevice* device = nullptr;
-  AsyncBlockDevice* engine = nullptr;
   bool durable = false;
   // When set, commit barriers route through this volume-wide coalescer
-  // instead of issuing their own drain/write-back/sync — concurrent
+  // instead of issuing their own write-back/sync — concurrent
   // hidden commits and plain journal batches then share device syncs.
   concurrency::GroupBarrier* barrier = nullptr;
   // Volume-wide share accounting for redundant objects (may stay null:
@@ -205,8 +202,8 @@ class HiddenObject {
   // Salted name for the anchor-block locator sequence ('\x01' can never
   // appear at that position in a real uid||'\0'||path physical name).
   static std::string AnchorName(const std::string& physical_name);
-  // Write barrier: drain the async engine, flush the cache, sync the
-  // device (the durable path's ordering primitive).
+  // Write barrier: write back the cache's dirty blocks, sync the device
+  // (the durable path's ordering primitive).
   Status CommitBarrier();
   // Encodes + writes one header image (primary or anchor role) through
   // the encrypted store.

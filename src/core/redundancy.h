@@ -1,5 +1,5 @@
-// RedundancyManager: per-object IDA share bookkeeping and self-healing
-// (PR 6). The paper's availability weakness is that hidden blocks look
+// RedundancyManager: per-object IDA share bookkeeping and self-healing.
+// The paper's availability weakness is that hidden blocks look
 // free to plain allocations and can be silently overwritten; StegFS
 // bounds the loss statistically with replication it never integrates into
 // the data path. Here redundancy IS the data path:
@@ -42,7 +42,7 @@ namespace stegfs {
 
 // Volume-wide share accounting, shared by every hidden object of a mount
 // (obs::Counter keeps the old atomic .load() call sites source-compatible;
-// surfaced through steg_stats and the metrics registry).
+// surfaced through the metrics registry and steg_metric).
 struct RedundancyStats {
   obs::Counter stripes_encoded;   // parity (re)computations
   obs::Counter shares_written;    // parity share blocks written

@@ -94,7 +94,6 @@ HiddenVolume StegFs::VolumeCtx() {
   vol.alloc_mu = &alloc_mu_;
   vol.readahead = plain_->readahead_blocks();
   vol.device = device_;
-  vol.engine = plain_->io_engine();
   vol.durable = plain_->durable();
   vol.barrier = plain_->commit_barrier();
   vol.red_stats = &red_stats_;

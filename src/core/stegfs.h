@@ -192,7 +192,7 @@ class StegFs {
   // shares while everything unconnected stays indistinguishable noise.
   Status Fsck(journal::FsckReport* out);
 
-  // Volume-wide redundancy counters (surfaced through steg_stats).
+  // Volume-wide redundancy counters (surfaced through steg_metric).
   const RedundancyStats& redundancy_stats() const { return red_stats_; }
 
   // Test-only: the connected object's HiddenObject, bypassing the session

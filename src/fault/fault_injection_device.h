@@ -1,6 +1,6 @@
 // FaultInjectionBlockDevice: first-class, scriptable fault injection
-// (PR 8) — the production promotion of the old test-only FaultyDevice
-// (tests/test_device.h is now a thin compatibility shim over this).
+// (tests/test_device.h's FaultyDevice is a thin compatibility shim over
+// this).
 //
 // A BlockDevice decorator (or, for tests, an owner of a MemBlockDevice)
 // that fires faults from a seeded, scriptable schedule of rules. Each

@@ -1,4 +1,4 @@
-// HealthMonitor: the mount's degraded-mode state machine (PR 8).
+// HealthMonitor: the mount's degraded-mode state machine.
 //
 //   kHealthy --> kDegraded --> kReadOnly
 //
@@ -15,7 +15,7 @@
 //                tearing on-disk state. Every subsequent mutating op is
 //                rejected with FailedPrecondition before it starts; the
 //                op that tripped the state aborts its open journal txn
-//                through the PR 5 deferred-free machinery (TxnGuard's
+//                through the journal's deferred-free machinery (TxnGuard's
 //                abort path), leaving the ring clean for remount recovery.
 //
 // Thread-safety: the state is one atomic; Report* may be called from any
@@ -72,9 +72,6 @@ class HealthMonitor {
                  std::memory_order_release);
   }
 
-  uint64_t degraded_transitions() const {
-    return degraded_transitions_.value();
-  }
   uint64_t readonly_transitions() const {
     return readonly_transitions_.value();
   }

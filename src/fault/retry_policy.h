@@ -1,5 +1,5 @@
 // RetryPolicy: how the fault-tolerance decorator re-attempts transient
-// faults (PR 8). Exponential backoff with DETERMINISTIC seeded jitter —
+// faults. Exponential backoff with DETERMINISTIC seeded jitter —
 // the jitter for attempt A of op O is a pure function of (seed, O, A), so
 // two runs against identical fault schedules produce identical retry
 // sequences (the determinism the chaos matrix asserts), while different

@@ -26,7 +26,7 @@ struct RedundancyIoCtx {
   bool* inode_dirty = nullptr;
 };
 
-// Per-extent redundancy hook (PR 6): FileIo calls it inline on the batched
+// Per-extent redundancy hook: FileIo calls it inline on the batched
 // data path — after each vectored chunk read (verify + heal in place,
 // before byte assembly), after each write's coalesced flush (re-encode the
 // touched stripes' parity), and after truncate (drop parity past the new

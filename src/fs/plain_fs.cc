@@ -114,7 +114,7 @@ PlainFs::PlainFs(BlockDevice* device, const Superblock& super,
   // demand path's only core, and the bench measures that as a 0.6x LOSS
   // at window 16 on one core. The degradation is observable:
   // readahead_blocks() returns the effective window and steg_stats
-  // surfaces readahead_active/window.
+  // surfaces it as readahead_window.
   if (options.readahead_blocks > 0 && io_engine_ != nullptr &&
       std::thread::hardware_concurrency() >= 2) {
     file_io_.set_readahead(options.readahead_blocks);
@@ -188,17 +188,15 @@ StatusOr<std::unique_ptr<PlainFs>> PlainFs::Mount(BlockDevice* device,
   if (options.durability == Durability::kJournal) {
     // One volume-wide write barrier, shared by journal batch commits and
     // hidden-object commit barriers: concurrent arrivals coalesce into a
-    // single drain + write-back + sync round.
+    // single write-back + sync round.
     PlainFs* raw = fs.get();
     fs->commit_barrier_ =
         std::make_unique<concurrency::GroupBarrier>([raw]() -> Status {
-          if (raw->io_engine_ != nullptr) raw->io_engine_->Drain();
           STEGFS_RETURN_IF_ERROR(raw->cache_->WriteBackDirty());
           return raw->data_device()->Sync();
         });
     fs->journal_ = std::make_unique<journal::WriteAheadJournal>(
-        fs->data_device(), fs->cache_.get(), fs->io_engine_.get(),
-        sb.journal_start,
+        fs->data_device(), fs->cache_.get(), sb.journal_start,
         sb.journal_blocks,
         journal::ScrubSeed(sb.dummy_seed.data(), sb.dummy_seed.size()),
         fs->commit_barrier_.get());
@@ -246,7 +244,7 @@ Status PlainFs::TxnGuard::Commit(PendingCommit* pc) {
   // very transaction). Committing on top of a device that just proved it
   // cannot persist writes is how silent corruption happens — so don't:
   // leave committed_ unset and let the destructor abort, which applies
-  // the deferred frees directly (the PR 5 machinery).
+  // the deferred frees directly.
   if (fs_->txn_active_ &&
       fs_->health_.state() == fault::MountHealth::kReadOnly) {
     return fs_->health_.CheckWritable();

@@ -64,7 +64,7 @@ struct FormatOptions {
 // Which async I/O engine a mount attaches to its buffer cache (see
 // docs/ARCHITECTURE.md "I/O engine").
 enum class IoEngine {
-  // No engine: the PR 3 call-and-wait batch path. The default — every
+  // No engine: the call-and-wait batch path. The default — every
   // seeded test relies on its exact locking and accounting.
   kSync,
   // ThreadPoolAsyncDevice over the mount's data_device(). What the C API
@@ -101,7 +101,7 @@ struct MountOptions {
   // prefetch work steals the demand path's cycles (bench-measured 0.6x
   // at window 16), so single-core hosts leave it off too. The effective
   // state is observable: readahead_blocks() and steg_stats'
-  // readahead_active/readahead_window report the degradation.
+  // readahead_window report the degradation.
   uint32_t readahead_blocks = 0;
   // Async engine for the data path (hidden extents pipeline decrypt with
   // in-flight device I/O through it; see block_store.h).
@@ -111,15 +111,15 @@ struct MountOptions {
   // Group-commit linger window (kJournal mounts): how long a transaction
   // that reaches an IDLE journal waits for other sessions' transactions
   // before leading its own batch, in microseconds. 0 (the default) means
-  // lead immediately — single-threaded workloads keep PR 5's exact event
-  // sequence and latency. Concurrent sessions batch even at 0 (followers
-  // accumulate while a batch runs); the window only widens the very first
-  // batch of a burst. See src/journal/journal.h.
+  // lead immediately — a single-threaded workload commits each transaction
+  // as it arrives, with no added latency. Concurrent sessions batch even
+  // at 0 (followers accumulate while a batch runs); the window only widens
+  // the very first batch of a burst. See src/journal/journal.h.
   uint32_t group_commit_window_us = 0;
   // When false, downgrades the device's Flush() from fdatasync to
   // page-cache-only (FileBlockDevice only; in-memory devices ignore it).
-  // The throughput benches opt out so PR 4-comparable numbers don't pay
-  // an fdatasync per flush; journal BARRIERS (Sync) are never affected.
+  // The throughput benches opt out so data-path numbers don't pay an
+  // fdatasync per flush; journal BARRIERS (Sync) are never affected.
   bool durable_flush = true;
   // Fault tolerance (see src/fault/ and docs/ARCHITECTURE.md §11). When
   // enabled — the default; the wrapper is byte-transparent and its
@@ -241,8 +241,8 @@ class PlainFs {
   AllocPolicy policy() const { return options_.policy; }
   // Effective readahead window: 0 when off, including when the option was
   // requested but the mount has no async engine or the host no spare core
-  // (steg_stats surfaces this as readahead_active/readahead_window so the
-  // degradation is observable).
+  // (steg_stats surfaces this as readahead_window so the degradation is
+  // observable).
   uint32_t readahead_blocks() const { return options_.readahead_blocks; }
   // The attached async engine (nullptr on kSync mounts) and its name
   // ("sync" when none).

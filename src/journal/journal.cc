@@ -41,14 +41,12 @@ void ScrubNoise(uint64_t seed, uint64_t pos, uint8_t* buf, size_t len) {
 }
 
 WriteAheadJournal::WriteAheadJournal(BlockDevice* device, BufferCache* cache,
-                                     AsyncBlockDevice* engine,
                                      uint64_t journal_start,
                                      uint32_t journal_blocks,
                                      uint64_t scrub_seed,
                                      concurrency::GroupBarrier* barrier)
     : device_(device),
       cache_(cache),
-      engine_(engine),
       barrier_(barrier),
       journal_start_(journal_start),
       journal_blocks_(journal_blocks),
@@ -68,7 +66,6 @@ Status WriteAheadJournal::Barrier() {
   obs::LatencyTimer timer(&barrier_ns_);
   barrier_syncs_.Increment();
   if (barrier_ != nullptr) return barrier_->Arrive();
-  if (engine_ != nullptr) engine_->Drain();
   return device_->Sync();
 }
 
@@ -523,7 +520,7 @@ void WriteAheadJournal::RegisterMetrics(obs::MetricsRegistry* reg) const {
                          "Record write latency up to the commit barrier",
                          &record_ns_);
   reg->RegisterHistogram("stegfs_journal_barrier_seconds",
-                         "Write barrier (engine drain + device sync) latency",
+                         "Write barrier (write-back + device sync) latency",
                          &barrier_ns_);
   reg->RegisterHistogram("stegfs_journal_checkpoint_seconds",
                          "Checkpoint phase latency", &checkpoint_ns_);

@@ -4,7 +4,7 @@
 // claims, unlisted random-placed blocks); a crash that tears a multi-step
 // metadata update can silently destroy both plain and hidden data. The
 // journal makes every plain metadata mutation atomic with physical redo
-// logging. Since PR 9 commits are GROUP-COMMITTED: concurrent sessions
+// logging. Commits are GROUP-COMMITTED: concurrent sessions
 // stage their transactions into a shared queue, and the first waiter to
 // find the journal idle becomes the batch leader — it drains the queue
 // (bounded by the ring), merges the transactions' after-images into ONE
@@ -12,7 +12,7 @@
 //
 //   1. ORDERED DATA  - file data (everything except the batch's held-back
 //                      metadata images) is flushed and a write barrier
-//                      (engine Drain + device Sync) makes it durable, so
+//                      (device Sync) makes it durable, so
 //                      a committed record never references garbage data.
 //   2. RECORD        - the merged after-images of every metadata block
 //                      the batch touched (bitmap blocks, inode-table
@@ -53,7 +53,7 @@
 // The payoff: N concurrent transactions pay ~3 barriers TOTAL instead of
 // 3 each — fdatasync, the dominant durable-write cost, is amortized
 // across the batch. A single-threaded mount stages and immediately leads
-// a one-transaction batch, which runs byte-for-byte the PR 5 protocol.
+// a one-transaction batch: the ordered protocol above, once per call.
 //
 // Parked blocks: a staged transaction's uncommitted metadata images
 // (directory data, indirect pointer and inode-table blocks) sit dirty in
@@ -87,7 +87,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "blockdev/async_block_device.h"
 #include "blockdev/block_device.h"
 #include "cache/buffer_cache.h"
 #include "concurrency/group_barrier.h"
@@ -151,15 +150,15 @@ void ScrubNoise(uint64_t seed, uint64_t pos, uint8_t* buf, size_t len);
 
 class WriteAheadJournal {
  public:
-  // `device`, `cache` outlive the journal; `engine` may be null (the
-  // sync mount); `barrier` may be null (barriers then run inline:
-  // engine Drain + device Sync — the direct-construction test path).
+  // `device`, `cache` outlive the journal; `barrier` may be null
+  // (barriers then run inline as one device Sync — the
+  // direct-construction test path).
   // `scrub_seed` comes from ScrubSeed over the superblock's dummy seed.
   // Recovery must have already run (the ring is assumed scrubbed; head
   // starts at 0).
   WriteAheadJournal(BlockDevice* device, BufferCache* cache,
-                    AsyncBlockDevice* engine, uint64_t journal_start,
-                    uint32_t journal_blocks, uint64_t scrub_seed,
+                    uint64_t journal_start, uint32_t journal_blocks,
+                    uint64_t scrub_seed,
                     concurrency::GroupBarrier* barrier = nullptr);
 
   // Waitable handle for one staged transaction. Wait() participates in
@@ -190,8 +189,8 @@ class WriteAheadJournal {
                      std::unordered_set<uint64_t> parked);
 
   // Commits one transaction synchronously: parks `hold_back`, stages and
-  // waits. Equivalent to the PR 5 call-and-wait protocol when
-  // single-threaded; concurrent callers batch.
+  // waits. A single-threaded caller leads its own one-transaction batch;
+  // concurrent callers batch.
   Status Commit(const std::vector<JournalEntry>& entries,
                 const std::unordered_set<uint64_t>& hold_back);
 
@@ -224,9 +223,10 @@ class WriteAheadJournal {
   uint64_t ring_start() const { return journal_start_; }
 
   // How long a solo leader lingers for followers before running its
-  // batch. 0 (the default) means "lead immediately" — single-threaded
-  // mounts then behave exactly like PR 5; under concurrency followers
-  // pile up naturally while a batch runs, so the window is rarely needed.
+  // batch. 0 (the default) means "lead immediately" — a single-threaded
+  // mount then commits each transaction as it arrives; under concurrency
+  // followers pile up naturally while a batch runs, so the window is
+  // rarely needed.
   void set_group_window(std::chrono::microseconds window) {
     group_window_ = window;
   }
@@ -253,7 +253,9 @@ class WriteAheadJournal {
 
   // Full write barrier. Coalesced through the volume's GroupBarrier when
   // one is attached (concurrent hidden commits and batches then share
-  // device syncs); inline (engine Drain + device Sync) otherwise.
+  // device syncs); an inline device Sync otherwise. Every write has
+  // completed before its caller returns (the async engine carries reads
+  // only), so the sync alone orders them.
   Status Barrier();
   // Writes one block directly to the device at ring offset pos (mod ring).
   Status WriteRing(uint64_t pos, const uint8_t* buf);
@@ -269,7 +271,6 @@ class WriteAheadJournal {
 
   BlockDevice* device_;
   BufferCache* cache_;
-  AsyncBlockDevice* engine_;
   concurrency::GroupBarrier* barrier_;
   uint64_t journal_start_;
   uint32_t journal_blocks_;

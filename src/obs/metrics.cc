@@ -113,6 +113,15 @@ RegistrySnapshot MetricsRegistry::Snapshot() const {
   return snap;
 }
 
+bool MetricsRegistry::FindCounter(const std::string& name,
+                                  uint64_t* value) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = counters_.find(name);
+  if (it == counters_.end()) return false;
+  *value = it->second.counter->value();
+  return true;
+}
+
 std::string MetricsRegistry::TextExposition() const {
   // Take help strings under the lock, values via one snapshot.
   std::map<std::string, std::string> counter_help;

@@ -1,5 +1,5 @@
 // stegtrace metrics: the unified, deniability-preserving observability
-// registry (PR 7).
+// registry.
 //
 // Everything here lives ONLY in process memory. No instrument, snapshot,
 // or exposition ever touches the block device: a volume image must be
@@ -25,9 +25,8 @@
 //               their instruments (so unit tests see them without any
 //               registry); a mount registers them under stable Prometheus
 //               names. Snapshot() reads every instrument once into a
-//               value object — steg_stats() fills its struct from that
-//               one snapshot instead of re-reading live atomics per
-//               field, which is the torn-snapshot fix.
+//               value object (the exposition's one consistent read);
+//               FindCounter() reads one counter by name (steg_metric).
 //
 // Recording cost when enabled is one clock_gettime + one relaxed
 // fetch_add per histogram sample; when disabled (SetMetricsEnabled(false)
@@ -182,9 +181,9 @@ class LatencyTimer {
   uint64_t t0_;
 };
 
-// One consistent read of every registered instrument. steg_stats() and
-// steg_metrics_text() are built from this — no live-atomic re-reads
-// between fields, so derived values (hit rates) are self-consistent.
+// One consistent read of every registered instrument. steg_metrics_text()
+// is built from this — no live-atomic re-reads between series, so derived
+// values (hit rates) are self-consistent.
 struct RegistrySnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, HistogramSnapshot> histograms;
@@ -219,6 +218,11 @@ class MetricsRegistry {
   void Unregister(const std::string& name);
 
   RegistrySnapshot Snapshot() const;
+
+  // Current value of the counter registered under `name`: true and
+  // *value set when it exists; false (and *value untouched) for an
+  // unknown name or a histogram. One locked map lookup, no snapshot.
+  bool FindCounter(const std::string& name, uint64_t* value) const;
 
   // Prometheus exposition format (text/plain; version 0.0.4). Counters as
   // `# TYPE c counter`; histograms as `_bucket{le="<seconds>"}` series

@@ -6,11 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "capi_metric.h"
+
 namespace {
+
+using stegfs::test::Metric;
 
 class CapiTest : public ::testing::Test {
  protected:
@@ -84,6 +92,8 @@ TEST_F(CapiTest, StatsReportCacheAndSpace) {
   EXPECT_EQ(before.allocated_blocks + before.free_blocks,
             before.total_blocks);
   EXPECT_GE(before.allocated_blocks, before.metadata_blocks);
+  const uint64_t hits_before = Metric(vol_, "stegfs_cache_hits_total");
+  const uint64_t misses_before = Metric(vol_, "stegfs_cache_misses_total");
 
   ASSERT_EQ(steg_plain_write(vol_, "/stats.txt", "0123456789", 10), STEG_OK);
   char buf[16];
@@ -94,10 +104,12 @@ TEST_F(CapiTest, StatsReportCacheAndSpace) {
   stegfs_stats after;
   ASSERT_EQ(steg_stats(vol_, &after), STEG_OK);
   EXPECT_EQ(after.plain_file_bytes, before.plain_file_bytes + 10);
-  EXPECT_GT(after.cache_hits + after.cache_misses,
-            before.cache_hits + before.cache_misses);
-  EXPECT_GE(after.cache_hit_rate, 0.0);
-  EXPECT_LE(after.cache_hit_rate, 1.0);
+  const uint64_t hits = Metric(vol_, "stegfs_cache_hits_total");
+  const uint64_t misses = Metric(vol_, "stegfs_cache_misses_total");
+  EXPECT_GT(hits + misses, hits_before + misses_before);
+  const double hit_rate = static_cast<double>(hits) / (hits + misses);
+  EXPECT_GE(hit_rate, 0.0);
+  EXPECT_LE(hit_rate, 1.0);
 
   EXPECT_EQ(steg_stats(nullptr, &after), STEG_ERR_INVALID);
   EXPECT_EQ(steg_stats(vol_, nullptr), STEG_ERR_INVALID);
@@ -110,10 +122,9 @@ TEST_F(CapiTest, DurableMountJournalsAndFsckRunsClean) {
   ASSERT_EQ(steg_stats(vol_, &s), STEG_OK);
   EXPECT_STREQ(s.durability, "journal");
   ASSERT_EQ(steg_plain_write(vol_, "/durable.txt", "committed", 9), STEG_OK);
-  ASSERT_EQ(steg_stats(vol_, &s), STEG_OK);
-  EXPECT_GT(s.journal_records, 0u);
-  EXPECT_GT(s.journal_barrier_syncs, 0u);
-  EXPECT_EQ(s.journal_overflows, 0u);
+  EXPECT_GT(Metric(vol_, "stegfs_journal_records_committed_total"), 0u);
+  EXPECT_GT(Metric(vol_, "stegfs_journal_barrier_syncs_total"), 0u);
+  EXPECT_EQ(Metric(vol_, "stegfs_journal_overflow_fallbacks_total"), 0u);
 
   stegfs_fsck_report report;
   ASSERT_EQ(steg_fsck(vol_, &report), STEG_OK);
@@ -162,12 +173,15 @@ TEST_F(CapiTest, StatsReportBatchedDataPath) {
   ASSERT_EQ(steg_stats(vol_, &s), STEG_OK);
   // The extent loops batch both directions, and the cold read misses
   // reach the device as vectored I/O.
-  EXPECT_GT(s.cache_batched_reads, 0u);
-  EXPECT_GT(s.cache_batched_writes, 0u);
-  EXPECT_GT(s.dev_vectored_blocks, 0u);
+  EXPECT_GT(Metric(vol_, "stegfs_cache_batched_reads_total"), 0u);
+  EXPECT_GT(Metric(vol_, "stegfs_cache_batched_writes_total"), 0u);
+  EXPECT_GT(Metric(vol_, "stegfs_device_vectored_blocks_total"), 0u);
   // Prefetch counters are present (nonzero only when the host has a spare
   // core for the prefetch thread AND reads miss; just check sanity).
-  EXPECT_GE(s.cache_prefetched, s.cache_prefetch_hits);
+  // Hits first: a hit is counted after its prefetch.
+  const uint64_t prefetch_hits =
+      Metric(vol_, "stegfs_cache_prefetch_hits_total");
+  EXPECT_GE(Metric(vol_, "stegfs_cache_prefetched_total"), prefetch_hits);
   // The crypto tier name is a stable non-empty static string.
   ASSERT_NE(s.crypto_tier, nullptr);
   EXPECT_TRUE(std::string(s.crypto_tier) == "aes-ni" ||
@@ -185,7 +199,7 @@ TEST_F(CapiTest, StatsReportAsyncEngineAndReadahead) {
   ASSERT_NE(s.io_engine, nullptr);
   EXPECT_EQ(std::string(s.io_engine), "thread-pool");
   const bool multi_core = std::thread::hardware_concurrency() >= 2;
-  EXPECT_EQ(s.readahead_active, multi_core ? 1u : 0u);
+  EXPECT_EQ(s.readahead_window > 0, multi_core);
   EXPECT_EQ(s.readahead_window, multi_core ? 16u : 0u);
 
   // A multi-block hidden extent must flow through the async engine: the
@@ -208,11 +222,128 @@ TEST_F(CapiTest, StatsReportAsyncEngineAndReadahead) {
             STEG_OK);
   ASSERT_EQ(std::string(buf.data(), n), payload);
 
-  ASSERT_EQ(steg_stats(vol_, &s), STEG_OK);
-  EXPECT_GT(s.io_submitted_batches, 0u);
   // Fire-and-forget prefetch batches may still be in flight on multi-core
-  // hosts, so only the ordering invariant is stable here.
-  EXPECT_GE(s.io_submitted_batches, s.io_completed_batches);
+  // hosts, so only the ordering invariant is stable here. Completions
+  // first: a batch is counted submitted before it can complete.
+  const uint64_t completed =
+      Metric(vol_, "stegfs_async_completed_batches_total");
+  const uint64_t submitted =
+      Metric(vol_, "stegfs_async_submitted_batches_total");
+  EXPECT_GT(submitted, 0u);
+  EXPECT_GE(submitted, completed);
+}
+
+// Every counter series steg_metrics_text prints, by name: TYPE-counter
+// series mapped to the value the exposition printed for them.
+std::map<std::string, uint64_t> ScrapeCounters(stegfs_volume* vol) {
+  char* text = nullptr;
+  size_t len = 0;
+  EXPECT_EQ(steg_metrics_text(vol, &text, &len), STEG_OK);
+  std::map<std::string, uint64_t> counters;
+  if (text == nullptr) return counters;
+  std::istringstream in(std::string(text, len));
+  steg_buffer_free(text);
+  std::set<std::string> counter_names;
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string first, second, third, kind;
+    words >> first >> second >> third >> kind;
+    if (first == "#" && second == "TYPE" && kind == "counter") {
+      counter_names.insert(third);
+    } else if (counter_names.count(first) != 0) {
+      counters[first] = std::stoull(second);
+    }
+  }
+  return counters;
+}
+
+TEST_F(CapiTest, MetricMatchesTheExpositionForEveryCounter) {
+  // A workload over the plain, journal, hidden and redundancy paths; every
+  // call returns with its I/O complete and no multi-block read arms the
+  // readahead, so the volume is quiescent afterwards.
+  ASSERT_EQ(steg_plain_write(vol_, "/m.txt", "metric", 6), STEG_OK);
+  ASSERT_EQ(steg_create_redundant(vol_, "alice", "red", "uak",
+                                  STEG_TYPE_FILE, STEG_RED_REPLICATE(2)),
+            STEG_OK);
+  ASSERT_EQ(steg_connect(vol_, "alice", "red", "uak"), STEG_OK);
+  ASSERT_EQ(steg_hidden_write(vol_, "alice", "red", "hidden", 6), STEG_OK);
+  char buf[16];
+  size_t n = 0;
+  ASSERT_EQ(steg_hidden_read(vol_, "alice", "red", buf, sizeof(buf), &n),
+            STEG_OK);
+
+  // The counters the C API once copied into its stats structs, each under
+  // its registry name.
+  const char* const kFormerFields[] = {
+      "stegfs_cache_hits_total",
+      "stegfs_cache_misses_total",
+      "stegfs_cache_evictions_total",
+      "stegfs_cache_writebacks_total",
+      "stegfs_cache_batched_reads_total",
+      "stegfs_cache_batched_writes_total",
+      "stegfs_cache_prefetched_total",
+      "stegfs_cache_prefetch_hits_total",
+      "stegfs_device_vectored_blocks_total",
+      "stegfs_device_coalesced_runs_total",
+      "stegfs_async_submitted_batches_total",
+      "stegfs_async_completed_batches_total",
+      "stegfs_journal_records_committed_total",
+      "stegfs_journal_blocks_journaled_total",
+      "stegfs_journal_barrier_syncs_total",
+      "stegfs_journal_overflow_fallbacks_total",
+      "stegfs_journal_group_txns_total",
+      "stegfs_journal_group_batches_total",
+      "stegfs_journal_group_merged_blocks_total",
+      "stegfs_red_stripes_encoded_total",
+      "stegfs_red_shares_written_total",
+      "stegfs_red_degraded_reads_total",
+      "stegfs_red_shares_healed_total",
+      "stegfs_red_verify_failures_total",
+      "stegfs_health_degraded_transitions_total",
+      "stegfs_health_readonly_transitions_total",
+      "stegfs_health_rejected_writes_total",
+      "stegfs_fault_transient_errors_total",
+      "stegfs_fault_persistent_errors_total",
+      "stegfs_fault_corruption_errors_total",
+      "stegfs_fault_timeout_errors_total",
+      "stegfs_fault_retries_total",
+      "stegfs_fault_retry_success_total",
+      "stegfs_fault_retry_exhausted_total",
+  };
+  const std::map<std::string, uint64_t> scraped = ScrapeCounters(vol_);
+  for (const char* name : kFormerFields) {
+    auto it = scraped.find(name);
+    ASSERT_NE(it, scraped.end()) << name << " missing from the exposition";
+    EXPECT_EQ(Metric(vol_, name), it->second) << name;
+  }
+  // And every counter the exposition prints, not only the former fields.
+  ASSERT_GT(scraped.size(), std::size(kFormerFields));
+  for (const auto& [name, value] : scraped) {
+    EXPECT_EQ(Metric(vol_, name.c_str()), value) << name;
+  }
+  EXPECT_GT(Metric(vol_, "stegfs_red_shares_written_total"), 0u);
+}
+
+TEST_F(CapiTest, MetricRejectsUnknownHistogramAndNullArguments) {
+  const uint64_t kUntouched = 0xfeedfacecafebeefull;
+  uint64_t v = kUntouched;
+  EXPECT_EQ(steg_metric(vol_, "stegfs_no_such_series_total", &v),
+            STEG_ERR_NOT_FOUND);
+  EXPECT_EQ(v, kUntouched);
+  // Histograms stay in steg_metrics_text; neither the family nor one of
+  // its exposition series is a counter.
+  EXPECT_EQ(steg_metric(vol_, "stegfs_journal_barrier_seconds", &v),
+            STEG_ERR_NOT_FOUND);
+  EXPECT_EQ(steg_metric(vol_, "stegfs_journal_barrier_seconds_count", &v),
+            STEG_ERR_NOT_FOUND);
+  EXPECT_EQ(v, kUntouched);
+  EXPECT_EQ(steg_metric(nullptr, "stegfs_cache_hits_total", &v),
+            STEG_ERR_INVALID);
+  EXPECT_EQ(steg_metric(vol_, nullptr, &v), STEG_ERR_INVALID);
+  EXPECT_EQ(v, kUntouched);
+  EXPECT_EQ(steg_metric(vol_, "stegfs_cache_hits_total", nullptr),
+            STEG_ERR_INVALID);
 }
 
 TEST_F(CapiTest, WrongKeyIsNotFound) {

@@ -25,6 +25,7 @@
 
 #include "blockdev/mem_block_device.h"
 #include "capi/steg_api.h"
+#include "capi_metric.h"
 #include "core/stegfs.h"
 #include "fault/fault_injection_device.h"
 #include "fault/health.h"
@@ -41,6 +42,7 @@ const char* kUak = "uak-secret";
 
 using fault::FaultInjectionBlockDevice;
 using fault::MountHealth;
+using test::Metric;
 
 struct MatrixCell {
   std::string schedule;
@@ -452,8 +454,8 @@ TEST_F(EngineRetryTest, FaultFreePipelinedReadRecordsNoFaultSpan) {
 }
 
 // The C API face of the subsystem: steg_mount_faulty scripts faults on a
-// real image file, steg_health exposes the taxonomy and state machine,
-// steg_health_reset re-enables writes.
+// real image file, steg_stats and steg_metric expose the state machine and
+// the taxonomy, steg_health_reset re-enables writes.
 TEST(FaultMatrixTest, CApiFaultyMountAndHealth) {
   char path[] = "/tmp/stegfs_fault_XXXXXX";
   int fd = mkstemp(path);
@@ -471,44 +473,38 @@ TEST(FaultMatrixTest, CApiFaultyMountAndHealth) {
   ASSERT_EQ(steg_mount_faulty(path, kCapiBs, "seed=3;any:delay@0x2:us=50",
                               &vol),
             STEG_OK);
-  stegfs_health h;
-  ASSERT_EQ(steg_health(vol, &h), STEG_OK);
-  EXPECT_GT(h.faults_injected, 0u);
+  stegfs_stats stats;
+  ASSERT_EQ(steg_stats(vol, &stats), STEG_OK);
+  EXPECT_GT(stats.faults_injected, 0u);
   // ...and aim real error faults with steg_fault_inject once mounted.
   // Transient burst: absorbed invisibly, visible only in the counters.
   ASSERT_EQ(steg_fault_inject(vol, "write:eio@0x2"), STEG_OK);
   ASSERT_EQ(steg_plain_write(vol, "/hello", "payload", 7), STEG_OK);
-  ASSERT_EQ(steg_health(vol, &h), STEG_OK);
-  EXPECT_EQ(h.state, STEG_HEALTH_HEALTHY);
-  EXPECT_STREQ(h.state_name, "healthy");
-  EXPECT_GT(h.transient_errors, 0u);
-  EXPECT_GT(h.retries, 0u);
-  EXPECT_EQ(h.retry_exhausted, 0u);
-  // steg_stats carries the headline fault fields too.
-  stegfs_stats stats;
   ASSERT_EQ(steg_stats(vol, &stats), STEG_OK);
-  EXPECT_STREQ(stats.health, "healthy");
-  EXPECT_GT(stats.fault_retries, 0u);
+  EXPECT_EQ(stats.health, STEG_HEALTH_HEALTHY);
+  EXPECT_STREQ(stats.health_name, "healthy");
+  EXPECT_GT(Metric(vol, "stegfs_fault_transient_errors_total"), 0u);
+  EXPECT_GT(Metric(vol, "stegfs_fault_retries_total"), 0u);
+  EXPECT_EQ(Metric(vol, "stegfs_fault_retry_exhausted_total"), 0u);
 
   // Persistent write faults through the C API: read-only + clean reject.
   ASSERT_EQ(steg_fault_inject(vol, "write:fail"), STEG_OK);
   EXPECT_NE(steg_plain_write(vol, "/doomed", "x", 1), STEG_OK);
-  ASSERT_EQ(steg_health(vol, &h), STEG_OK);
-  EXPECT_EQ(h.state, STEG_HEALTH_READONLY);
-  EXPECT_STREQ(h.state_name, "read-only");
-  EXPECT_GT(h.persistent_errors, 0u);
+  ASSERT_EQ(steg_stats(vol, &stats), STEG_OK);
+  EXPECT_EQ(stats.health, STEG_HEALTH_READONLY);
+  EXPECT_STREQ(stats.health_name, "read-only");
+  EXPECT_GT(Metric(vol, "stegfs_fault_persistent_errors_total"), 0u);
   EXPECT_NE(steg_plain_write(vol, "/rejected", "x", 1), STEG_OK);
-  ASSERT_EQ(steg_health(vol, &h), STEG_OK);
-  EXPECT_GT(h.rejected_writes, 0u);
+  EXPECT_GT(Metric(vol, "stegfs_health_rejected_writes_total"), 0u);
   // Unmount against the still-dead device: may report the flush error,
   // must not crash or corrupt.
   steg_unmount(vol);
 
   // Substrate healed (no schedule): journal recovery mounts clean.
   ASSERT_EQ(steg_mount_faulty(path, kCapiBs, NULL, &vol), STEG_OK);
-  ASSERT_EQ(steg_health(vol, &h), STEG_OK);
-  EXPECT_EQ(h.state, STEG_HEALTH_HEALTHY);
-  EXPECT_EQ(h.faults_injected, 0u);
+  ASSERT_EQ(steg_stats(vol, &stats), STEG_OK);
+  EXPECT_EQ(stats.health, STEG_HEALTH_HEALTHY);
+  EXPECT_EQ(stats.faults_injected, 0u);
   ASSERT_EQ(steg_health_reset(vol), STEG_OK);
   ASSERT_EQ(steg_plain_write(vol, "/alive", "again", 5), STEG_OK);
   char buf[64];

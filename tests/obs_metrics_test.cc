@@ -151,11 +151,22 @@ TEST(MetricsRegistryTest, SnapshotLookupAndUnregister) {
   EXPECT_EQ(snap.histogram("test_latency_seconds")->count, 1u);
   EXPECT_EQ(snap.histogram("missing_seconds"), nullptr);
 
+  // By-name lookup of one counter: found, or false with *value untouched
+  // (an unknown name, or a histogram).
+  uint64_t v = 0;
+  EXPECT_TRUE(reg.FindCounter("test_ops_total", &v));
+  EXPECT_EQ(v, 7u);
+  v = 42;
+  EXPECT_FALSE(reg.FindCounter("missing_total", &v));
+  EXPECT_FALSE(reg.FindCounter("test_latency_seconds", &v));
+  EXPECT_EQ(v, 42u);
+
   reg.Unregister("test_ops_total");
   reg.Unregister("test_latency_seconds");
   RegistrySnapshot after = reg.Snapshot();
   EXPECT_TRUE(after.counters.empty());
   EXPECT_TRUE(after.histograms.empty());
+  EXPECT_FALSE(reg.FindCounter("test_ops_total", &v));
 }
 
 TEST(MetricsRegistryTest, TextExpositionFormat) {
