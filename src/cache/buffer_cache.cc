@@ -45,6 +45,29 @@ BufferCache::Entry& BufferCache::Touch(Shard* shard, EntryList::iterator it) {
   return *shard->lru.begin();
 }
 
+void BufferCache::MarkDirty(Shard* shard, Entry* e) {
+  if (e->dirty) return;
+  e->dirty = true;
+  e->dirty_prev = nullptr;
+  e->dirty_next = shard->dirty_head;
+  if (shard->dirty_head != nullptr) shard->dirty_head->dirty_prev = e;
+  shard->dirty_head = e;
+  shard->dirty_count++;
+}
+
+void BufferCache::MarkClean(Shard* shard, Entry* e) {
+  if (!e->dirty) return;
+  e->dirty = false;
+  if (e->dirty_prev != nullptr) {
+    e->dirty_prev->dirty_next = e->dirty_next;
+  } else {
+    shard->dirty_head = e->dirty_next;
+  }
+  if (e->dirty_next != nullptr) e->dirty_next->dirty_prev = e->dirty_prev;
+  e->dirty_prev = e->dirty_next = nullptr;
+  shard->dirty_count--;
+}
+
 Status BufferCache::EnsureRoom(Shard* shard) {
   auto parked = ParkedSnapshot();
   while (shard->map.size() >= shard->capacity) {
@@ -70,6 +93,7 @@ Status BufferCache::EnsureRoom(Shard* shard) {
       STEGFS_RETURN_IF_ERROR(
           device_->WriteBlock(victim.block, victim.data.data()));
       writebacks_.Increment();
+      MarkClean(shard, &victim);
     }
     shard->map.erase(victim.block);
     shard->lru.erase(victim_it);
@@ -133,9 +157,9 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
   Entry e;
   e.block = block;
   e.data.assign(data, data + device_->block_size());
-  MarkWritten(shard, &e);
   shard->lru.push_front(std::move(e));
   shard->map[block] = shard->lru.begin();
+  MarkWritten(shard, &shard->lru.front());
   return Status::OK();
 }
 
@@ -296,6 +320,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
         for (size_t pos : group) {
           auto found = shard->map.find(blocks[pos]);
           if (found != shard->map.end()) {
+            MarkClean(shard, &*found->second);
             shard->lru.erase(found->second);
             shard->map.erase(found);
           }
@@ -318,9 +343,9 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
       Entry e;
       e.block = blocks[pos];
       e.data.assign(data + pos * bs, data + pos * bs + bs);
-      MarkWritten(shard, &e);
       shard->lru.push_front(std::move(e));
       shard->map[blocks[pos]] = shard->lru.begin();
+      MarkWritten(shard, &shard->lru.front());
     }
   }
   return Status::OK();
@@ -456,7 +481,7 @@ Status BufferCache::CheckpointBlock(uint64_t block, const uint8_t* data) {
   auto found = shard->map.find(block);
   if (found != shard->map.end() && found->second->dirty &&
       std::memcmp(found->second->data.data(), data, bs) == 0) {
-    found->second->dirty = false;
+    MarkClean(shard, &*found->second);
   }
   return Status::OK();
 }
@@ -509,35 +534,29 @@ void BufferCache::Prefetch(const uint64_t* blocks, size_t n) {
 Status BufferCache::FlushShard(Shard* shard,
                                const std::unordered_set<uint64_t>* hold_back) {
   // One vectored write-back per shard, ascending by LBA so contiguous
-  // dirty extents coalesce on the device. On error every entry stays
-  // dirty (re-written by the next flush — idempotent). Held-back blocks
-  // (the journal's parked metadata images) are skipped entirely.
-  if (!shard->has_dirty) return Status::OK();
+  // dirty extents coalesce on the device. Walks the shard's dirty list,
+  // never its LRU list. On error every entry stays dirty and listed
+  // (re-written by the next flush — idempotent). Held-back and parked
+  // blocks (the journal's metadata images) are skipped and stay listed.
+  if (shard->dirty_head == nullptr) return Status::OK();
   auto parked = ParkedSnapshot();
   std::vector<Entry*> dirty;
-  bool skipped = false;
-  for (Entry& e : shard->lru) {
-    if (!e.dirty) continue;
-    if ((hold_back != nullptr && hold_back->count(e.block) != 0) ||
-        (parked != nullptr && parked->count(e.block) != 0)) {
-      skipped = true;
+  dirty.reserve(shard->dirty_count);
+  for (Entry* e = shard->dirty_head; e != nullptr; e = e->dirty_next) {
+    if ((hold_back != nullptr && hold_back->count(e->block) != 0) ||
+        (parked != nullptr && parked->count(e->block) != 0)) {
       continue;
     }
-    dirty.push_back(&e);
+    dirty.push_back(e);
   }
-  shard->has_dirty = skipped;
   if (dirty.empty()) return Status::OK();
   std::sort(dirty.begin(), dirty.end(),
             [](const Entry* a, const Entry* b) { return a->block < b->block; });
   std::vector<ConstBlockIoVec> iov;
   iov.reserve(dirty.size());
   for (const Entry* e : dirty) iov.push_back({e->block, e->data.data()});
-  Status written = device_->WriteBlocks(iov.data(), iov.size());
-  if (!written.ok()) {
-    shard->has_dirty = true;
-    return written;
-  }
-  for (Entry* e : dirty) e->dirty = false;
+  STEGFS_RETURN_IF_ERROR(device_->WriteBlocks(iov.data(), iov.size()));
+  for (Entry* e : dirty) MarkClean(shard, e);
   writebacks_.Add(dirty.size());
   return Status::OK();
 }
@@ -566,10 +585,8 @@ size_t BufferCache::dirty_count() const {
   size_t n = 0;
   auto* self = const_cast<BufferCache*>(this);
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::shared_mutex> lock(self->locks_.stripe(i));
-    for (const Entry& e : shards_[i].lru) {
-      if (e.dirty) ++n;
-    }
+    std::shared_lock<std::shared_mutex> lock(self->locks_.stripe(i));
+    n += shards_[i].dirty_count;
   }
   return n;
 }
@@ -579,6 +596,8 @@ void BufferCache::DropAll() {
   for (Shard& shard : shards_) {
     shard.lru.clear();
     shard.map.clear();
+    shard.dirty_head = nullptr;
+    shard.dirty_count = 0;
     // Callers drop the cache because the device was rewritten underneath
     // it; nothing an in-flight async read fetched before the rewrite may
     // come back.

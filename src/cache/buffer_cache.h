@@ -256,7 +256,8 @@ class BufferCache {
   // journal parks for the window between its ordered-data flush and its
   // commit barrier, then unparks before checkpointing.
   void ParkBlocks(std::shared_ptr<const std::unordered_set<uint64_t>> blocks);
-  // Dirty blocks currently parked in the cache (all shards).
+  // Dirty blocks held in the cache, all shards: the sum of the per-shard
+  // dirty-list counts (parked and held-back blocks included).
   size_t dirty_count() const;
   // Discards every cached block (dirty contents are LOST — recovery paths
   // use this after rewriting the device underneath the cache).
@@ -280,9 +281,15 @@ class BufferCache {
   struct Entry {
     uint64_t block;
     std::vector<uint8_t> data;
+    // True exactly while the entry is linked on its shard's dirty list.
     bool dirty = false;
     // Inserted by the prefetcher and not yet claimed by a demand access.
     bool prefetched = false;
+    // Dirty-list links (intrusive: a std::list node never moves, so the
+    // links stay valid until the entry is erased, and the list costs no
+    // allocation of its own).
+    Entry* dirty_prev = nullptr;
+    Entry* dirty_next = nullptr;
   };
   using EntryList = std::list<Entry>;
 
@@ -298,11 +305,15 @@ class BufferCache {
     // mismatch — that is what makes inserting device bytes read OUTSIDE
     // the shard lock safe.
     uint64_t gen = 0;
-    // False only while no entry is dirty: set by every write that leaves
-    // one dirty, cleared by a flush that wrote every dirty entry back.
-    // A barrier's WriteBackDirty then skips clean shards without walking
-    // their LRU lists under the exclusive lock.
-    bool has_dirty = false;
+    // The shard's dirty entries, unordered, linked through
+    // Entry::dirty_prev/dirty_next. An entry is linked when a write-back
+    // write dirties it (MarkWritten) and unlinked when it turns clean or
+    // leaves: a flush wrote it, a checkpoint wrote its exact bytes, it
+    // was evicted, or DropAll discarded the shard. A flush therefore
+    // costs its dirty count, not the shard's size, and a clean shard
+    // costs one null check.
+    Entry* dirty_head = nullptr;
+    size_t dirty_count = 0;
   };
 
   static size_t AutoShardCount(size_t capacity_blocks);
@@ -316,11 +327,16 @@ class BufferCache {
                     const std::unordered_set<uint64_t>* hold_back = nullptr);
   // Counts a demand hit on `e`, claiming its prefetched flag if set.
   void CountHit(Entry& e);
-  // Marks `e` (an entry of `shard`) dirty under the write policy.
+  // Marks `e` (an entry already in `shard`'s LRU list, so its address is
+  // stable) dirty under the write policy.
   void MarkWritten(Shard* shard, Entry* e) {
-    e->dirty = (policy_ == WritePolicy::kWriteBack);
-    shard->has_dirty |= e->dirty;
+    if (policy_ == WritePolicy::kWriteBack) MarkDirty(shard, e);
   }
+  // Dirty-list maintenance: MarkDirty sets `dirty` and links `e`,
+  // MarkClean clears it and unlinks `e`; each is a no-op on an entry
+  // already in that state.
+  static void MarkDirty(Shard* shard, Entry* e);
+  static void MarkClean(Shard* shard, Entry* e);
   // Completion handler of the async reads (runs on an engine thread;
   // takes the shard stripe, never holds it across device I/O except
   // dirty-victim write-back, same as the sync path).

@@ -103,7 +103,8 @@ typedef struct stegfs_stats {
   uint32_t readahead_window;
   /* point-in-time gauges */
   uint64_t io_inflight_blocks; /* blocks in flight on the engine */
-  uint64_t cache_dirty_blocks; /* dirty blocks parked in the cache */
+  uint64_t cache_dirty_blocks; /* dirty blocks held in the cache, not yet
+                                  written back to the device */
   uint64_t journal_recovered_records; /* replayed by this mount's recovery */
   uint64_t faults_injected; /* fired by this handle's injection layer
                                (steg_mount_faulty mounts only; else 0) */

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "blockdev/mem_block_device.h"
 #include "blockdev/sim_disk.h"
 #include "blockdev/thread_pool_async_device.h"
+#include "concurrency/shard_lock.h"
 #include "tests/test_device.h"
 
 namespace stegfs {
@@ -680,6 +686,282 @@ TEST(BufferCacheTest, WriteBackReachesEveryShardDirtiedAgain) {
   ASSERT_TRUE(cache.WriteBackDirty().ok());
   ASSERT_TRUE(dev.ReadBlock(2, buf.data()).ok());
   EXPECT_EQ(buf, Pattern(512, 20));
+}
+
+
+// --- dirty index ---------------------------------------------------------
+
+// Forwards to `base` and records the block numbers of every write call,
+// one list per call (a WriteBlock counts as a call of one block).
+class RecordingDevice : public BlockDevice {
+ public:
+  explicit RecordingDevice(BlockDevice* base) : base_(base) {}
+
+  uint32_t block_size() const override { return base_->block_size(); }
+  uint64_t num_blocks() const override { return base_->num_blocks(); }
+  Status ReadBlock(uint64_t block, uint8_t* buf) override {
+    return base_->ReadBlock(block, buf);
+  }
+  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
+    Record({block});
+    return base_->WriteBlock(block, buf);
+  }
+  Status ReadBlocks(const BlockIoVec* iov, size_t n) override {
+    return base_->ReadBlocks(iov, n);
+  }
+  Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override {
+    std::vector<uint64_t> call(n);
+    for (size_t i = 0; i < n; ++i) call[i] = iov[i].block;
+    Record(std::move(call));
+    return base_->WriteBlocks(iov, n);
+  }
+  Status Flush() override { return base_->Flush(); }
+
+  std::vector<std::vector<uint64_t>> TakeCalls() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(calls_, {});
+  }
+
+ private:
+  void Record(std::vector<uint64_t> call) {
+    std::lock_guard<std::mutex> lock(mu_);
+    calls_.push_back(std::move(call));
+  }
+
+  BlockDevice* base_;
+  std::mutex mu_;
+  std::vector<std::vector<uint64_t>> calls_;
+};
+
+std::vector<uint64_t> Flatten(const std::vector<std::vector<uint64_t>>& calls) {
+  std::vector<uint64_t> all;
+  for (const auto& call : calls) all.insert(all.end(), call.begin(), call.end());
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+class DirtyIndexTest : public ::testing::TestWithParam<size_t> {};
+
+// A write-back sends exactly the dirty blocks that are neither held back
+// nor parked: ascending, one vectored call per shard, and never a clean
+// resident block.
+TEST_P(DirtyIndexTest, WriteBackSendsExactlyTheUnheldDirtyBlocks) {
+  const size_t shards = GetParam();
+  MemBlockDevice mem(512, 256);
+  RecordingDevice dev(&mem);
+  BufferCache cache(&dev, 128, WritePolicy::kWriteBack, shards);
+  ASSERT_EQ(cache.shard_count(), shards);
+
+  std::vector<uint8_t> buf(512);
+  for (uint64_t b = 0; b < 64; ++b) {
+    ASSERT_TRUE(cache.Read(b, buf.data()).ok());  // clean residents
+  }
+  const std::vector<uint64_t> dirtied = {70, 3, 41, 99, 12, 55, 88, 7,
+                                         120, 64, 3, 200, 41, 17};
+  for (size_t i = 0; i < dirtied.size(); ++i) {
+    ASSERT_TRUE(cache.Write(dirtied[i], Stamp(dirtied[i], i).data()).ok());
+  }
+  uint64_t batch[3] = {150, 9, 150};
+  std::vector<uint8_t> batch_data(3 * 512);
+  for (size_t i = 0; i < 3; ++i) {
+    std::memcpy(batch_data.data() + i * 512, Stamp(batch[i], 40 + i).data(),
+                512);
+  }
+  ASSERT_TRUE(cache.WriteBatch(batch, 3, batch_data.data()).ok());
+  ASSERT_TRUE(dev.TakeCalls().empty());  // write-back: nothing sent yet
+  ASSERT_EQ(cache.dirty_count(), 14u);   // 12 distinct + 150 + 9
+
+  const std::unordered_set<uint64_t> hold_back = {41, 88, 5};  // 5 is clean
+  cache.ParkBlocks(std::make_shared<const std::unordered_set<uint64_t>>(
+      std::unordered_set<uint64_t>{12, 120}));
+  ASSERT_TRUE(cache.WriteBackDirty(&hold_back).ok());
+
+  const auto calls = dev.TakeCalls();
+  concurrency::StripedSharedMutex stripes(shards);
+  std::set<size_t> shards_seen;
+  for (const auto& call : calls) {
+    ASSERT_FALSE(call.empty());
+    EXPECT_TRUE(std::is_sorted(call.begin(), call.end()));
+    EXPECT_EQ(std::adjacent_find(call.begin(), call.end()), call.end());
+    const size_t shard = stripes.StripeOf(call.front());
+    for (uint64_t b : call) EXPECT_EQ(stripes.StripeOf(b), shard);
+    EXPECT_TRUE(shards_seen.insert(shard).second) << "two calls, one shard";
+  }
+  EXPECT_EQ(Flatten(calls),
+            (std::vector<uint64_t>{3, 7, 9, 17, 55, 64, 70, 99, 150, 200}));
+  EXPECT_EQ(cache.dirty_count(), 4u);  // held back and parked stay dirty
+
+  // The device got the latest bytes of what was sent, and nothing else.
+  ASSERT_TRUE(mem.ReadBlock(3, buf.data()).ok());
+  EXPECT_EQ(buf, Stamp(3, 10));
+  ASSERT_TRUE(mem.ReadBlock(150, buf.data()).ok());
+  EXPECT_EQ(buf, Stamp(150, 42));
+  ASSERT_TRUE(mem.ReadBlock(41, buf.data()).ok());
+  EXPECT_EQ(buf, std::vector<uint8_t>(512, 0));
+
+  // A second round sends nothing while the rest stays held; once
+  // unparked and unheld, exactly the four remaining blocks go.
+  ASSERT_TRUE(cache.WriteBackDirty(&hold_back).ok());
+  EXPECT_TRUE(dev.TakeCalls().empty());
+  cache.ParkBlocks(nullptr);
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(Flatten(dev.TakeCalls()), (std::vector<uint64_t>{12, 41, 88, 120}));
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_TRUE(dev.TakeCalls().empty());
+}
+
+// dirty_count() and the device bytes stay exact through every transition
+// that links or unlinks an entry.
+TEST_P(DirtyIndexTest, IndexStaysExactAcrossEveryTransition) {
+  const size_t shards = GetParam();
+  test::FaultyDevice faulty(512, 256);
+  RecordingDevice dev(&faulty);
+  BufferCache cache(&dev, 4 * shards, WritePolicy::kWriteBack, shards);
+  std::vector<uint8_t> buf(512);
+  auto device_has = [&](uint64_t b, const std::vector<uint8_t>& want) {
+    EXPECT_TRUE(faulty.inner()->ReadBlock(b, buf.data()).ok());
+    return buf == want;
+  };
+
+  // Eviction of dirty victims: 40 distinct dirty blocks through a cache
+  // of 4 per shard. What was evicted is on the device; what stays is
+  // listed, and exactly that is written back next.
+  for (uint64_t b = 0; b < 40; ++b) {
+    ASSERT_TRUE(cache.Write(b, Stamp(b, 1).data()).ok());
+  }
+  size_t on_device = 0;
+  for (uint64_t b = 0; b < 40; ++b) on_device += device_has(b, Stamp(b, 1));
+  EXPECT_EQ(on_device, cache.stats().evictions);
+  EXPECT_EQ(cache.dirty_count(), cache.size());
+  EXPECT_EQ(cache.dirty_count(), 40 - on_device);
+  dev.TakeCalls();
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(Flatten(dev.TakeCalls()).size(), 40 - on_device);
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  for (uint64_t b = 0; b < 40; ++b) EXPECT_TRUE(device_has(b, Stamp(b, 1)));
+
+  // CheckpointBlock: matching bytes clear the entry, differing bytes
+  // (the cache is newer) leave it dirty.
+  const uint64_t x = 36, y = 37;  // resident: the most recent writes
+  ASSERT_TRUE(cache.Write(x, Stamp(x, 2).data()).ok());
+  ASSERT_TRUE(cache.Write(y, Stamp(y, 3).data()).ok());
+  ASSERT_EQ(cache.dirty_count(), 2u);
+  ASSERT_TRUE(cache.CheckpointBlock(x, Stamp(x, 2).data()).ok());
+  ASSERT_TRUE(cache.CheckpointBlock(y, Stamp(y, 2).data()).ok());
+  EXPECT_EQ(cache.dirty_count(), 1u);
+  EXPECT_TRUE(device_has(y, Stamp(y, 2)));
+  dev.TakeCalls();
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(Flatten(dev.TakeCalls()), std::vector<uint64_t>{y});
+  EXPECT_TRUE(device_has(x, Stamp(x, 2)));
+  EXPECT_TRUE(device_has(y, Stamp(y, 3)));
+
+  // DropAll empties the index; the next write relinks.
+  ASSERT_TRUE(cache.Write(x, Stamp(x, 4).data()).ok());
+  ASSERT_TRUE(cache.Write(y, Stamp(y, 4).data()).ok());
+  cache.DropAll();
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  ASSERT_TRUE(cache.WriteBackDirty().ok());
+  EXPECT_TRUE(dev.TakeCalls().empty());
+  ASSERT_TRUE(cache.Write(y, Stamp(y, 5).data()).ok());
+  EXPECT_EQ(cache.dirty_count(), 1u);
+
+  // A failed write-back leaves every entry dirty and listed; the next
+  // flush heals it.
+  ASSERT_TRUE(cache.Write(x, Stamp(x, 5).data()).ok());
+  const size_t before = cache.dirty_count();
+  faulty.FailWrites();
+  EXPECT_FALSE(cache.WriteBackDirty().ok());
+  EXPECT_EQ(cache.dirty_count(), before);
+  faulty.Heal();
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  EXPECT_TRUE(device_has(x, Stamp(x, 5)));
+  EXPECT_TRUE(device_has(y, Stamp(y, 5)));
+}
+
+// Write-through writes reach the device at once and are never listed.
+TEST_P(DirtyIndexTest, WriteThroughWritesAreNeverListed) {
+  const size_t shards = GetParam();
+  MemBlockDevice mem(512, 64);
+  RecordingDevice dev(&mem);
+  BufferCache cache(&dev, 4 * shards, WritePolicy::kWriteThrough, shards);
+  for (uint64_t b = 0; b < 32; ++b) {
+    ASSERT_TRUE(cache.Write(b, Stamp(b, 1).data()).ok());
+  }
+  uint64_t batch[4] = {1, 40, 2, 41};
+  std::vector<uint8_t> data(4 * 512, 7);
+  ASSERT_TRUE(cache.WriteBatch(batch, 4, data.data()).ok());
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  EXPECT_FALSE(dev.TakeCalls().empty());
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_TRUE(dev.TakeCalls().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, DirtyIndexTest, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::to_string(info.param) + "Shard";
+                         });
+
+// Writers, a write-back loop and a checkpoint loop race on a small
+// multi-shard cache that evicts dirty victims all the time. Each block's
+// writes and checkpoints are serialized by a per-block mutex, and a
+// checkpoint carries the block's latest image, as the journal's do.
+TEST(BufferCacheTest, DirtyIndexSurvivesConcurrentWritersFlushesAndCheckpoints) {
+  constexpr uint64_t kBlocks = 128;
+  constexpr int kWriters = 4;
+  MemBlockDevice dev(512, kBlocks);
+  BufferCache cache(&dev, 32, WritePolicy::kWriteBack, 4);
+  ASSERT_EQ(cache.shard_count(), 4u);
+  std::vector<std::mutex> block_mu(kBlocks);
+  std::vector<uint8_t> last(kBlocks, 0);  // guarded by block_mu
+  std::atomic<int> running{kWriters};
+  std::atomic<int> errors{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      uint64_t x = 0x9e3779b97f4a7c15ULL * (w + 1);
+      for (int i = 0; i < 3000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const uint64_t b = x % kBlocks;
+        std::lock_guard<std::mutex> lock(block_mu[b]);
+        const uint8_t v = static_cast<uint8_t>(last[b] + 1);
+        if (!cache.Write(b, Stamp(b, v).data()).ok()) errors++;
+        last[b] = v;
+      }
+      running--;
+    });
+  }
+  threads.emplace_back([&] {
+    while (running.load() > 0) {
+      if (!cache.WriteBackDirty().ok()) errors++;
+    }
+  });
+  threads.emplace_back([&] {
+    for (uint64_t i = 0; running.load() > 0; ++i) {
+      const uint64_t b = (i * 37) % kBlocks;
+      std::lock_guard<std::mutex> lock(block_mu[b]);
+      if (last[b] == 0) continue;  // never written: nothing to checkpoint
+      if (!cache.CheckpointBlock(b, Stamp(b, last[b]).data()).ok()) errors++;
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+
+  ASSERT_TRUE(cache.Flush().ok());
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+  std::vector<uint8_t> buf(512);
+  for (uint64_t b = 0; b < kBlocks; ++b) {
+    ASSERT_TRUE(dev.ReadBlock(b, buf.data()).ok());
+    const std::vector<uint8_t> want =
+        last[b] == 0 ? std::vector<uint8_t>(512, 0) : Stamp(b, last[b]);
+    EXPECT_EQ(buf, want) << "block " << b;
+  }
 }
 
 }  // namespace
