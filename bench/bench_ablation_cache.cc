@@ -67,9 +67,11 @@ int main() {
       pass_times[pass] = sim->sim_time_seconds() - before;
     }
 
+    const uint64_t hits = cache.metrics().hits.value();
+    const uint64_t lookups = hits + cache.metrics().misses.value();
     std::printf("%-14zu %14.3f %14.3f %11.1f%%\n", cache_blocks,
                 pass_times[0], pass_times[2],
-                cache.stats().HitRate() * 100);
+                lookups == 0 ? 0.0 : 100.0 * hits / lookups);
   }
 
   std::printf("\nReading: once the cache covers the working set (2048 "

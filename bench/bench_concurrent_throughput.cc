@@ -138,7 +138,9 @@ bool RunDurableLeg(std::vector<DurableResult>* results) {
               "ops/sec", "speedup", "txns", "batches");
   const int kDurableLevels[] = {1, 2, 4, 8};
   for (int level : kDurableLevels) {
-    journal::JournalStats before = fs->plain()->journal()->stats();
+    const journal::JournalMetrics& jm = fs->plain()->journal()->metrics();
+    const uint64_t txns0 = jm.group_txns.value();
+    const uint64_t batches0 = jm.group_batches.value();
     std::vector<std::thread> threads;
     std::atomic<int> failed_ops{0};
     auto start = std::chrono::steady_clock::now();
@@ -165,7 +167,6 @@ bool RunDurableLeg(std::vector<DurableResult>* results) {
                    failed_ops.load(), level);
       return false;
     }
-    journal::JournalStats after = fs->plain()->journal()->stats();
 
     DurableResult r;
     r.threads = level;
@@ -175,8 +176,8 @@ bool RunDurableLeg(std::vector<DurableResult>* results) {
     r.speedup = results->empty()
                     ? 1.0
                     : r.ops_per_sec / results->front().ops_per_sec;
-    r.txns = after.group_txns - before.group_txns;
-    r.batches = after.group_batches - before.group_batches;
+    r.txns = jm.group_txns.value() - txns0;
+    r.batches = jm.group_batches.value() - batches0;
     results->push_back(r);
     std::printf("%-10d%12d%10.3f%12.1f%9.2fx%12llu%12llu\n", r.threads,
                 r.total_ops, r.seconds, r.ops_per_sec, r.speedup,
@@ -309,13 +310,15 @@ int main(int argc, char** argv) {
                 r.read_p50_us, r.read_p99_us, r.write_p50_us, r.write_p99_us);
   }
 
-  CacheStats cs = fs->plain()->cache()->stats();
+  const CacheMetrics& cm = fs->plain()->cache()->metrics();
+  const uint64_t hits = cm.hits.value();
+  const uint64_t misses = cm.misses.value();
   std::printf("\ncache: %llu hits, %llu misses (%.1f%% hit rate), "
               "%llu writebacks; device: %llu reads, %llu writes\n",
-              static_cast<unsigned long long>(cs.hits),
-              static_cast<unsigned long long>(cs.misses),
-              cs.HitRate() * 100,
-              static_cast<unsigned long long>(cs.writebacks),
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses),
+              hits + misses == 0 ? 0.0 : 100.0 * hits / (hits + misses),
+              static_cast<unsigned long long>(cm.writebacks.value()),
               static_cast<unsigned long long>(dev.reads()),
               static_cast<unsigned long long>(dev.writes()));
 

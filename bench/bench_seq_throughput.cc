@@ -250,7 +250,9 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   std::vector<LatRow> lat_rows;
-  DeviceBatchStats dev_stats;
+  // Device batch-path counters at the end of phase B.
+  uint64_t dev_coalesced_runs = 0;
+  uint64_t dev_vectored_blocks = 0;
   {
     // No readahead request: readahead arms only with an async engine, and
     // this phase measures the call-and-wait path.
@@ -277,7 +279,9 @@ int main(int argc, char** argv) {
       rows.push_back(r);
     }
     if (!(*fs)->Flush().ok()) return 1;
-    dev_stats = device->get()->batch_stats();
+    const DeviceMetrics* dm = device->get()->device_metrics();
+    dev_coalesced_runs = dm->coalesced_runs.value();
+    dev_vectored_blocks = dm->vectored_blocks.value();
     CollectLat(&lat_rows, (*fs)->plain()->metrics_registry()->Snapshot(),
                "sync_batch",
                {"stegfs_hidden_read_seconds", "stegfs_hidden_write_seconds",
@@ -303,7 +307,10 @@ int main(int argc, char** argv) {
   };
   std::vector<RaRow> ra_rows;
   const char* async_engine_name = "sync";
-  AsyncIoStats async_stats;
+  // Engine counters at the end of phase C.
+  uint64_t async_submitted_batches = 0;
+  uint64_t async_completed_batches = 0;
+  uint64_t async_submitted_blocks = 0;
   if (engine_choice != IoEngine::kSync) {
     StegFsOptions opts;
     opts.mount.io_engine = engine_choice;
@@ -330,8 +337,10 @@ int main(int argc, char** argv) {
       async_rows.push_back(r);
     }
     if (!(*fs)->Flush().ok()) return 1;
-    if ((*fs)->plain()->io_engine() != nullptr) {
-      async_stats = (*fs)->plain()->io_engine()->stats();
+    if (const ThreadPoolAsyncDevice* io = (*fs)->plain()->io_engine()) {
+      async_submitted_batches = io->metrics().submitted_batches.value();
+      async_completed_batches = io->metrics().completed_batches.value();
+      async_submitted_blocks = io->metrics().submitted_blocks.value();
     }
     CollectLat(&lat_rows, (*fs)->plain()->metrics_registry()->Snapshot(),
                "async",
@@ -354,7 +363,8 @@ int main(int argc, char** argv) {
       row.window = window;
       row.read_mbps = TimedRead(rfs->get(), 64 << 10);
       if (row.read_mbps < 0) return 1;
-      row.prefetch_hits = (*rfs)->plain()->cache()->stats().prefetch_hits;
+      row.prefetch_hits =
+          (*rfs)->plain()->cache()->metrics().prefetch_hits.value();
       ra_rows.push_back(row);
     }
   }
@@ -386,7 +396,8 @@ int main(int argc, char** argv) {
     opts.mount.io_engine = engine_choice;
     opts.mount.cache_shards = 1;
     opts.mount.durability = Durability::kJournal;
-    const uint64_t syncs_before = device->get()->sync_count();
+    const obs::Counter& syncs = device->get()->device_metrics()->syncs;
+    const uint64_t syncs_before = syncs.value();
     auto fs = StegFs::Mount(device->get(), opts);
     if (!fs.ok()) {
       std::fprintf(stderr, "durable mount: %s\n",
@@ -404,9 +415,10 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    journal_syncs = device->get()->sync_count() - syncs_before;
+    journal_syncs = syncs.value() - syncs_before;
     if ((*fs)->plain()->journal() != nullptr) {
-      journal_records = (*fs)->plain()->journal()->stats().records_committed;
+      journal_records =
+          (*fs)->plain()->journal()->metrics().records_committed.value();
     }
     CollectLat(&lat_rows, (*fs)->plain()->metrics_registry()->Snapshot(),
                "journal",
@@ -493,8 +505,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "redundant read phase failed\n");
       return 1;
     }
-    red_stripes_encoded = (*fs)->redundancy_stats().stripes_encoded.load();
-    red_shares_written = (*fs)->redundancy_stats().shares_written.load();
+    red_stripes_encoded = (*fs)->redundancy_stats().stripes_encoded.value();
+    red_shares_written = (*fs)->redundancy_stats().shares_written.value();
     obs::RegistrySnapshot esnap =
         (*fs)->plain()->metrics_registry()->Snapshot();
     CollectLat(&lat_rows, esnap, "ida",
@@ -571,8 +583,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nbatched tier %s; coalesced runs %llu; vectored blocks %llu\n"
       "1 MiB sequential-read speedup %.2fx (target >= %.1fx): %s\n",
-      batched_tier, static_cast<unsigned long long>(dev_stats.coalesced_runs),
-      static_cast<unsigned long long>(dev_stats.vectored_blocks),
+      batched_tier, static_cast<unsigned long long>(dev_coalesced_runs),
+      static_cast<unsigned long long>(dev_vectored_blocks),
       read_speedup_1mib, kTarget, pass ? "PASS" : "FAIL");
 
   // The async floor compares against the SYNC BATCH path (phase B), not
@@ -601,9 +613,9 @@ int main(int argc, char** argv) {
         "engine batches: %llu submitted, %llu completed, %llu blocks\n"
         "async 1 MiB hidden-read speedup vs sync batch %.2fx "
         "(target >= %.1fx, %s): %s\n",
-        static_cast<unsigned long long>(async_stats.submitted_batches),
-        static_cast<unsigned long long>(async_stats.completed_batches),
-        static_cast<unsigned long long>(async_stats.submitted_blocks),
+        static_cast<unsigned long long>(async_submitted_batches),
+        static_cast<unsigned long long>(async_completed_batches),
+        static_cast<unsigned long long>(async_submitted_blocks),
         async_vs_sync_1mib, kAsyncTarget,
         multi_core ? "enforced" : "advisory on 1 core",
         async_pass ? "PASS" : "FAIL");
@@ -701,8 +713,8 @@ int main(int argc, char** argv) {
                  "  \"dev_vectored_blocks\": %llu,\n"
                  "  \"read_speedup_at_1mib\": %.3f,\n"
                  "  \"target\": %.1f,\n  \"pass\": %s,\n",
-                 static_cast<unsigned long long>(dev_stats.coalesced_runs),
-                 static_cast<unsigned long long>(dev_stats.vectored_blocks),
+                 static_cast<unsigned long long>(dev_coalesced_runs),
+                 static_cast<unsigned long long>(dev_vectored_blocks),
                  read_speedup_1mib, kTarget, pass ? "true" : "false");
     std::fprintf(json, "  \"async\": {\n    \"engine\": \"%s\",\n",
                  async_engine_name);
@@ -725,8 +737,8 @@ int main(int argc, char** argv) {
                  "    \"read_vs_sync_at_1mib\": %.3f,\n"
                  "    \"target\": %.1f,\n    \"enforced\": %s,\n"
                  "    \"pass\": %s\n  },\n",
-                 static_cast<unsigned long long>(async_stats.submitted_batches),
-                 static_cast<unsigned long long>(async_stats.completed_batches),
+                 static_cast<unsigned long long>(async_submitted_batches),
+                 static_cast<unsigned long long>(async_completed_batches),
                  async_vs_sync_1mib, kAsyncTarget,
                  multi_core ? "true" : "false",
                  async_pass ? "true" : "false");

@@ -44,7 +44,7 @@
 //     then drop the counters and notify the drain condvar UNDER the
 //     engine mutex (once Drain() returns the engine may be destroyed),
 //     and Complete() the ticket LAST so a waiter returning from Wait()
-//     observes quiesced stats.
+//     observes quiesced counters.
 #ifndef STEGFS_BLOCKDEV_ASYNC_BLOCK_DEVICE_H_
 #define STEGFS_BLOCKDEV_ASYNC_BLOCK_DEVICE_H_
 
@@ -60,16 +60,6 @@
 #include "util/status.h"
 
 namespace stegfs {
-
-// Point-in-time counters of an async engine (steg_stats exposes the
-// in-flight gauge; the registry carries the cumulative batch counts).
-struct AsyncIoStats {
-  uint64_t submitted_batches = 0;
-  uint64_t submitted_blocks = 0;
-  uint64_t completed_batches = 0;
-  uint64_t failed_batches = 0;   // completed with a non-OK status
-  uint64_t inflight_blocks = 0;  // submitted, not yet completed
-};
 
 // Runs when a batch completes; receives the batch status.
 using IoCompletionFn = std::function<void(const Status&)>;
@@ -166,14 +156,6 @@ class AsyncBlockDevice {
   // of all engines drain, so fire-and-forget submitters (the cache's
   // prefetcher) need no bookkeeping.
   virtual void Drain() = 0;
-
-  virtual AsyncIoStats stats() const = 0;
-
-  // Publishes the engine's instruments into `reg` (stegfs_async_* names).
-  // Default no-op so test doubles need not care.
-  virtual void RegisterMetrics(obs::MetricsRegistry* reg) const {
-    (void)reg;
-  }
 };
 
 }  // namespace stegfs

@@ -36,16 +36,6 @@ struct ConstBlockIoVec {
   const uint8_t* buf;
 };
 
-// Counters for the vectored data path (all zero on devices that only have
-// the per-block fallback).
-struct DeviceBatchStats {
-  // Blocks moved through ReadBlocks/WriteBlocks.
-  uint64_t vectored_blocks = 0;
-  // Physical transfers that coalesced a contiguous run of >= 2 blocks into
-  // one host I/O.
-  uint64_t coalesced_runs = 0;
-};
-
 // Per-device instrument group. Concrete devices own one and expose it via
 // device_metrics(); decorators (SimDisk, ThrottledBlockDevice) forward the
 // inner device's, so a mount registers the real backing device whatever
@@ -59,7 +49,10 @@ struct DeviceMetrics {
   obs::Histogram sync_ns;   // Sync() barrier latency
   obs::Counter blocks_read;
   obs::Counter blocks_written;
-  obs::Counter syncs;
+  obs::Counter syncs;            // Sync() barriers
+  // Blocks moved through a vectored fast path, and physical transfers
+  // that coalesced a contiguous run of >= 2 blocks into one host I/O
+  // (both stay zero on devices with only the per-block fallback).
   obs::Counter vectored_blocks;
   obs::Counter coalesced_runs;
 
@@ -119,9 +112,6 @@ class BlockDevice {
     return Status::OK();
   }
 
-  // Batch-path counters; devices without a vectored fast path report zeros.
-  virtual DeviceBatchStats batch_stats() const { return {}; }
-
   // The device's instrument group, when it keeps one (nullptr otherwise).
   // Decorators forward the inner device's group — accounting belongs to
   // the device doing the physical I/O.
@@ -139,10 +129,6 @@ class BlockDevice {
   // stack completes before its caller returns (the async engine carries
   // reads only), so a barrier needs no engine drain.
   virtual Status Sync() { return Flush(); }
-
-  // Barrier count (for tests and the journal's stats). Devices that
-  // don't track it report 0.
-  virtual uint64_t sync_count() const { return 0; }
 
   // Adjusts what Flush() promises. Default no-op: only devices with a
   // page-cache/stable-storage distinction (FileBlockDevice) implement it.

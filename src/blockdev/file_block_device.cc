@@ -184,13 +184,6 @@ Status FileBlockDevice::WriteBlocks(const ConstBlockIoVec* iov, size_t n) {
   return Status::OK();
 }
 
-DeviceBatchStats FileBlockDevice::batch_stats() const {
-  DeviceBatchStats s;
-  s.vectored_blocks = metrics_.vectored_blocks.value();
-  s.coalesced_runs = metrics_.coalesced_runs.value();
-  return s;
-}
-
 Status FileBlockDevice::Flush() {
   if (durability_.load(std::memory_order_relaxed) ==
       FlushDurability::kCacheOnly) {

@@ -41,7 +41,6 @@ class FileBlockDevice : public BlockDevice {
   // scratch buffer when the caller buffers aren't adjacent).
   Status ReadBlocks(const BlockIoVec* iov, size_t n) override;
   Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override;
-  DeviceBatchStats batch_stats() const override;
   // fdatasync by default: a volume that survives `steg_unmount` must also
   // survive the power cut right after it. set_flush_durability(kCacheOnly)
   // makes it a page-cache-only flush for benchmarks that only measure the
@@ -49,7 +48,6 @@ class FileBlockDevice : public BlockDevice {
   Status Flush() override;
   // Unconditional fdatasync — the journal's write barrier.
   Status Sync() override;
-  uint64_t sync_count() const override { return metrics_.syncs.value(); }
   const DeviceMetrics* device_metrics() const override { return &metrics_; }
   void set_flush_durability(FlushDurability mode) override {
     durability_.store(mode, std::memory_order_relaxed);

@@ -41,7 +41,6 @@ class SimDisk : public BlockDevice {
 
   Status Flush() override { return inner_->Flush(); }
   Status Sync() override { return inner_->Sync(); }
-  uint64_t sync_count() const override { return inner_->sync_count(); }
   void set_flush_durability(FlushDurability mode) override {
     inner_->set_flush_durability(mode);
   }

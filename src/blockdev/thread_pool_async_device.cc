@@ -27,15 +27,15 @@ ThreadPoolAsyncDevice::~ThreadPoolAsyncDevice() { Drain(); }
 
 void ThreadPoolAsyncDevice::Finalize(const std::shared_ptr<Batch>& batch) {
   Status status = batch->Snapshot();
-  if (!status.ok()) failed_batches_.Increment();
-  completed_batches_.Increment();
+  if (!status.ok()) metrics_.failed_batches.Increment();
+  metrics_.completed_batches.Increment();
   if (batch->submit_ns != 0) {
-    batch_ns_.Record(obs::NowNanos() - batch->submit_ns);
+    metrics_.batch_ns.Record(obs::NowNanos() - batch->submit_ns);
   }
   // Callback first (before the ticket unblocks — the interface contract,
   // and before the counters drop so Drain() covers the callback), then
   // the counters, then the ticket: a waiter that returns from Wait() must
-  // observe quiesced stats. Completing last is safe even against a
+  // observe quiesced counters. Completing last is safe even against a
   // post-Drain destruction because the ticket state is independently
   // shared and this worker is joined by the pool's destructor.
   if (batch->done) batch->done(status);
@@ -67,8 +67,8 @@ IoTicket ThreadPoolAsyncDevice::SubmitRead(std::vector<BlockIoVec> iov,
                   (iov.size() + kMinSliceBlocks - 1) / kMinSliceBlocks));
   batch->remaining.store(slices, std::memory_order_relaxed);
 
-  submitted_batches_.Increment();
-  submitted_blocks_.Add(iov.size());
+  metrics_.submitted_batches.Increment();
+  metrics_.submitted_blocks.Add(iov.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_batches_++;
@@ -106,30 +106,9 @@ void ThreadPoolAsyncDevice::Drain() {
   drain_cv_.wait(lock, [&] { return inflight_batches_ == 0; });
 }
 
-AsyncIoStats ThreadPoolAsyncDevice::stats() const {
-  AsyncIoStats s;
-  s.submitted_batches = submitted_batches_.value();
-  s.submitted_blocks = submitted_blocks_.value();
-  s.completed_batches = completed_batches_.value();
-  s.failed_batches = failed_batches_.value();
+uint64_t ThreadPoolAsyncDevice::inflight_blocks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  s.inflight_blocks = inflight_blocks_;
-  return s;
-}
-
-void ThreadPoolAsyncDevice::RegisterMetrics(obs::MetricsRegistry* reg) const {
-  reg->RegisterCounter("stegfs_async_submitted_batches_total",
-                       "Async batches submitted", &submitted_batches_);
-  reg->RegisterCounter("stegfs_async_submitted_blocks_total",
-                       "Async blocks submitted", &submitted_blocks_);
-  reg->RegisterCounter("stegfs_async_completed_batches_total",
-                       "Async batches completed", &completed_batches_);
-  reg->RegisterCounter("stegfs_async_failed_batches_total",
-                       "Async batches that completed with an error",
-                       &failed_batches_);
-  reg->RegisterHistogram("stegfs_async_batch_seconds",
-                         "Async batch submit-to-finalize latency",
-                         &batch_ns_);
+  return inflight_blocks_;
 }
 
 }  // namespace stegfs

@@ -47,6 +47,31 @@
 
 namespace stegfs {
 
+// The engine's instruments; a mount registers them under stegfs_async_*
+// names.
+struct AsyncIoMetrics {
+  obs::Counter submitted_batches;
+  obs::Counter submitted_blocks;
+  obs::Counter completed_batches;
+  obs::Counter failed_batches;  // completed with a non-OK status
+  obs::Histogram batch_ns;      // submit -> finalize, per batch
+
+  void RegisterWith(obs::MetricsRegistry* reg) const {
+    reg->RegisterCounter("stegfs_async_submitted_batches_total",
+                         "Async batches submitted", &submitted_batches);
+    reg->RegisterCounter("stegfs_async_submitted_blocks_total",
+                         "Async blocks submitted", &submitted_blocks);
+    reg->RegisterCounter("stegfs_async_completed_batches_total",
+                         "Async batches completed", &completed_batches);
+    reg->RegisterCounter("stegfs_async_failed_batches_total",
+                         "Async batches that completed with an error",
+                         &failed_batches);
+    reg->RegisterHistogram("stegfs_async_batch_seconds",
+                           "Async batch submit-to-finalize latency",
+                           &batch_ns);
+  }
+};
+
 class ThreadPoolAsyncDevice : public AsyncBlockDevice {
  public:
   // `base` must outlive the engine. workers == 0 picks a small default
@@ -69,11 +94,10 @@ class ThreadPoolAsyncDevice : public AsyncBlockDevice {
   bool OnWorkerThread() const override { return pool_.OnWorkerThread(); }
 
   void Drain() override;
-  AsyncIoStats stats() const override;
 
-  // Publishes the engine counters and the batch-latency histogram into
-  // `reg` under stegfs_async_* names (stats() stays the legacy snapshot).
-  void RegisterMetrics(obs::MetricsRegistry* reg) const override;
+  const AsyncIoMetrics& metrics() const { return metrics_; }
+  // Blocks submitted and not yet completed (steg_stats' in-flight gauge).
+  uint64_t inflight_blocks() const;
 
  private:
   // One in-flight batch: the remaining-slice countdown, the first-error
@@ -110,11 +134,7 @@ class ThreadPoolAsyncDevice : public AsyncBlockDevice {
   uint64_t inflight_batches_ = 0;
   uint64_t inflight_blocks_ = 0;
 
-  obs::Counter submitted_batches_;
-  obs::Counter submitted_blocks_;
-  obs::Counter completed_batches_;
-  obs::Counter failed_batches_;
-  obs::Histogram batch_ns_;  // submit -> finalize, per batch
+  AsyncIoMetrics metrics_;
 };
 
 }  // namespace stegfs

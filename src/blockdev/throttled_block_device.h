@@ -57,11 +57,7 @@ class ThrottledBlockDevice : public BlockDevice {
   Status Flush() override { return inner_->Flush(); }
   Status Sync() override {
     if (sync_lat_.count() > 0) std::this_thread::sleep_for(sync_lat_);
-    syncs_.fetch_add(1, std::memory_order_relaxed);
     return inner_->Sync();
-  }
-  uint64_t sync_count() const override {
-    return syncs_.load(std::memory_order_relaxed);
   }
   void set_flush_durability(FlushDurability mode) override {
     inner_->set_flush_durability(mode);
@@ -85,7 +81,6 @@ class ThrottledBlockDevice : public BlockDevice {
   std::chrono::microseconds sync_lat_;
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> syncs_{0};
 };
 
 }  // namespace stegfs

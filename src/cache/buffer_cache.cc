@@ -92,21 +92,21 @@ Status BufferCache::EnsureRoom(Shard* shard) {
     if (victim.dirty) {
       STEGFS_RETURN_IF_ERROR(
           device_->WriteBlock(victim.block, victim.data.data()));
-      writebacks_.Increment();
+      metrics_.writebacks.Increment();
       MarkClean(shard, &victim);
     }
     shard->map.erase(victim.block);
     shard->lru.erase(victim_it);
-    evictions_.Increment();
+    metrics_.evictions.Increment();
   }
   return Status::OK();
 }
 
 void BufferCache::CountHit(Entry& e) {
-  hits_.Increment();
+  metrics_.hits.Increment();
   if (e.prefetched) {
     e.prefetched = false;
-    prefetch_hits_.Increment();
+    metrics_.prefetch_hits.Increment();
   }
 }
 
@@ -121,13 +121,13 @@ Status BufferCache::Read(uint64_t block, uint8_t* out) {
     std::memcpy(out, e.data.data(), e.data.size());
     return Status::OK();
   }
-  misses_.Increment();
+  metrics_.misses.Increment();
   STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
   Entry e;
   e.block = block;
   e.data.resize(device_->block_size());
   {
-    obs::LatencyTimer fill_timer(&fill_ns_);
+    obs::LatencyTimer fill_timer(&metrics_.fill_ns);
     STEGFS_RETURN_IF_ERROR(device_->ReadBlock(block, e.data.data()));
   }
   std::memcpy(out, e.data.data(), e.data.size());
@@ -152,7 +152,7 @@ Status BufferCache::Write(uint64_t block, const uint8_t* data) {
     MarkWritten(shard, &e);
     return Status::OK();
   }
-  misses_.Increment();
+  metrics_.misses.Increment();
   STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
   Entry e;
   e.block = block;
@@ -180,7 +180,7 @@ std::vector<std::vector<size_t>> BufferCache::GroupByShard(
 Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
                               uint8_t* out) {
   const size_t bs = device_->block_size();
-  batched_reads_.Add(n);
+  metrics_.batched_reads.Add(n);
 
   // One shard at a time, holding only that shard's lock — exactly the
   // demand path's locking granularity, so concurrent sessions on other
@@ -225,7 +225,7 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
       }
     }
     if (!iov.empty()) {
-      obs::LatencyTimer fill_timer(&fill_ns_);
+      obs::LatencyTimer fill_timer(&metrics_.fill_ns);
       STEGFS_RETURN_IF_ERROR(device_->ReadBlocks(iov.data(), iov.size()));
     }
     for (const auto& [pos, first] : dup_of) {
@@ -254,9 +254,9 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
         }
       }
       if (fetched) {
-        misses_.Increment();
+        metrics_.misses.Increment();
       } else {
-        hits_.Increment();  // evicted pass-1 hit
+        metrics_.hits.Increment();  // evicted pass-1 hit
       }
       STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
       Entry e;
@@ -295,7 +295,7 @@ Status BufferCache::ProbeBatch(const uint64_t* blocks, size_t n,
 Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
                                const uint8_t* data) {
   const size_t bs = device_->block_size();
-  batched_writes_.Add(n);
+  metrics_.batched_writes.Add(n);
   auto groups = GroupByShard(blocks, n);
   std::vector<ConstBlockIoVec> iov;
   for (size_t idx = 0; idx < groups.size(); ++idx) {
@@ -338,7 +338,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
         MarkWritten(shard, &e);
         continue;
       }
-      misses_.Increment();
+      metrics_.misses.Increment();
       STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
       Entry e;
       e.block = blocks[pos];
@@ -368,8 +368,8 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
     return result;
   }
   const size_t bs = device_->block_size();
-  batched_reads_.Add(n);
-  async_batched_reads_.Add(n);
+  metrics_.batched_reads.Add(n);
+  metrics_.async_batched_reads.Add(n);
 
   auto groups = GroupByShard(blocks, n);
   std::unordered_map<uint64_t, size_t> first_pos;  // block -> first miss pos
@@ -400,12 +400,12 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
         }
         auto [it, fresh] = first_pos.try_emplace(blocks[pos], pos);
         if (fresh) {
-          misses_.Increment();
+          metrics_.misses.Increment();
           iov.push_back({blocks[pos], out + pos * bs});
         } else {
           // Sync-replay parity: the first occurrence is the miss, later
           // duplicates find the freshly inserted entry and count as hits.
-          hits_.Increment();
+          metrics_.hits.Increment();
           dups.push_back({pos, it->second});
         }
         if (on_fill) filled.push_back(pos);
@@ -427,7 +427,9 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
          filled = std::move(filled)](const Status& s) {
           {
             obs::Span span(span_ctx, "cache.fill", "cache");
-            if (fill_t0 != 0) fill_ns_.Record(obs::NowNanos() - fill_t0);
+            if (fill_t0 != 0) {
+              metrics_.fill_ns.Record(obs::NowNanos() - fill_t0);
+            }
             if (!s.ok()) return;  // nothing inserted; Wait() reports it
             for (const auto& [pos, first] : dups) {
               std::memcpy(out + pos * bs, out + first * bs, bs);
@@ -464,7 +466,7 @@ void BufferCache::CompleteAsyncRead(size_t idx,
     e.prefetched = prefetch;
     shard->lru.push_front(std::move(e));
     shard->map[v.block] = shard->lru.begin();
-    if (prefetch) prefetched_.Increment();
+    if (prefetch) metrics_.prefetched.Increment();
   }
 }
 
@@ -477,7 +479,7 @@ Status BufferCache::CheckpointBlock(uint64_t block, const uint8_t* data) {
   // read snapshots so they cannot insert the pre-checkpoint bytes.
   shard->gen++;
   STEGFS_RETURN_IF_ERROR(device_->WriteBlock(block, data));
-  writebacks_.Increment();
+  metrics_.writebacks.Increment();
   auto found = shard->map.find(block);
   if (found != shard->map.end() && found->second->dirty &&
       std::memcmp(found->second->data.data(), data, bs) == 0) {
@@ -557,7 +559,7 @@ Status BufferCache::FlushShard(Shard* shard,
   for (const Entry* e : dirty) iov.push_back({e->block, e->data.data()});
   STEGFS_RETURN_IF_ERROR(device_->WriteBlocks(iov.data(), iov.size()));
   for (Entry* e : dirty) MarkClean(shard, e);
-  writebacks_.Add(dirty.size());
+  metrics_.writebacks.Add(dirty.size());
   return Status::OK();
 }
 
@@ -583,9 +585,8 @@ Status BufferCache::Flush() {
 
 size_t BufferCache::dirty_count() const {
   size_t n = 0;
-  auto* self = const_cast<BufferCache*>(this);
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::shared_lock<std::shared_mutex> lock(self->locks_.stripe(i));
+    std::shared_lock<std::shared_mutex> lock(locks_.stripe(i));
     n += shards_[i].dirty_count;
   }
   return n;
@@ -605,52 +606,10 @@ void BufferCache::DropAll() {
   }
 }
 
-CacheStats BufferCache::stats() const {
-  CacheStats s;
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.evictions = evictions_.value();
-  s.writebacks = writebacks_.value();
-  s.batched_reads = batched_reads_.value();
-  s.batched_writes = batched_writes_.value();
-  s.prefetched = prefetched_.value();
-  s.prefetch_hits = prefetch_hits_.value();
-  s.async_batched_reads = async_batched_reads_.value();
-  return s;
-}
-
-void BufferCache::RegisterMetrics(obs::MetricsRegistry* reg) const {
-  reg->RegisterCounter("stegfs_cache_hits_total", "Cache demand hits",
-                       &hits_);
-  reg->RegisterCounter("stegfs_cache_misses_total", "Cache demand misses",
-                       &misses_);
-  reg->RegisterCounter("stegfs_cache_evictions_total", "LRU evictions",
-                       &evictions_);
-  reg->RegisterCounter("stegfs_cache_writebacks_total",
-                       "Dirty block write-backs", &writebacks_);
-  reg->RegisterCounter("stegfs_cache_batched_reads_total",
-                       "Blocks read through batch calls", &batched_reads_);
-  reg->RegisterCounter("stegfs_cache_batched_writes_total",
-                       "Blocks written through batch calls",
-                       &batched_writes_);
-  reg->RegisterCounter("stegfs_cache_prefetched_total",
-                       "Blocks inserted by the prefetcher", &prefetched_);
-  reg->RegisterCounter("stegfs_cache_prefetch_hits_total",
-                       "Prefetched blocks claimed by demand reads",
-                       &prefetch_hits_);
-  reg->RegisterCounter("stegfs_cache_async_batched_reads_total",
-                       "Blocks read through the async batch path",
-                       &async_batched_reads_);
-  reg->RegisterHistogram("stegfs_cache_fill_seconds",
-                         "Demand miss fill latency (device read)",
-                         &fill_ns_);
-}
-
 size_t BufferCache::size() const {
   size_t total = 0;
-  auto* self = const_cast<BufferCache*>(this);
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::lock_guard<std::shared_mutex> lock(self->locks_.stripe(i));
+    std::shared_lock<std::shared_mutex> lock(locks_.stripe(i));
     total += shards_[i].map.size();
   }
   return total;

@@ -20,10 +20,10 @@
 // sequential mount should use cache_shards = 1: the whole extent then
 // leaves as one coalescable device call (bench_seq_throughput does this).
 //
-// Statistics are obs::Counter instruments (relaxed atomics): readers
-// (hit-rate probes, the C API's steg_metric) never take a cache lock, and
-// a mount registers them with its MetricsRegistry (RegisterMetrics) so
-// they scrape through steg_metrics_text() under stable names.
+// Statistics are obs instruments (CacheMetrics, relaxed atomics): readers
+// (tests, the C API's steg_metric) never take a cache lock, and a mount
+// registers them with its MetricsRegistry so they scrape through
+// steg_metrics_text() under stable names.
 //
 // Single-threaded determinism: with one shard this behaves exactly like the
 // classic single-list LRU. Auto-sharding (shard_count = 0) keeps small
@@ -67,25 +67,51 @@ namespace stegfs {
 
 enum class WritePolicy { kWriteBack, kWriteThrough };
 
-// A point-in-time snapshot of the cache counters (taken lock-free).
-struct CacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-  uint64_t writebacks = 0;
+// The cache's instruments. Readers (steg_metric, tests, benches) never
+// take a cache lock; a mount registers them under stegfs_cache_* names.
+struct CacheMetrics {
+  obs::Counter hits;
+  obs::Counter misses;
+  obs::Counter evictions;
+  obs::Counter writebacks;
   // Blocks moved through ReadBatch / WriteBatch.
-  uint64_t batched_reads = 0;
-  uint64_t batched_writes = 0;
+  obs::Counter batched_reads;
+  obs::Counter batched_writes;
   // Blocks inserted by the engine prefetcher, and how many of those were
   // later claimed by a demand read before eviction.
-  uint64_t prefetched = 0;
-  uint64_t prefetch_hits = 0;
+  obs::Counter prefetched;
+  obs::Counter prefetch_hits;
   // Blocks moved through ReadBatchAsync (a subset of batched_reads).
-  uint64_t async_batched_reads = 0;
+  obs::Counter async_batched_reads;
+  // Miss-fill device latency (sync vectored fills and async
+  // submit-to-completion).
+  obs::Histogram fill_ns;
 
-  double HitRate() const {
-    uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+  void RegisterWith(obs::MetricsRegistry* reg) const {
+    reg->RegisterCounter("stegfs_cache_hits_total", "Cache demand hits",
+                         &hits);
+    reg->RegisterCounter("stegfs_cache_misses_total", "Cache demand misses",
+                         &misses);
+    reg->RegisterCounter("stegfs_cache_evictions_total", "LRU evictions",
+                         &evictions);
+    reg->RegisterCounter("stegfs_cache_writebacks_total",
+                         "Dirty block write-backs", &writebacks);
+    reg->RegisterCounter("stegfs_cache_batched_reads_total",
+                         "Blocks read through batch calls", &batched_reads);
+    reg->RegisterCounter("stegfs_cache_batched_writes_total",
+                         "Blocks written through batch calls",
+                         &batched_writes);
+    reg->RegisterCounter("stegfs_cache_prefetched_total",
+                         "Blocks inserted by the prefetcher", &prefetched);
+    reg->RegisterCounter("stegfs_cache_prefetch_hits_total",
+                         "Prefetched blocks claimed by demand reads",
+                         &prefetch_hits);
+    reg->RegisterCounter("stegfs_cache_async_batched_reads_total",
+                         "Blocks read through the async batch path",
+                         &async_batched_reads);
+    reg->RegisterHistogram("stegfs_cache_fill_seconds",
+                           "Demand miss fill latency (device read)",
+                           &fill_ns);
   }
 };
 
@@ -263,16 +289,10 @@ class BufferCache {
   // use this after rewriting the device underneath the cache).
   void DropAll();
 
-  CacheStats stats() const;                    // lock-free snapshot
-  double hit_rate() const { return stats().HitRate(); }
-  // Registers this cache's instruments with `reg` under stegfs_cache_*
-  // names. The cache keeps ownership; it must outlive the registry's
-  // scrapes (PlainFs registers at mount, where destruction order
-  // guarantees it).
-  void RegisterMetrics(obs::MetricsRegistry* reg) const;
-  // Miss-fill device latency (sync vectored fills and async
-  // submit-to-completion), exposed for the demand-fill percentiles.
-  const obs::Histogram& fill_histogram() const { return fill_ns_; }
+  // The cache's instruments. The cache keeps ownership; it must outlive
+  // any registry they are registered with (PlainFs registers them at
+  // mount, where destruction order guarantees it).
+  const CacheMetrics& metrics() const { return metrics_; }
   size_t size() const;                         // cached blocks, all shards
   size_t capacity() const { return capacity_; }
   size_t shard_count() const { return shards_.size(); }
@@ -361,20 +381,11 @@ class BufferCache {
   WritePolicy policy_;
   mutable std::mutex parked_mu_;
   std::shared_ptr<const std::unordered_set<uint64_t>> parked_;
-  concurrency::StripedSharedMutex locks_;
+  mutable concurrency::StripedSharedMutex locks_;
   std::vector<Shard> shards_;
   std::atomic<AsyncBlockDevice*> async_engine_{nullptr};
 
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter evictions_;
-  obs::Counter writebacks_;
-  obs::Counter batched_reads_;
-  obs::Counter batched_writes_;
-  obs::Counter prefetched_;
-  obs::Counter prefetch_hits_;
-  obs::Counter async_batched_reads_;
-  obs::Histogram fill_ns_;
+  CacheMetrics metrics_;
 };
 
 }  // namespace stegfs

@@ -220,9 +220,7 @@ int steg_stats(stegfs_volume* vol, stegfs_stats* out) {
   out->health_name = plain->health()->state_name();
   out->readahead_window = plain->readahead_blocks();
   out->io_inflight_blocks =
-      plain->io_engine() != nullptr
-          ? plain->io_engine()->stats().inflight_blocks
-          : 0;
+      plain->io_engine() != nullptr ? plain->io_engine()->inflight_blocks() : 0;
   out->cache_dirty_blocks = plain->cache()->dirty_count();
   out->journal_recovered_records = plain->recovery_report().records_replayed;
   out->faults_injected =

@@ -41,8 +41,7 @@
 namespace stegfs {
 
 // Volume-wide share accounting, shared by every hidden object of a mount
-// (obs::Counter keeps the old atomic .load() call sites source-compatible;
-// surfaced through the metrics registry and steg_metric).
+// and surfaced through the metrics registry and steg_metric.
 struct RedundancyStats {
   obs::Counter stripes_encoded;   // parity (re)computations
   obs::Counter shares_written;    // parity share blocks written

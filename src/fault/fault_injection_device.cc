@@ -307,7 +307,6 @@ Status FaultInjectionBlockDevice::Sync() {
         return InjectedError(f.kind, "sync");
     }
   }
-  syncs_.fetch_add(1, std::memory_order_relaxed);
   return inner_->Sync();
 }
 

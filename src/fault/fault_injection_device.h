@@ -121,12 +121,6 @@ class FaultInjectionBlockDevice : public BlockDevice {
   Status WriteBlock(uint64_t block, const uint8_t* buf) override;
   Status Flush() override { return inner_->Flush(); }
   Status Sync() override;
-  uint64_t sync_count() const override {
-    return syncs_.load(std::memory_order_relaxed);
-  }
-  DeviceBatchStats batch_stats() const override {
-    return inner_->batch_stats();
-  }
   const DeviceMetrics* device_metrics() const override {
     return inner_->device_metrics();
   }
@@ -161,7 +155,6 @@ class FaultInjectionBlockDevice : public BlockDevice {
   uint64_t seed_ = 0;
   uint64_t fire_seq_ = 0;
   std::atomic<uint64_t> injected_{0};
-  std::atomic<uint64_t> syncs_{0};
 };
 
 }  // namespace fault

@@ -19,7 +19,7 @@
 // 1 MiB sequential path.
 //
 // Decorator conventions (blockdev/block_device.h): device_metrics() and
-// Sync()/sync_count() forward to the inner device. Fault injection and the
+// Sync() forward to the inner device. Fault injection and the
 // crash recorder sit below this decorator, so they see every attempt.
 #ifndef STEGFS_FAULT_RETRYING_DEVICE_H_
 #define STEGFS_FAULT_RETRYING_DEVICE_H_
@@ -53,10 +53,6 @@ class RetryingBlockDevice : public BlockDevice {
   Status Flush() override;
   Status Sync() override;
 
-  uint64_t sync_count() const override { return inner_->sync_count(); }
-  DeviceBatchStats batch_stats() const override {
-    return inner_->batch_stats();
-  }
   const DeviceMetrics* device_metrics() const override {
     return inner_->device_metrics();
   }

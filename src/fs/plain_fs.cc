@@ -217,13 +217,13 @@ void PlainFs::RegisterInstruments() {
   op_metrics_.RegisterWith(&registry_);
   fault_stats_.RegisterWith(&registry_);
   health_.RegisterWith(&registry_);
-  cache_->RegisterMetrics(&registry_);
+  cache_->metrics().RegisterWith(&registry_);
   obs::GlobalCryptoMetrics().RegisterWith(&registry_);
   if (const DeviceMetrics* dm = device_->device_metrics()) {
     dm->RegisterWith(&registry_);
   }
-  if (io_engine_ != nullptr) io_engine_->RegisterMetrics(&registry_);
-  if (journal_ != nullptr) journal_->RegisterMetrics(&registry_);
+  if (io_engine_ != nullptr) io_engine_->metrics().RegisterWith(&registry_);
+  if (journal_ != nullptr) journal_->metrics().RegisterWith(&registry_);
   if (commit_barrier_ != nullptr) commit_barrier_->RegisterMetrics(&registry_);
 }
 

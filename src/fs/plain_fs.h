@@ -24,8 +24,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "blockdev/async_block_device.h"
 #include "blockdev/block_device.h"
+#include "blockdev/thread_pool_async_device.h"
 #include "cache/buffer_cache.h"
 #include "fault/health.h"
 #include "fault/retry_policy.h"
@@ -246,7 +246,7 @@ class PlainFs {
   uint32_t readahead_blocks() const { return options_.readahead_blocks; }
   // The attached async engine (nullptr on kSync mounts) and its name
   // ("sync" when none).
-  AsyncBlockDevice* io_engine() const { return io_engine_.get(); }
+  ThreadPoolAsyncDevice* io_engine() const { return io_engine_.get(); }
   const char* io_engine_name() const {
     return io_engine_ ? io_engine_->engine_name() : "sync";
   }
@@ -431,7 +431,7 @@ class PlainFs {
   std::vector<uint64_t> txn_pending_frees_;  // deferred until commit
   // Declared last (destroyed first): engine destructors drain, and
   // in-flight completion handlers touch cache_, which outlives the engine.
-  std::unique_ptr<AsyncBlockDevice> io_engine_;
+  std::unique_ptr<ThreadPoolAsyncDevice> io_engine_;
 };
 
 }  // namespace stegfs

@@ -63,8 +63,8 @@ size_t WriteAheadJournal::MaxPayloadBlocks() const {
 
 Status WriteAheadJournal::Barrier() {
   obs::Span span("journal.barrier", "journal");
-  obs::LatencyTimer timer(&barrier_ns_);
-  barrier_syncs_.Increment();
+  obs::LatencyTimer timer(&metrics_.barrier_ns);
+  metrics_.barrier_syncs.Increment();
   if (barrier_ != nullptr) return barrier_->Arrive();
   return device_->Sync();
 }
@@ -143,7 +143,7 @@ Status WriteAheadJournal::Commit(
 
 Status WriteAheadJournal::Await(const std::shared_ptr<StagedTxn>& txn) {
   obs::Span commit_span("journal.commit", "journal");
-  obs::LatencyTimer commit_timer(&commit_ns_);
+  obs::LatencyTimer commit_timer(&metrics_.commit_ns);
   std::unique_lock<std::mutex> lock(stage_mu_);
   bool lingered = (group_window_.count() == 0);
   for (;;) {
@@ -210,7 +210,7 @@ Status WriteAheadJournal::RunOverflow(const StagedTxn& txn) {
   // stay atomic at the device level) but keep durability ordering — data
   // first, then metadata, each behind a barrier. CheckpointBlock keeps
   // each home write atomic against concurrent flushers.
-  overflow_fallbacks_.Increment();
+  metrics_.overflow_fallbacks.Increment();
   std::unordered_set<uint64_t> hold_back;
   hold_back.reserve(txn.entries.size());
   for (const JournalEntry& e : txn.entries) hold_back.insert(e.block);
@@ -243,8 +243,8 @@ Status WriteAheadJournal::RunBatch(
         "journal poisoned by an unscrubbable record; remount to recover");
   }
 
-  group_batches_.Increment();
-  group_txns_.Add(batch.size());
+  metrics_.group_batches.Increment();
+  metrics_.group_txns.Add(batch.size());
 
   // Merge the batch into one record image set: the NEWEST image per block
   // wins. Stage order is capture order (transactions capture under the FS
@@ -260,7 +260,7 @@ Status WriteAheadJournal::RunBatch(
       merged[e.block] = &e.image;
     }
   }
-  group_merged_blocks_.Add(images - merged.size());
+  metrics_.group_merged_blocks.Add(images - merged.size());
 
   if (merged.size() > MaxPayloadBlocks()) {
     assert(batch.size() == 1);
@@ -291,7 +291,7 @@ Status WriteAheadJournal::RunBatch(
   //    once, which is the atomicity argument for merging instead of
   //    writing one record per transaction.
   obs::Span record_span("journal.record", "journal");
-  obs::LatencyTimer record_timer(&record_ns_);
+  obs::LatencyTimer record_timer(&metrics_.record_ns);
   const uint64_t seq = next_seq_++;
   crypto::Sha256 h;
   uint8_t tmp[8];
@@ -356,8 +356,8 @@ Status WriteAheadJournal::RunBatch(
     release_parks();
     return wrote;
   }
-  records_committed_.Increment();
-  blocks_journaled_.Add(merged.size());
+  metrics_.records_committed.Increment();
+  metrics_.blocks_journaled.Add(merged.size());
   // Committed: concurrent flushers may now write the images home.
   release_parks();
 
@@ -366,7 +366,7 @@ Status WriteAheadJournal::RunBatch(
   //    and can never regress a strictly newer cached image, so it is safe
   //    against whatever concurrent sessions stage next.
   obs::Span checkpoint_span("journal.checkpoint", "journal");
-  obs::LatencyTimer checkpoint_timer(&checkpoint_ns_);
+  obs::LatencyTimer checkpoint_timer(&metrics_.checkpoint_ns);
   Status checkpoint;
   for (const auto& kv : merged) {
     checkpoint = cache_->CheckpointBlock(kv.first, kv.second->data());
@@ -402,7 +402,7 @@ Status WriteAheadJournal::RunBatch(
       return s;
     }
   }
-  scrubbed_blocks_.Add(used_blocks);
+  metrics_.scrubbed_blocks.Add(used_blocks);
   head_ = (base + used_blocks) % journal_blocks_;
   return Status::OK();
 }
@@ -422,7 +422,7 @@ void WriteAheadJournal::ScrubRecordOrPoison(uint64_t base,
     failed_ = true;
     return;
   }
-  scrubbed_blocks_.Add(used_blocks);
+  metrics_.scrubbed_blocks.Add(used_blocks);
 }
 
 Status WriteAheadJournal::ScrubStaleRecords(uint64_t* live_records,
@@ -463,7 +463,7 @@ Status WriteAheadJournal::ScrubStaleRecords(uint64_t* live_records,
         ++*scrubbed_blocks;
       }
     }
-    scrubbed_blocks_.Add(*scrubbed_blocks);
+    metrics_.scrubbed_blocks.Add(*scrubbed_blocks);
     STEGFS_RETURN_IF_ERROR(device_->Sync());
     // The ring is at rest again; lift the poison so commits can resume.
     failed_ = false;
@@ -475,55 +475,6 @@ Status WriteAheadJournal::ScrubStaleRecords(uint64_t* live_records,
   }
   stage_cv_.notify_all();
   return result;
-}
-
-JournalStats WriteAheadJournal::stats() const {
-  JournalStats s;
-  s.records_committed = records_committed_.value();
-  s.blocks_journaled = blocks_journaled_.value();
-  s.barrier_syncs = barrier_syncs_.value();
-  s.overflow_fallbacks = overflow_fallbacks_.value();
-  s.scrubbed_blocks = scrubbed_blocks_.value();
-  s.group_txns = group_txns_.value();
-  s.group_batches = group_batches_.value();
-  s.group_merged_blocks = group_merged_blocks_.value();
-  return s;
-}
-
-void WriteAheadJournal::RegisterMetrics(obs::MetricsRegistry* reg) const {
-  reg->RegisterCounter("stegfs_journal_records_committed_total",
-                       "Committed journal records", &records_committed_);
-  reg->RegisterCounter("stegfs_journal_blocks_journaled_total",
-                       "Payload blocks written to the ring",
-                       &blocks_journaled_);
-  reg->RegisterCounter("stegfs_journal_barrier_syncs_total",
-                       "Device barriers issued by commits", &barrier_syncs_);
-  reg->RegisterCounter("stegfs_journal_overflow_fallbacks_total",
-                       "Transactions too large for the ring",
-                       &overflow_fallbacks_);
-  reg->RegisterCounter("stegfs_journal_scrubbed_blocks_total",
-                       "Ring blocks re-noised after checkpoint",
-                       &scrubbed_blocks_);
-  reg->RegisterCounter("stegfs_journal_group_txns_total",
-                       "Transactions committed through group-commit batches",
-                       &group_txns_);
-  reg->RegisterCounter("stegfs_journal_group_batches_total",
-                       "Group-commit batch rounds executed", &group_batches_);
-  reg->RegisterCounter(
-      "stegfs_journal_group_merged_blocks_total",
-      "Duplicate after-images merged away across batches",
-      &group_merged_blocks_);
-  reg->RegisterHistogram("stegfs_journal_commit_seconds",
-                         "Full commit latency (stage to batch resolution)",
-                         &commit_ns_);
-  reg->RegisterHistogram("stegfs_journal_record_seconds",
-                         "Record write latency up to the commit barrier",
-                         &record_ns_);
-  reg->RegisterHistogram("stegfs_journal_barrier_seconds",
-                         "Write barrier (write-back + device sync) latency",
-                         &barrier_ns_);
-  reg->RegisterHistogram("stegfs_journal_checkpoint_seconds",
-                         "Checkpoint phase latency", &checkpoint_ns_);
 }
 
 }  // namespace journal

@@ -119,19 +119,63 @@ struct JournalRecord {
   std::vector<JournalEntry> entries;
 };
 
-struct JournalStats {
-  uint64_t records_committed = 0;
-  uint64_t blocks_journaled = 0;   // payload blocks written to the ring
-  uint64_t barrier_syncs = 0;      // write barriers issued by commits
-  uint64_t overflow_fallbacks = 0; // txns too big for the ring (direct
-                                   // checkpoint, atomicity waived)
-  uint64_t scrubbed_blocks = 0;    // ring blocks re-noised after checkpoint
+// The journal's instruments; a mount registers them under
+// stegfs_journal_* names.
+struct JournalMetrics {
+  obs::Counter records_committed;
+  obs::Counter blocks_journaled;    // payload blocks written to the ring
+  obs::Counter barrier_syncs;       // write barriers issued by commits
+  obs::Counter overflow_fallbacks;  // txns too big for the ring (direct
+                                    // checkpoint, atomicity waived)
+  obs::Counter scrubbed_blocks;     // ring blocks re-noised after checkpoint
   // Group commit: transactions committed through batches, batch rounds
   // executed (txns / batches = measured batching factor), and duplicate
   // after-images merged away across a batch.
-  uint64_t group_txns = 0;
-  uint64_t group_batches = 0;
-  uint64_t group_merged_blocks = 0;
+  obs::Counter group_txns;
+  obs::Counter group_batches;
+  obs::Counter group_merged_blocks;
+  // Commit-phase latency: the full per-transaction commit (stage to
+  // resolution), the record write up to its commit-point barrier, each
+  // barrier, and the checkpoint phase.
+  obs::Histogram commit_ns;
+  obs::Histogram record_ns;
+  obs::Histogram barrier_ns;
+  obs::Histogram checkpoint_ns;
+
+  void RegisterWith(obs::MetricsRegistry* reg) const {
+    reg->RegisterCounter("stegfs_journal_records_committed_total",
+                         "Committed journal records", &records_committed);
+    reg->RegisterCounter("stegfs_journal_blocks_journaled_total",
+                         "Payload blocks written to the ring",
+                         &blocks_journaled);
+    reg->RegisterCounter("stegfs_journal_barrier_syncs_total",
+                         "Device barriers issued by commits", &barrier_syncs);
+    reg->RegisterCounter("stegfs_journal_overflow_fallbacks_total",
+                         "Transactions too large for the ring",
+                         &overflow_fallbacks);
+    reg->RegisterCounter("stegfs_journal_scrubbed_blocks_total",
+                         "Ring blocks re-noised after checkpoint",
+                         &scrubbed_blocks);
+    reg->RegisterCounter(
+        "stegfs_journal_group_txns_total",
+        "Transactions committed through group-commit batches", &group_txns);
+    reg->RegisterCounter("stegfs_journal_group_batches_total",
+                         "Group-commit batch rounds executed", &group_batches);
+    reg->RegisterCounter("stegfs_journal_group_merged_blocks_total",
+                         "Duplicate after-images merged away across batches",
+                         &group_merged_blocks);
+    reg->RegisterHistogram("stegfs_journal_commit_seconds",
+                           "Full commit latency (stage to batch resolution)",
+                           &commit_ns);
+    reg->RegisterHistogram("stegfs_journal_record_seconds",
+                           "Record write latency up to the commit barrier",
+                           &record_ns);
+    reg->RegisterHistogram("stegfs_journal_barrier_seconds",
+                           "Write barrier (write-back + device sync) latency",
+                           &barrier_ns);
+    reg->RegisterHistogram("stegfs_journal_checkpoint_seconds",
+                           "Checkpoint phase latency", &checkpoint_ns);
+  }
 };
 
 // One staged-but-unresolved transaction (defined in journal.cc).
@@ -218,7 +262,6 @@ class WriteAheadJournal {
   // and how many ring blocks were re-noised.
   Status ScrubStaleRecords(uint64_t* live_records, uint64_t* scrubbed_blocks);
 
-  JournalStats stats() const;
   uint32_t ring_blocks() const { return journal_blocks_; }
   uint64_t ring_start() const { return journal_start_; }
 
@@ -231,9 +274,9 @@ class WriteAheadJournal {
     group_window_ = window;
   }
 
-  // Registers the journal's instruments with `reg` under stegfs_journal_*
-  // names (the journal keeps ownership; PlainFs calls this at mount).
-  void RegisterMetrics(obs::MetricsRegistry* reg) const;
+  // The journal's instruments (the journal keeps ownership; PlainFs
+  // registers them at mount).
+  const JournalMetrics& metrics() const { return metrics_; }
 
  private:
   friend class CommitTicket;
@@ -292,21 +335,7 @@ class WriteAheadJournal {
   mutable std::mutex parked_mu_;
   std::unordered_map<uint64_t, uint32_t> parked_counts_;
 
-  obs::Counter records_committed_;
-  obs::Counter blocks_journaled_;
-  obs::Counter barrier_syncs_;
-  obs::Counter overflow_fallbacks_;
-  obs::Counter scrubbed_blocks_;
-  obs::Counter group_txns_;
-  obs::Counter group_batches_;
-  obs::Counter group_merged_blocks_;
-  // Commit-phase latency: the full per-transaction commit (stage to
-  // resolution), the record write up to its commit-point barrier, each
-  // barrier, and the checkpoint phase.
-  obs::Histogram commit_ns_;
-  obs::Histogram record_ns_;
-  obs::Histogram barrier_ns_;
-  obs::Histogram checkpoint_ns_;
+  JournalMetrics metrics_;
 };
 
 }  // namespace journal

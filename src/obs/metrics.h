@@ -11,10 +11,11 @@
 // Three pieces:
 //
 //   Counter   - a relaxed atomic u64. Writers never synchronize; readers
-//               get a point-in-time value. The building block that
-//               replaces the five scattered stat structs (CacheStats,
-//               DeviceBatchStats, AsyncIoStats, JournalStats,
-//               RedundancyStats) with ONE instrument type.
+//               get a point-in-time value. Each component keeps its
+//               counters in one instrument struct (CacheMetrics,
+//               JournalMetrics, DeviceMetrics, ...) that is the only copy:
+//               tests read the fields, the registry exports the same
+//               objects by name.
 //   Histogram - a log-linear latency histogram (HdrHistogram bucketing:
 //               8 sub-buckets per power of two, <= 12.5% relative error),
 //               all-atomic so any number of threads record concurrently
@@ -55,14 +56,12 @@ void SetMetricsEnabled(bool enabled);
 // Monotonic nanoseconds (steady clock).
 uint64_t NowNanos();
 
-// A lock-free monotonic counter. load() is kept alongside value() so the
-// atomics it replaced (RedundancyStats et al.) stay source-compatible.
+// A lock-free monotonic counter.
 class Counter {
  public:
   void Add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
   void Increment() { Add(1); }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  uint64_t load() const { return value(); }
   // Test/bench reset; never used on a live scrape path.
   void Reset() { v_.store(0, std::memory_order_relaxed); }
 

@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/coding.h"
+
 namespace stegfs {
 
 // xoshiro256** 1.0 by Blackman & Vigna (public domain reference algorithm).
@@ -65,13 +67,12 @@ class Xoshiro {
     }
   }
 
-  // Fills `out` with pseudo-random bytes.
+  // Fills `out` with pseudo-random bytes, each draw little-endian. A draw
+  // leaves as one 8-byte store: a per-byte inner loop here ran ~30% slower
+  // or faster depending on where the linker placed its inlining caller.
   void FillBytes(uint8_t* out, size_t n) {
     size_t i = 0;
-    while (i + 8 <= n) {
-      uint64_t v = Next();
-      for (int b = 0; b < 8; ++b) out[i++] = static_cast<uint8_t>(v >> (8 * b));
-    }
+    for (; i + 8 <= n; i += 8) EncodeFixed64(out + i, Next());
     if (i < n) {
       uint64_t v = Next();
       // Bound b explicitly: the tail is < 8 bytes, and an unbounded loop

@@ -64,12 +64,12 @@ TEST(ThreadPoolAsyncDeviceTest, ReadBatchMatchesSync) {
                              kBlockSize))
         << "block " << blocks[i] << " at position " << i;
   }
-  AsyncIoStats s = engine.stats();
-  EXPECT_EQ(s.submitted_batches, 1u);
-  EXPECT_EQ(s.submitted_blocks, 64u);
-  EXPECT_EQ(s.completed_batches, 1u);
-  EXPECT_EQ(s.failed_batches, 0u);
-  EXPECT_EQ(s.inflight_blocks, 0u);
+  const AsyncIoMetrics& m = engine.metrics();
+  EXPECT_EQ(m.submitted_batches.value(), 1u);
+  EXPECT_EQ(m.submitted_blocks.value(), 64u);
+  EXPECT_EQ(m.completed_batches.value(), 1u);
+  EXPECT_EQ(m.failed_batches.value(), 0u);
+  EXPECT_EQ(engine.inflight_blocks(), 0u);
 }
 
 TEST(ThreadPoolAsyncDeviceTest, CallbackRunsExactlyOncePerBatch) {
@@ -120,7 +120,7 @@ TEST(ThreadPoolAsyncDeviceTest, MidBatchReadFaultFailsBatchOnce) {
   EXPECT_FALSE(waited.ok());
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(seen.ToString(), waited.ToString());
-  EXPECT_EQ(engine.stats().failed_batches, 1u);
+  EXPECT_EQ(engine.metrics().failed_batches.value(), 1u);
   dev.Heal();
 }
 
@@ -162,9 +162,9 @@ TEST(ThreadPoolAsyncDeviceTest, ConcurrentSubmittersAndFaults) {
   faulter.join();
   engine.Drain();
   EXPECT_EQ(completions.load(), 4 * 30);
-  AsyncIoStats s = engine.stats();
-  EXPECT_EQ(s.submitted_batches, s.completed_batches);
-  EXPECT_EQ(s.inflight_blocks, 0u);
+  EXPECT_EQ(engine.metrics().submitted_batches.value(),
+            engine.metrics().completed_batches.value());
+  EXPECT_EQ(engine.inflight_blocks(), 0u);
 }
 
 TEST(ThreadPoolAsyncDeviceTest, EmptyBatchCompletesInline) {
@@ -239,11 +239,11 @@ TEST_F(FileBackedEngineTest, OutOfRangeRejectedWithoutSubmission) {
                  .Wait();
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_EQ(calls.load(), 1);
-  AsyncIoStats st = engine_->stats();
-  EXPECT_EQ(st.submitted_batches, 1u);
-  EXPECT_EQ(st.completed_batches, 1u);
-  EXPECT_EQ(st.failed_batches, 1u);
-  EXPECT_EQ(st.inflight_blocks, 0u);
+  const AsyncIoMetrics& m = engine_->metrics();
+  EXPECT_EQ(m.submitted_batches.value(), 1u);
+  EXPECT_EQ(m.completed_batches.value(), 1u);
+  EXPECT_EQ(m.failed_batches.value(), 1u);
+  EXPECT_EQ(engine_->inflight_blocks(), 0u);
   // Nothing was transferred: the target buffer is untouched, and the
   // volume neither grew nor changed.
   EXPECT_EQ(out, std::vector<uint8_t>(kOps * kBlockSize, 0xEE));

@@ -118,9 +118,9 @@ TEST_F(FileBlockDeviceTest, VectoredReadCoalescesContiguousRuns) {
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_EQ(bufs[i], pats[order[i]]) << "block " << order[i];
   }
-  DeviceBatchStats s = (*dev)->batch_stats();
-  EXPECT_EQ(s.vectored_blocks, 9u);
-  EXPECT_EQ(s.coalesced_runs, 2u);
+  const DeviceMetrics* m = (*dev)->device_metrics();
+  EXPECT_EQ(m->vectored_blocks.value(), 9u);
+  EXPECT_EQ(m->coalesced_runs.value(), 2u);
 }
 
 TEST_F(FileBlockDeviceTest, VectoredWriteCoalescesAndPersists) {
@@ -135,9 +135,9 @@ TEST_F(FileBlockDeviceTest, VectoredWriteCoalescesAndPersists) {
   for (size_t i = 0; i < 6; ++i) iov.push_back({order[i], pats[i].data()});
   ASSERT_TRUE((*dev)->WriteBlocks(iov.data(), iov.size()).ok());
   ASSERT_TRUE((*dev)->Flush().ok());
-  DeviceBatchStats s = (*dev)->batch_stats();
-  EXPECT_EQ(s.vectored_blocks, 6u);
-  EXPECT_EQ(s.coalesced_runs, 2u);  // {10,11,12} and {7,8}
+  const DeviceMetrics* m = (*dev)->device_metrics();
+  EXPECT_EQ(m->vectored_blocks.value(), 6u);
+  EXPECT_EQ(m->coalesced_runs.value(), 2u);  // {10,11,12} and {7,8}
 
   // Reopen and verify per-block.
   auto reopened = FileBlockDevice::Open(path_, 512);
@@ -199,8 +199,8 @@ TEST(MemBlockDeviceTest, DefaultVectoredFallbackTransfersAllBlocks) {
   EXPECT_EQ(oa, a);
   EXPECT_EQ(ob, b);
   // The fallback reports no batch-path counters.
-  EXPECT_EQ(dev.batch_stats().vectored_blocks, 0u);
-  EXPECT_EQ(dev.batch_stats().coalesced_runs, 0u);
+  EXPECT_EQ(dev.device_metrics()->vectored_blocks.value(), 0u);
+  EXPECT_EQ(dev.device_metrics()->coalesced_runs.value(), 0u);
 }
 
 TEST(SimDiskTest, ForwardsDataAndAccumulatesTime) {

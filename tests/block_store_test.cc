@@ -124,13 +124,13 @@ TEST_P(EnginePathTest, ReadsMatchSyncPathOverHitsMissesAndDuplicates) {
   }
   async.cache.Prefetch(prefetch.data(), prefetch.size());
   async.engine->Drain();
-  ASSERT_GT(async.cache.stats().prefetched, 0u);
+  ASSERT_GT(async.cache.metrics().prefetched.value(), 0u);
 
   std::vector<uint8_t> want(kN * kBs), got(kN * kBs);
   ASSERT_TRUE(sync.store.ReadBlocks(blocks.data(), kN, want.data()).ok());
   ASSERT_TRUE(async.store.ReadBlocks(blocks.data(), kN, got.data()).ok());
   EXPECT_EQ(got, want);
-  EXPECT_GT(async.cache.stats().async_batched_reads, 0u);
+  EXPECT_GT(async.cache.metrics().async_batched_reads.value(), 0u);
 
   // The plaintext is the device ciphertext decrypted, position by position.
   for (size_t i = 0; i < kN; ++i) {
@@ -313,13 +313,14 @@ TEST(EngineMountTest, HiddenWritesSubmitNothingAndMatchTheSyncImage) {
       if (!fs.ok()) return std::vector<uint8_t>();
       EXPECT_TRUE((*fs)->StegCreate("u", "big", "uak", HiddenType::kFile).ok());
       EXPECT_TRUE((*fs)->StegConnect("u", "big", "uak").ok());
-      AsyncBlockDevice* io = (*fs)->plain()->io_engine();
+      ThreadPoolAsyncDevice* io = (*fs)->plain()->io_engine();
       EXPECT_EQ(io != nullptr, engine == IoEngine::kAuto);
-      const uint64_t before = io != nullptr ? io->stats().submitted_blocks : 0;
+      const uint64_t before =
+          io != nullptr ? io->metrics().submitted_blocks.value() : 0;
       EXPECT_TRUE((*fs)->HiddenWrite("u", "big", 0, data).ok());
       EXPECT_TRUE((*fs)->HiddenWrite("u", "big", 4096, data).ok());
       if (io != nullptr) {
-        EXPECT_EQ(io->stats().submitted_blocks, before);
+        EXPECT_EQ(io->metrics().submitted_blocks.value(), before);
       }
       auto back = (*fs)->HiddenReadAll("u", "big");
       EXPECT_TRUE(back.ok());

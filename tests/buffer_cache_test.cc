@@ -37,9 +37,9 @@ TEST(BufferCacheTest, ReadThroughAndHit) {
   std::vector<uint8_t> out(512);
   ASSERT_TRUE(cache.Read(2, out.data()).ok());
   EXPECT_EQ(out, data);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.metrics().misses.value(), 1u);
   ASSERT_TRUE(cache.Read(2, out.data()).ok());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.metrics().hits.value(), 1u);
 }
 
 TEST(BufferCacheTest, WriteBackDefersDeviceWrite) {
@@ -81,8 +81,8 @@ TEST(BufferCacheTest, EvictionWritesBackDirtyLru) {
   std::vector<uint8_t> raw(512);
   ASSERT_TRUE(dev.ReadBlock(0, raw.data()).ok());
   EXPECT_EQ(raw, a);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().writebacks, 1u);
+  EXPECT_EQ(cache.metrics().evictions.value(), 1u);
+  EXPECT_EQ(cache.metrics().writebacks.value(), 1u);
 }
 
 TEST(BufferCacheTest, LruOrderRespectsRecency) {
@@ -94,7 +94,7 @@ TEST(BufferCacheTest, LruOrderRespectsRecency) {
   ASSERT_TRUE(cache.Read(0, buf.data()).ok());  // touch 0 -> 1 becomes LRU
   ASSERT_TRUE(cache.Read(2, buf.data()).ok());  // evicts 1
   ASSERT_TRUE(cache.Read(0, buf.data()).ok());  // still cached
-  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.metrics().hits.value(), 2u);
 }
 
 TEST(BufferCacheTest, ReadAfterWriteSeesCachedData) {
@@ -130,7 +130,7 @@ TEST(BufferCacheTest, CacheReducesDeviceReads) {
     }
   }
   EXPECT_EQ(disk.stats().reads, 8u);  // only the first pass misses
-  EXPECT_EQ(cache.stats().hits, 72u);
+  EXPECT_EQ(cache.metrics().hits.value(), 72u);
 }
 
 TEST(BufferCacheTest, ReadBatchServesPartialHitsInsideExtent) {
@@ -147,7 +147,8 @@ TEST(BufferCacheTest, ReadBatchServesPartialHitsInsideExtent) {
   std::vector<uint8_t> one(512);
   ASSERT_TRUE(cache.Read(2, one.data()).ok());
   ASSERT_TRUE(cache.Read(5, one.data()).ok());
-  uint64_t hits0 = cache.stats().hits, misses0 = cache.stats().misses;
+  uint64_t hits0 = cache.metrics().hits.value();
+  uint64_t misses0 = cache.metrics().misses.value();
 
   uint64_t blocks[8] = {0, 1, 2, 3, 4, 5, 6, 7};
   std::vector<uint8_t> out(8 * 512);
@@ -158,14 +159,14 @@ TEST(BufferCacheTest, ReadBatchServesPartialHitsInsideExtent) {
               patterns[b])
         << "block " << b;
   }
-  EXPECT_EQ(cache.stats().hits, hits0 + 2);
-  EXPECT_EQ(cache.stats().misses, misses0 + 6);
-  EXPECT_EQ(cache.stats().batched_reads, 8u);
+  EXPECT_EQ(cache.metrics().hits.value(), hits0 + 2);
+  EXPECT_EQ(cache.metrics().misses.value(), misses0 + 6);
+  EXPECT_EQ(cache.metrics().batched_reads.value(), 8u);
 
   // Everything is cached now: a second batch is all hits.
   ASSERT_TRUE(cache.ReadBatch(blocks, 8, out.data()).ok());
-  EXPECT_EQ(cache.stats().hits, hits0 + 10);
-  EXPECT_EQ(cache.stats().misses, misses0 + 6);
+  EXPECT_EQ(cache.metrics().hits.value(), hits0 + 10);
+  EXPECT_EQ(cache.metrics().misses.value(), misses0 + 6);
 }
 
 TEST(BufferCacheTest, WriteBatchRoundTripsThroughPolicies) {
@@ -179,7 +180,7 @@ TEST(BufferCacheTest, WriteBatchRoundTripsThroughPolicies) {
       data[i] = static_cast<uint8_t>(i * 11);
     }
     ASSERT_TRUE(cache.WriteBatch(blocks, 3, data.data()).ok());
-    EXPECT_EQ(cache.stats().batched_writes, 3u);
+    EXPECT_EQ(cache.metrics().batched_writes.value(), 3u);
     if (policy == WritePolicy::kWriteThrough) {
       std::vector<uint8_t> raw(512);
       ASSERT_TRUE(dev.ReadBlock(4, raw.data()).ok());
@@ -218,10 +219,11 @@ TEST(BufferCacheTest, BatchPreservesSeededEvictionOrder) {
   std::vector<uint8_t> out(n * 512);
   ASSERT_TRUE(batch_cache.ReadBatch(seq, n, out.data()).ok());
 
-  CacheStats ls = loop_cache.stats(), bs = batch_cache.stats();
-  EXPECT_EQ(ls.hits, bs.hits);
-  EXPECT_EQ(ls.misses, bs.misses);
-  EXPECT_EQ(ls.evictions, bs.evictions);
+  const CacheMetrics& ls = loop_cache.metrics();
+  const CacheMetrics& bs = batch_cache.metrics();
+  EXPECT_EQ(ls.hits.value(), bs.hits.value());
+  EXPECT_EQ(ls.misses.value(), bs.misses.value());
+  EXPECT_EQ(ls.evictions.value(), bs.evictions.value());
   // The batch fetches each distinct block at most once up front, so when a
   // sequence revisits a block after it was evicted mid-sequence the batch
   // issues FEWER device reads than the loop — never more.
@@ -294,10 +296,10 @@ TEST(BufferCacheTest, WriteThroughBatchFaultInvalidatesExactlyTheGroup) {
   // Exactly the group is gone; the unrelated entry survives.
   EXPECT_EQ(cache.size(), 1u);
   std::vector<uint8_t> out(512);
-  uint64_t misses0 = cache.stats().misses;
+  uint64_t misses0 = cache.metrics().misses.value();
   ASSERT_TRUE(cache.Read(20, out.data()).ok());
   EXPECT_EQ(out, other);
-  EXPECT_EQ(cache.stats().misses, misses0);  // still cached
+  EXPECT_EQ(cache.metrics().misses.value(), misses0);  // still cached
 
   // Reads of the group now come from the device — whatever prefix landed
   // there is what the cache serves, never the stale pre-fault entries.
@@ -341,7 +343,6 @@ class ManualAsyncDevice : public AsyncBlockDevice {
   }
 
   void Drain() override { Release(); }
-  AsyncIoStats stats() const override { return {}; }
 
  private:
   struct Pending {
@@ -372,7 +373,8 @@ TEST(BufferCacheAsyncTest, ReadBatchAsyncMatchesSyncResults) {
   std::vector<uint8_t> one(512);
   ASSERT_TRUE(cache.Read(2, one.data()).ok());
   ASSERT_TRUE(cache.Read(5, one.data()).ok());
-  uint64_t hits0 = cache.stats().hits, misses0 = cache.stats().misses;
+  uint64_t hits0 = cache.metrics().hits.value();
+  uint64_t misses0 = cache.metrics().misses.value();
 
   uint64_t blocks[9] = {0, 1, 2, 3, 4, 5, 6, 7, 3};  // 3 twice
   std::vector<uint8_t> out(9 * 512);
@@ -384,14 +386,14 @@ TEST(BufferCacheAsyncTest, ReadBatchAsyncMatchesSyncResults) {
         << "position " << i;
   }
   // 2 warm hits + 1 duplicate hit; 6 distinct misses (sync parity).
-  EXPECT_EQ(cache.stats().hits, hits0 + 3);
-  EXPECT_EQ(cache.stats().misses, misses0 + 6);
-  EXPECT_EQ(cache.stats().async_batched_reads, 9u);
+  EXPECT_EQ(cache.metrics().hits.value(), hits0 + 3);
+  EXPECT_EQ(cache.metrics().misses.value(), misses0 + 6);
+  EXPECT_EQ(cache.metrics().async_batched_reads.value(), 9u);
   EXPECT_EQ(cache.size(), 8u);  // misses inserted by the completion
 
   // Everything cached: all hits, no engine involvement needed.
   ASSERT_TRUE(cache.ReadBatchAsync(blocks, 9, out.data()).Wait().ok());
-  EXPECT_EQ(cache.stats().misses, misses0 + 6);
+  EXPECT_EQ(cache.metrics().misses.value(), misses0 + 6);
   cache.SetAsyncEngine(nullptr);
 }
 
@@ -434,7 +436,7 @@ TEST(BufferCacheAsyncTest, PrefetchIsAPureSubmitterWithEngine) {
 
   // Without an engine there is no prefetcher: nothing is loaded.
   cache.Prefetch(blocks, 4);
-  EXPECT_EQ(cache.stats().prefetched, 0u);
+  EXPECT_EQ(cache.metrics().prefetched.value(), 0u);
   EXPECT_EQ(cache.size(), 0u);
 
   // The engine is the whole mechanism.
@@ -442,7 +444,7 @@ TEST(BufferCacheAsyncTest, PrefetchIsAPureSubmitterWithEngine) {
   cache.SetAsyncEngine(&engine);
   cache.Prefetch(blocks, 4);
   engine.Drain();
-  EXPECT_EQ(cache.stats().prefetched, 4u);
+  EXPECT_EQ(cache.metrics().prefetched.value(), 4u);
   EXPECT_EQ(cache.size(), 4u);
 
   // Demand reads claim the prefetched entries: hits, and prefetch_hits.
@@ -450,19 +452,19 @@ TEST(BufferCacheAsyncTest, PrefetchIsAPureSubmitterWithEngine) {
   ASSERT_TRUE(cache.Read(9, out.data()).ok());
   EXPECT_EQ(out, data);
   ASSERT_TRUE(cache.Read(10, out.data()).ok());
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().prefetch_hits, 2u);
+  EXPECT_EQ(cache.metrics().hits.value(), 2u);
+  EXPECT_EQ(cache.metrics().misses.value(), 0u);
+  EXPECT_EQ(cache.metrics().prefetch_hits.value(), 2u);
   // A re-read of a claimed entry is a plain hit, not a prefetch hit.
   ASSERT_TRUE(cache.Read(9, out.data()).ok());
-  EXPECT_EQ(cache.stats().hits, 3u);
-  EXPECT_EQ(cache.stats().prefetch_hits, 2u);
+  EXPECT_EQ(cache.metrics().hits.value(), 3u);
+  EXPECT_EQ(cache.metrics().prefetch_hits.value(), 2u);
 
   // Out-of-range and already-cached blocks stay harmless no-ops.
   uint64_t mixed[3] = {9, 1000000, 11};
   cache.Prefetch(mixed, 3);
   engine.Drain();
-  EXPECT_EQ(cache.stats().prefetched, 4u);
+  EXPECT_EQ(cache.metrics().prefetched.value(), 4u);
   cache.SetAsyncEngine(nullptr);
 }
 
@@ -551,7 +553,10 @@ TEST(BufferCacheTest, ProbeBatchLeavesCacheUntouched) {
   for (uint64_t b = 0; b < 256; ++b) {
     ASSERT_TRUE(cache.Read(b, buf.data()).ok());  // LRU order 0 .. 255
   }
-  const CacheStats before = cache.stats();
+  const CacheMetrics& m = cache.metrics();
+  const uint64_t hits0 = m.hits.value(), misses0 = m.misses.value();
+  const uint64_t evictions0 = m.evictions.value();
+  const uint64_t writebacks0 = m.writebacks.value();
 
   // 10 000 probes: the even cached blocks, then uncached ones.
   std::vector<uint64_t> probe;
@@ -568,11 +573,10 @@ TEST(BufferCacheTest, ProbeBatchLeavesCacheUntouched) {
         << "block " << probe[i];
   }
 
-  const CacheStats after = cache.stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.evictions, before.evictions);
-  EXPECT_EQ(after.writebacks, before.writebacks);
+  EXPECT_EQ(m.hits.value(), hits0);
+  EXPECT_EQ(m.misses.value(), misses0);
+  EXPECT_EQ(m.evictions.value(), evictions0);
+  EXPECT_EQ(m.writebacks.value(), writebacks0);
   EXPECT_EQ(cache.size(), 256u);
   EXPECT_EQ(cache.dirty_count(), 1u);
 
@@ -581,13 +585,13 @@ TEST(BufferCacheTest, ProbeBatchLeavesCacheUntouched) {
   for (uint64_t b = 5000; b < 5128; ++b) {
     ASSERT_TRUE(cache.Read(b, buf.data()).ok());
   }
-  EXPECT_EQ(cache.stats().evictions, before.evictions + 128);
-  EXPECT_EQ(cache.stats().writebacks, before.writebacks + 1);  // block 7
-  const uint64_t misses = cache.stats().misses;
+  EXPECT_EQ(m.evictions.value(), evictions0 + 128);
+  EXPECT_EQ(m.writebacks.value(), writebacks0 + 1);  // block 7
+  const uint64_t misses = m.misses.value();
   for (uint64_t b = 128; b < 256; ++b) {
     ASSERT_TRUE(cache.Read(b, buf.data()).ok());
   }
-  EXPECT_EQ(cache.stats().misses, misses);
+  EXPECT_EQ(m.misses.value(), misses);
 }
 
 TEST(BufferCacheTest, ProbeBatchRacesWritesEvictionAndCheckpoint) {
@@ -653,9 +657,10 @@ TEST(BufferCacheTest, FlushIsIdempotent) {
   auto data = Pattern(512, 8);
   ASSERT_TRUE(cache.Write(0, data.data()).ok());
   ASSERT_TRUE(cache.Flush().ok());
-  uint64_t wb = cache.stats().writebacks;
+  uint64_t wb = cache.metrics().writebacks.value();
   ASSERT_TRUE(cache.Flush().ok());
-  EXPECT_EQ(cache.stats().writebacks, wb);  // nothing dirty the second time
+  // Nothing is dirty the second time.
+  EXPECT_EQ(cache.metrics().writebacks.value(), wb);
 }
 
 // WriteBackDirty skips shards with nothing dirty. A shard must still be
@@ -832,7 +837,7 @@ TEST_P(DirtyIndexTest, IndexStaysExactAcrossEveryTransition) {
   }
   size_t on_device = 0;
   for (uint64_t b = 0; b < 40; ++b) on_device += device_has(b, Stamp(b, 1));
-  EXPECT_EQ(on_device, cache.stats().evictions);
+  EXPECT_EQ(on_device, cache.metrics().evictions.value());
   EXPECT_EQ(cache.dirty_count(), cache.size());
   EXPECT_EQ(cache.dirty_count(), 40 - on_device);
   dev.TakeCalls();
@@ -954,7 +959,7 @@ TEST(BufferCacheTest, DirtyIndexSurvivesConcurrentWritersFlushesAndCheckpoints) 
 
   ASSERT_TRUE(cache.Flush().ok());
   EXPECT_EQ(cache.dirty_count(), 0u);
-  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(cache.metrics().evictions.value(), 0u);
   std::vector<uint8_t> buf(512);
   for (uint64_t b = 0; b < kBlocks; ++b) {
     ASSERT_TRUE(dev.ReadBlock(b, buf.data()).ok());

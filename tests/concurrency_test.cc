@@ -107,8 +107,8 @@ TEST(ShardedCacheTest, ParallelDisjointWritesAllLand) {
     ASSERT_EQ(raw[7], static_cast<uint8_t>(b * 31 + 7)) << "block " << b;
   }
   // Counter accounting stays exact under contention: one hit or miss per op.
-  CacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, 2 * kThreads * kPerThread);
+  const CacheMetrics& m = cache.metrics();
+  EXPECT_EQ(m.hits.value() + m.misses.value(), 2 * kThreads * kPerThread);
 }
 
 TEST(ShardedCacheTest, SharedHotBlocksUnderContention) {
@@ -131,8 +131,10 @@ TEST(ShardedCacheTest, SharedHotBlocksUnderContention) {
   }
   for (auto& th : threads) th.join();
   // 8 hot blocks in a 32-block cache: at most one miss per block.
-  EXPECT_LE(cache.stats().misses, 8u);
-  EXPECT_GE(cache.stats().HitRate(), 0.99);
+  const uint64_t hits = cache.metrics().hits.value();
+  const uint64_t misses = cache.metrics().misses.value();
+  EXPECT_LE(misses, 8u);
+  EXPECT_GE(static_cast<double>(hits) / (hits + misses), 0.99);
 }
 
 // ---------------------------------------------------------------------------

@@ -545,8 +545,8 @@ TEST(CrashGroupCommitTest, LeaderCrashMidBatchKeepsBatchesAtomic) {
     }
     for (std::thread& w : workers) w.join();
     // The batching must have been real, or this leg tests nothing.
-    EXPECT_LT((*fs)->plain()->journal()->stats().group_batches,
-              (*fs)->plain()->journal()->stats().group_txns);
+    const journal::JournalMetrics& m = (*fs)->plain()->journal()->metrics();
+    EXPECT_LT(m.group_batches.value(), m.group_txns.value());
     ASSERT_TRUE((*fs)->Flush().ok());
   }
   const size_t total = dev.event_count();

@@ -238,8 +238,8 @@ TEST(DegradedModeTest, HiddenReadsHealAroundInjectedBitFlips) {
   auto back = (*fs)->HiddenReadAll(kUid, kObj);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), content);
-  EXPECT_GE((*fs)->redundancy_stats().degraded_reads.load(), 1u);
-  EXPECT_GE((*fs)->redundancy_stats().shares_healed.load(), 1u);
+  EXPECT_GE((*fs)->redundancy_stats().degraded_reads.value(), 1u);
+  EXPECT_GE((*fs)->redundancy_stats().shares_healed.value(), 1u);
 }
 
 // Concurrent sessions racing a persistent fault: some ops fail with the

@@ -253,7 +253,7 @@ void RunCell(const PolicyCase& pc, int losses, const std::string& mode,
                       << (back.ok() ? "wrong bytes" : back.status().ToString());
       }
       if (!expect_prior_heal && losses > 0 && mode == "device") {
-        EXPECT_GT((*fs)->redundancy_stats().degraded_reads.load(), 0u);
+        EXPECT_GT((*fs)->redundancy_stats().degraded_reads.value(), 0u);
       }
     } else {
       if (back.ok()) {
@@ -564,15 +564,15 @@ TEST(LossMatrixTest, HealAcrossReadChunksRemapsOnce) {
   auto back = (*fs)->HiddenReadAll(kUid, kObj);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), content);
-  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.load(), 2u);
-  EXPECT_EQ((*fs)->redundancy_stats().degraded_reads.load(), 1u);
+  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.value(), 2u);
+  EXPECT_EQ((*fs)->redundancy_stats().degraded_reads.value(), 1u);
 
   // The heal stuck: a second read finds nothing left to repair.
   back = (*fs)->HiddenReadAll(kUid, kObj);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), content);
-  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.load(), 2u);
-  EXPECT_EQ((*fs)->redundancy_stats().degraded_reads.load(), 1u);
+  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.value(), 2u);
+  EXPECT_EQ((*fs)->redundancy_stats().degraded_reads.value(), 1u);
 }
 
 }  // namespace

@@ -91,10 +91,10 @@ TEST_F(InodeTableTest, PersistIsIncremental) {
   InodeTable table(&cache_, layout_);
   table.InitEmpty();
   ASSERT_TRUE(table.PersistAll().ok());
-  uint64_t misses_before = cache_.stats().misses;
+  uint64_t misses_before = cache_.metrics().misses.value();
   // Nothing dirty: PersistAll touches no blocks.
   ASSERT_TRUE(table.PersistAll().ok());
-  EXPECT_EQ(cache_.stats().misses, misses_before);
+  EXPECT_EQ(cache_.metrics().misses.value(), misses_before);
 }
 
 }  // namespace

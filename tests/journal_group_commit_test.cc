@@ -130,11 +130,12 @@ TEST(GroupCommitTest, ConcurrentCommitsBatchAndRecoverAtomically) {
     }
     for (std::thread& w : workers) w.join();
 
-    journal::JournalStats st = fs->journal()->stats();
-    EXPECT_GE(st.group_txns, static_cast<uint64_t>(kThreads * kRounds));
+    const journal::JournalMetrics& m = fs->journal()->metrics();
+    EXPECT_GE(m.group_txns.value(),
+              static_cast<uint64_t>(kThreads * kRounds));
     // With 4 threads hammering a 2ms linger window, at least one batch
     // must have carried more than one transaction.
-    EXPECT_LT(st.group_batches, st.group_txns);
+    EXPECT_LT(m.group_batches.value(), m.group_txns.value());
 
     for (int t = 0; t < kThreads; ++t) {
       auto content = fs->ReadFile(ThreadPath(t));
@@ -207,8 +208,8 @@ TEST(ColdReadTest, AsyncEngineBitIdenticalToSyncPath) {
     auto content = (*fs)->HiddenReadAll(kUid, "big");
     ASSERT_TRUE(content.ok()) << content.status().ToString();
     *out = *content;
-    AsyncBlockDevice* io = (*fs)->plain()->io_engine();
-    *batches = io != nullptr ? io->stats().submitted_batches : 0;
+    ThreadPoolAsyncDevice* io = (*fs)->plain()->io_engine();
+    *batches = io != nullptr ? io->metrics().submitted_batches.value() : 0;
     ASSERT_TRUE((*fs)->DisconnectAll(kUid).ok());
   };
 

@@ -82,9 +82,9 @@ TEST(JournalTest, CommitCheckpointsAndScrubs) {
   ASSERT_TRUE(live.ok());
   EXPECT_TRUE(live->empty());
   EXPECT_EQ(torn, 0u);
-  EXPECT_EQ(j.stats().records_committed, 1u);
-  EXPECT_EQ(j.stats().blocks_journaled, 3u);
-  EXPECT_GE(j.stats().barrier_syncs, 3u);
+  EXPECT_EQ(j.metrics().records_committed.value(), 1u);
+  EXPECT_EQ(j.metrics().blocks_journaled.value(), 3u);
+  EXPECT_GE(j.metrics().barrier_syncs.value(), 3u);
 }
 
 TEST(JournalTest, OversizedTransactionFallsBackButPersists) {
@@ -99,8 +99,8 @@ TEST(JournalTest, OversizedTransactionFallsBackButPersists) {
     entries[i].image.assign(kBs, static_cast<uint8_t>(i + 1));
   }
   ASSERT_TRUE(j.Commit(entries, {}).ok());
-  EXPECT_EQ(j.stats().overflow_fallbacks, 1u);
-  EXPECT_EQ(j.stats().records_committed, 0u);
+  EXPECT_EQ(j.metrics().overflow_fallbacks.value(), 1u);
+  EXPECT_EQ(j.metrics().records_committed.value(), 0u);
   std::vector<uint8_t> buf(kBs);
   ASSERT_TRUE(dev.ReadBlock(609, buf.data()).ok());
   EXPECT_EQ(buf[0], 10);
@@ -250,9 +250,9 @@ TEST(DurableMountTest, OpsCommitAndSurviveRemount) {
     ASSERT_TRUE((*fs)->MkDir("/d").ok());
     ASSERT_TRUE((*fs)->WriteFile("/d/b", big).ok());
     ASSERT_TRUE((*fs)->Unlink("/a").ok());
-    auto stats = (*fs)->journal()->stats();
-    EXPECT_GE(stats.records_committed, 4u);
-    EXPECT_EQ(stats.overflow_fallbacks, 0u);
+    const journal::JournalMetrics& m = (*fs)->journal()->metrics();
+    EXPECT_GE(m.records_committed.value(), 4u);
+    EXPECT_EQ(m.overflow_fallbacks.value(), 0u);
   }
   {
     auto fs = PlainFs::Mount(&dev, mo);
@@ -326,14 +326,15 @@ TEST(BlockDeviceDurabilityTest, FileDeviceFlushMapsToFdatasync) {
   auto dev = FileBlockDevice::Create(path, kBs, 64);
   ASSERT_TRUE(dev.ok());
   EXPECT_EQ((*dev)->flush_durability(), FlushDurability::kDurable);
+  const obs::Counter& syncs = (*dev)->device_metrics()->syncs;
   ASSERT_TRUE((*dev)->Flush().ok());
-  EXPECT_EQ((*dev)->sync_count(), 1u);
+  EXPECT_EQ(syncs.value(), 1u);
 
   (*dev)->set_flush_durability(FlushDurability::kCacheOnly);
   ASSERT_TRUE((*dev)->Flush().ok());
-  EXPECT_EQ((*dev)->sync_count(), 1u);  // no fdatasync this time
-  ASSERT_TRUE((*dev)->Sync().ok());     // barriers are never downgraded
-  EXPECT_EQ((*dev)->sync_count(), 2u);
+  EXPECT_EQ(syncs.value(), 1u);      // no fdatasync this time
+  ASSERT_TRUE((*dev)->Sync().ok());  // barriers are never downgraded
+  EXPECT_EQ(syncs.value(), 2u);
   std::remove(path);
 }
 

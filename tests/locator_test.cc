@@ -350,7 +350,9 @@ TEST(LocatorWindowTest, MatchesSequentialWalkOnSeededVolumes) {
     }
 
     // Walks that end NotFound, and the cache they leave behind.
-    const CacheStats before = v.cache.stats();
+    const CacheMetrics& m = v.cache.metrics();
+    const uint64_t hits0 = m.hits.value(), misses0 = m.misses.value();
+    const uint64_t evictions0 = m.evictions.value();
     const size_t cached = v.cache.size();
     for (int i = 0; i < 4; ++i) {
       HeaderLocator locator(&v.cache, &v.bitmap, v.layout, 10000);
@@ -358,10 +360,9 @@ TEST(LocatorWindowTest, MatchesSequentialWalkOnSeededVolumes) {
       auto found = locator.FindHeader(name, "k", crypto::BlockCrypter("k"));
       EXPECT_TRUE(found.status().IsNotFound());
     }
-    const CacheStats after = v.cache.stats();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(after.evictions, before.evictions);
+    EXPECT_EQ(m.hits.value(), hits0);
+    EXPECT_EQ(m.misses.value(), misses0);
+    EXPECT_EQ(m.evictions.value(), evictions0);
     EXPECT_EQ(v.cache.size(), cached);
     for (int i = 0; i < 4; ++i) {
       v.FindChecked("absent" + std::to_string(i), "k", 10000);

@@ -124,13 +124,12 @@ TEST(HistogramTest, SnapshotMergeEqualsCombinedRecording) {
   EXPECT_EQ(merged.buckets, direct.buckets);
 }
 
-TEST(CounterTest, AddIncrementLoadReset) {
+TEST(CounterTest, AddIncrementReset) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   c.Add(41);
   EXPECT_EQ(c.value(), 42u);
-  EXPECT_EQ(c.load(), 42u);  // the atomic-compat alias
   c.Reset();
   EXPECT_EQ(c.value(), 0u);
 }

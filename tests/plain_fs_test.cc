@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
+#include "blockdev/file_block_device.h"
 #include "blockdev/mem_block_device.h"
+#include "core/stegfs.h"
 #include "util/random.h"
 
 namespace stegfs {
@@ -249,13 +255,189 @@ TEST(PlainFsReadaheadTest, ArmsOnlyWithAnEngine) {
     ASSERT_TRUE((*fs)->WriteFile("/f", RandomData(256 << 10, 5)).ok());
     ASSERT_TRUE((*fs)->Flush().ok());
     ASSERT_TRUE((*fs)->ReadFile("/f").ok());
-    EXPECT_EQ((*fs)->cache()->stats().prefetched, 0u);
+    EXPECT_EQ((*fs)->cache()->metrics().prefetched.value(), 0u);
   }
   mo.io_engine = IoEngine::kAuto;
   auto fs = PlainFs::Mount(&dev, mo);
   ASSERT_TRUE(fs.ok()) << fs.status().ToString();
   const bool multi_core = std::thread::hardware_concurrency() >= 2;
   EXPECT_EQ((*fs)->readahead_blocks(), multi_core ? 16u : 0u);
+}
+
+// The series a durable kAuto StegFs mount exports are what stegbench and
+// steg_metric() read by name, so the whole name set is pinned here. Each
+// cache, journal, engine and device counter must also read the same
+// through the registry as through the component that owns it: a
+// registration dropped or crossed in a refactor fails one of the two.
+TEST(PlainFsExportTest, MountExportsThePinnedSeries) {
+  const std::string path = ::testing::TempDir() + "/plain_fs_export.img";
+  std::remove(path.c_str());
+  auto dev = FileBlockDevice::Create(path, 4096, 4096);
+  ASSERT_TRUE(dev.ok()) << dev.status().ToString();
+  StegFormatOptions fmt;
+  fmt.params.dummy_file_count = 2;
+  fmt.params.dummy_file_avg_bytes = 4096;
+  fmt.entropy = "export-series";
+  fmt.journal_blocks = 64;
+  ASSERT_TRUE(StegFs::Format(dev->get(), fmt).ok());
+  StegFsOptions opts;
+  opts.mount.io_engine = IoEngine::kAuto;
+  opts.mount.durability = Durability::kJournal;
+  opts.mount.readahead_blocks = 16;
+  opts.mount.cache_blocks = 128;  // small enough to evict
+  auto fs = StegFs::Mount(dev->get(), opts);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+
+  const std::string plain_bytes = RandomData(512 << 10, 11);
+  const std::string hidden_bytes = RandomData(512 << 10, 12);
+  ASSERT_TRUE((*fs)->plain()->MkDir("/d").ok());
+  ASSERT_TRUE((*fs)->plain()->WriteFile("/d/small", "x").ok());
+  ASSERT_TRUE((*fs)->plain()->WriteFile("/p", plain_bytes).ok());
+  ASSERT_TRUE((*fs)->StegCreate("alice", "vault", "uak", HiddenType::kFile)
+                  .ok());
+  ASSERT_TRUE((*fs)->StegConnect("alice", "vault", "uak").ok());
+  ASSERT_TRUE((*fs)->HiddenWriteAll("alice", "vault", hidden_bytes).ok());
+  ASSERT_TRUE((*fs)->Flush().ok());
+  (*fs)->plain()->cache()->DropAll();
+  auto plain_read = (*fs)->plain()->ReadFile("/p");
+  ASSERT_TRUE(plain_read.ok());
+  EXPECT_EQ(*plain_read, plain_bytes);
+  auto hidden_read = (*fs)->HiddenReadAll("alice", "vault");
+  ASSERT_TRUE(hidden_read.ok());
+  EXPECT_EQ(*hidden_read, hidden_bytes);
+
+  PlainFs* plain = (*fs)->plain();
+  ASSERT_NE(plain->io_engine(), nullptr);
+  plain->io_engine()->Drain();  // readahead completions settle
+  obs::MetricsRegistry* reg = plain->metrics_registry();
+
+  std::vector<std::string> names;
+  const obs::RegistrySnapshot snap = reg->Snapshot();
+  for (const auto& kv : snap.counters) names.push_back(kv.first);
+  for (const auto& kv : snap.histograms) names.push_back(kv.first);
+  std::sort(names.begin(), names.end());
+  const std::vector<std::string> pinned = {
+      "stegfs_async_batch_seconds",
+      "stegfs_async_completed_batches_total",
+      "stegfs_async_failed_batches_total",
+      "stegfs_async_submitted_batches_total",
+      "stegfs_async_submitted_blocks_total",
+      "stegfs_barrier_arrivals_total",
+      "stegfs_barrier_rounds_total",
+      "stegfs_cache_async_batched_reads_total",
+      "stegfs_cache_batched_reads_total",
+      "stegfs_cache_batched_writes_total",
+      "stegfs_cache_evictions_total",
+      "stegfs_cache_fill_seconds",
+      "stegfs_cache_hits_total",
+      "stegfs_cache_misses_total",
+      "stegfs_cache_prefetch_hits_total",
+      "stegfs_cache_prefetched_total",
+      "stegfs_cache_writebacks_total",
+      "stegfs_crypto_blocks_decrypted_total",
+      "stegfs_crypto_blocks_encrypted_total",
+      "stegfs_crypto_decrypt_seconds",
+      "stegfs_crypto_encrypt_seconds",
+      "stegfs_device_blocks_read_total",
+      "stegfs_device_blocks_written_total",
+      "stegfs_device_coalesced_runs_total",
+      "stegfs_device_read_seconds",
+      "stegfs_device_sync_seconds",
+      "stegfs_device_syncs_total",
+      "stegfs_device_vectored_blocks_total",
+      "stegfs_device_write_seconds",
+      "stegfs_fault_corruption_errors_total",
+      "stegfs_fault_persistent_errors_total",
+      "stegfs_fault_retries_total",
+      "stegfs_fault_retry_backoff_seconds",
+      "stegfs_fault_retry_exhausted_total",
+      "stegfs_fault_retry_latency_seconds",
+      "stegfs_fault_retry_success_total",
+      "stegfs_fault_timeout_errors_total",
+      "stegfs_fault_transient_errors_total",
+      "stegfs_fs_create_seconds",
+      "stegfs_fs_flush_seconds",
+      "stegfs_fs_mkdir_seconds",
+      "stegfs_fs_read_seconds",
+      "stegfs_fs_rmdir_seconds",
+      "stegfs_fs_truncate_seconds",
+      "stegfs_fs_unlink_seconds",
+      "stegfs_fs_write_at_seconds",
+      "stegfs_fs_write_seconds",
+      "stegfs_health_degraded_transitions_total",
+      "stegfs_health_readonly_transitions_total",
+      "stegfs_health_rejected_writes_total",
+      "stegfs_hidden_read_seconds",
+      "stegfs_hidden_truncate_seconds",
+      "stegfs_hidden_write_seconds",
+      "stegfs_journal_barrier_seconds",
+      "stegfs_journal_barrier_syncs_total",
+      "stegfs_journal_blocks_journaled_total",
+      "stegfs_journal_checkpoint_seconds",
+      "stegfs_journal_commit_seconds",
+      "stegfs_journal_group_batches_total",
+      "stegfs_journal_group_merged_blocks_total",
+      "stegfs_journal_group_txns_total",
+      "stegfs_journal_overflow_fallbacks_total",
+      "stegfs_journal_record_seconds",
+      "stegfs_journal_records_committed_total",
+      "stegfs_journal_scrubbed_blocks_total",
+      "stegfs_locator_candidate_cache_hits_total",
+      "stegfs_locator_candidate_reads_total",
+      "stegfs_locator_probes_found",
+      "stegfs_locator_probes_not_found",
+      "stegfs_red_decode_seconds",
+      "stegfs_red_degraded_reads_total",
+      "stegfs_red_heal_seconds",
+      "stegfs_red_shares_healed_total",
+      "stegfs_red_shares_written_total",
+      "stegfs_red_stripes_encoded_total",
+      "stegfs_red_verify_failures_total",
+  };
+  EXPECT_EQ(names, pinned);
+
+  const CacheMetrics& cache = plain->cache()->metrics();
+  const journal::JournalMetrics& journal = plain->journal()->metrics();
+  const AsyncIoMetrics& engine = plain->io_engine()->metrics();
+  const DeviceMetrics* device = (*dev)->device_metrics();
+  ASSERT_NE(device, nullptr);
+  const std::map<std::string, const obs::Counter*> fields = {
+      {"stegfs_cache_hits_total", &cache.hits},
+      {"stegfs_cache_misses_total", &cache.misses},
+      {"stegfs_cache_evictions_total", &cache.evictions},
+      {"stegfs_cache_writebacks_total", &cache.writebacks},
+      {"stegfs_cache_batched_reads_total", &cache.batched_reads},
+      {"stegfs_cache_batched_writes_total", &cache.batched_writes},
+      {"stegfs_cache_prefetched_total", &cache.prefetched},
+      {"stegfs_cache_prefetch_hits_total", &cache.prefetch_hits},
+      {"stegfs_cache_async_batched_reads_total", &cache.async_batched_reads},
+      {"stegfs_journal_records_committed_total", &journal.records_committed},
+      {"stegfs_journal_blocks_journaled_total", &journal.blocks_journaled},
+      {"stegfs_journal_barrier_syncs_total", &journal.barrier_syncs},
+      {"stegfs_journal_overflow_fallbacks_total",
+       &journal.overflow_fallbacks},
+      {"stegfs_journal_scrubbed_blocks_total", &journal.scrubbed_blocks},
+      {"stegfs_journal_group_txns_total", &journal.group_txns},
+      {"stegfs_journal_group_batches_total", &journal.group_batches},
+      {"stegfs_journal_group_merged_blocks_total",
+       &journal.group_merged_blocks},
+      {"stegfs_async_submitted_batches_total", &engine.submitted_batches},
+      {"stegfs_async_submitted_blocks_total", &engine.submitted_blocks},
+      {"stegfs_async_completed_batches_total", &engine.completed_batches},
+      {"stegfs_async_failed_batches_total", &engine.failed_batches},
+      {"stegfs_device_blocks_read_total", &device->blocks_read},
+      {"stegfs_device_blocks_written_total", &device->blocks_written},
+      {"stegfs_device_syncs_total", &device->syncs},
+      {"stegfs_device_vectored_blocks_total", &device->vectored_blocks},
+      {"stegfs_device_coalesced_runs_total", &device->coalesced_runs},
+  };
+  for (const auto& kv : fields) {
+    uint64_t exported = 0;
+    ASSERT_TRUE(reg->FindCounter(kv.first, &exported)) << kv.first;
+    EXPECT_EQ(exported, kv.second->value()) << kv.first;
+  }
+  fs->reset();
+  std::remove(path.c_str());
 }
 
 TEST(PlainFsFormatTest, MountRejectsUnformattedDevice) {

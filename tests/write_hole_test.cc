@@ -102,8 +102,8 @@ TEST(WriteHoleTest, StaleSiblingHealedOnPartialStripeWrite) {
     ASSERT_TRUE(w.ok()) << w.ToString();
     // The stale sibling was detected against the old record and healed
     // from the old codeword before parity was recomputed.
-    EXPECT_GE((*fs)->redundancy_stats().verify_failures.load(), 1u);
-    EXPECT_GE((*fs)->redundancy_stats().shares_healed.load(), 1u);
+    EXPECT_GE((*fs)->redundancy_stats().verify_failures.value(), 1u);
+    EXPECT_GE((*fs)->redundancy_stats().shares_healed.value(), 1u);
     auto back = (*fs)->HiddenReadAll(kUid, kObj);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     EXPECT_EQ(back.value(), expected);
@@ -142,7 +142,7 @@ TEST(WriteHoleTest, UnrecoverableStaleSiblingFailsCleanNotSilent) {
   Status w = (*fs)->HiddenWrite(kUid, kObj, patch_off, "DOOMED");
   ASSERT_FALSE(w.ok()) << "write silently laundered a rotted sibling";
   EXPECT_TRUE(w.IsDataLoss()) << w.ToString();
-  EXPECT_GE((*fs)->redundancy_stats().verify_failures.load(), 1u);
+  EXPECT_GE((*fs)->redundancy_stats().verify_failures.value(), 1u);
 
   // Reading the object must never return garbage: either the damaged
   // stripe flags DataLoss, or (if healing found enough shares) the bytes
@@ -182,8 +182,8 @@ TEST(WriteHoleTest, CleanPartialStripeWritesUnaffected) {
     ASSERT_TRUE(w.ok()) << "block " << blk << ": " << w.ToString();
     expected.replace(off, patch.size(), patch);
   }
-  EXPECT_EQ((*fs)->redundancy_stats().verify_failures.load(), 0u);
-  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.load(), 0u);
+  EXPECT_EQ((*fs)->redundancy_stats().verify_failures.value(), 0u);
+  EXPECT_EQ((*fs)->redundancy_stats().shares_healed.value(), 0u);
   auto back = (*fs)->HiddenReadAll(kUid, kObj);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), expected);
@@ -204,7 +204,7 @@ TEST(WriteHoleTest, BoundaryStripeGrowthVerifiesOldShares) {
   ASSERT_TRUE((*fs)->StegConnect(kUid, kObj, kUak).ok());
   const std::string tail = Content(3 * kBs, 5);
   ASSERT_TRUE((*fs)->HiddenWrite(kUid, kObj, head.size(), tail).ok());
-  EXPECT_EQ((*fs)->redundancy_stats().verify_failures.load(), 0u);
+  EXPECT_EQ((*fs)->redundancy_stats().verify_failures.value(), 0u);
   auto back = (*fs)->HiddenReadAll(kUid, kObj);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(back.value(), head + tail);
