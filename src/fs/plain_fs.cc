@@ -200,8 +200,6 @@ StatusOr<std::unique_ptr<PlainFs>> PlainFs::Mount(BlockDevice* device,
         sb.journal_blocks,
         journal::ScrubSeed(sb.dummy_seed.data(), sb.dummy_seed.size()),
         fs->commit_barrier_.get());
-    fs->journal_->set_group_window(
-        std::chrono::microseconds(options.group_commit_window_us));
   }
   STEGFS_ASSIGN_OR_RETURN(fs->bitmap_,
                           BlockBitmap::Load(fs->cache_.get(), fs->layout_));

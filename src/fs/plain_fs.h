@@ -108,14 +108,6 @@ struct MountOptions {
   IoEngine io_engine = IoEngine::kSync;
   // Crash-consistency level (see Durability).
   Durability durability = Durability::kNone;
-  // Group-commit linger window (kJournal mounts): how long a transaction
-  // that reaches an IDLE journal waits for other sessions' transactions
-  // before leading its own batch, in microseconds. 0 (the default) means
-  // lead immediately — a single-threaded workload commits each transaction
-  // as it arrives, with no added latency. Concurrent sessions batch even
-  // at 0 (followers accumulate while a batch runs); the window only widens
-  // the very first batch of a burst. See src/journal/journal.h.
-  uint32_t group_commit_window_us = 0;
   // When false, downgrades the device's Flush() from fdatasync to
   // page-cache-only (FileBlockDevice only; in-memory devices ignore it).
   // The throughput benches opt out so data-path numbers don't pay an

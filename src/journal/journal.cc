@@ -116,8 +116,6 @@ WriteAheadJournal::CommitTicket WriteAheadJournal::Stage(
     std::lock_guard<std::mutex> lock(stage_mu_);
     queue_.push_back(txn);
   }
-  // Wake a lingering solo leader so it picks us up in its batch.
-  stage_cv_.notify_all();
   CommitTicket ticket;
   ticket.journal_ = this;
   ticket.txn_ = txn;
@@ -145,18 +143,9 @@ Status WriteAheadJournal::Await(const std::shared_ptr<StagedTxn>& txn) {
   obs::Span commit_span("journal.commit", "journal");
   obs::LatencyTimer commit_timer(&metrics_.commit_ns);
   std::unique_lock<std::mutex> lock(stage_mu_);
-  bool lingered = (group_window_.count() == 0);
   for (;;) {
     if (txn->done) return txn->result;
     if (!executing_) {
-      if (!lingered && queue_.size() == 1 && queue_.front() == txn) {
-        // Alone at an idle journal: linger once for followers. Under real
-        // concurrency followers pile up while a batch runs, so this only
-        // matters at the front of a burst.
-        lingered = true;
-        stage_cv_.wait_for(lock, group_window_);
-        continue;
-      }
       executing_ = true;
       std::vector<std::shared_ptr<StagedTxn>> batch = PopBatchLocked();
       lock.unlock();

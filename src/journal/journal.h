@@ -77,7 +77,6 @@
 #define STEGFS_JOURNAL_JOURNAL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -265,15 +264,6 @@ class WriteAheadJournal {
   uint32_t ring_blocks() const { return journal_blocks_; }
   uint64_t ring_start() const { return journal_start_; }
 
-  // How long a solo leader lingers for followers before running its
-  // batch. 0 (the default) means "lead immediately" — a single-threaded
-  // mount then commits each transaction as it arrives; under concurrency
-  // followers pile up naturally while a batch runs, so the window is
-  // rarely needed.
-  void set_group_window(std::chrono::microseconds window) {
-    group_window_ = window;
-  }
-
   // The journal's instruments (the journal keeps ownership; PlainFs
   // registers them at mount).
   const JournalMetrics& metrics() const { return metrics_; }
@@ -318,7 +308,6 @@ class WriteAheadJournal {
   uint64_t journal_start_;
   uint32_t journal_blocks_;
   uint64_t scrub_seed_;
-  std::chrono::microseconds group_window_{0};
 
   // Stage state: the queue and the leader handoff. Never held across I/O.
   std::mutex stage_mu_;

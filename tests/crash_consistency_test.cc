@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -30,6 +31,7 @@
 
 #include "blockdev/file_block_device.h"
 #include "blockdev/mem_block_device.h"
+#include "blockdev/throttled_block_device.h"
 #include "core/stegfs.h"
 #include "fs/plain_fs.h"
 #include "journal/recovery.h"
@@ -515,8 +517,9 @@ TEST(CrashDeniabilityTest, RecoveredJournalRegionIndistinguishable) {
   }
 }
 
-// Group commit (ISSUE 9): with several sessions committing through a
-// linger window, journal records carry MULTIPLE transactions — and a
+// Group commit: with several sessions committing over a device whose
+// barriers take real time (followers queue while the leader's barrier
+// sleeps), journal records carry MULTIPLE transactions — and a
 // torn write on such a record models the leader crashing mid-batch.
 // Either the whole batch replays (checksum intact) or none of it does:
 // every file must recover to a committed version or absence, never to
@@ -529,9 +532,10 @@ TEST(CrashGroupCommitTest, LeaderCrashMidBatchKeepsBatchesAtomic) {
   constexpr int kRounds = 8;
   auto version = [](int t, int r) { return Content(t * 100 + r, 600 + 83 * r); };
   {
-    StegFsOptions opts = DurableOpts(IoEngine::kSync);
-    opts.mount.group_commit_window_us = 2000;
-    auto fs = StegFs::Mount(&dev, opts);
+    ThrottledBlockDevice slow(&dev, std::chrono::microseconds(0),
+                              std::chrono::microseconds(0),
+                              std::chrono::microseconds(400));
+    auto fs = StegFs::Mount(&slow, DurableOpts(IoEngine::kSync));
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
     std::vector<std::thread> workers;
     for (int t = 0; t < kWriters; ++t) {

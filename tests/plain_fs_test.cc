@@ -267,8 +267,9 @@ TEST(PlainFsReadaheadTest, ArmsOnlyWithAnEngine) {
 // The series a durable kAuto StegFs mount exports are what stegbench and
 // steg_metric() read by name, so the whole name set is pinned here. Each
 // cache, journal, engine and device counter must also read the same
-// through the registry as through the component that owns it: a
-// registration dropped or crossed in a refactor fails one of the two.
+// through the registry as through the component that owns it, and each
+// of their histograms must hold the same sample count: a registration
+// dropped or crossed in a refactor fails one of the checks.
 TEST(PlainFsExportTest, MountExportsThePinnedSeries) {
   const std::string path = ::testing::TempDir() + "/plain_fs_export.img";
   std::remove(path.c_str());
@@ -435,6 +436,22 @@ TEST(PlainFsExportTest, MountExportsThePinnedSeries) {
     uint64_t exported = 0;
     ASSERT_TRUE(reg->FindCounter(kv.first, &exported)) << kv.first;
     EXPECT_EQ(exported, kv.second->value()) << kv.first;
+  }
+  const std::map<std::string, const obs::Histogram*> histograms = {
+      {"stegfs_cache_fill_seconds", &cache.fill_ns},
+      {"stegfs_journal_commit_seconds", &journal.commit_ns},
+      {"stegfs_journal_record_seconds", &journal.record_ns},
+      {"stegfs_journal_barrier_seconds", &journal.barrier_ns},
+      {"stegfs_journal_checkpoint_seconds", &journal.checkpoint_ns},
+      {"stegfs_async_batch_seconds", &engine.batch_ns},
+      {"stegfs_device_read_seconds", &device->read_ns},
+      {"stegfs_device_write_seconds", &device->write_ns},
+      {"stegfs_device_sync_seconds", &device->sync_ns},
+  };
+  for (const auto& kv : histograms) {
+    const obs::HistogramSnapshot* exported = snap.histogram(kv.first);
+    ASSERT_NE(exported, nullptr) << kv.first;
+    EXPECT_EQ(exported->count, kv.second->count()) << kv.first;
   }
   fs->reset();
   std::remove(path.c_str());
