@@ -25,6 +25,11 @@ class MemBlockDevice : public BlockDevice {
   Status ReadBlock(uint64_t block, uint8_t* buf) override;
   Status WriteBlock(uint64_t block, const uint8_t* buf) override;
   Status Flush() override { return Status::OK(); }
+  // Nothing to make durable; the barrier is only counted.
+  Status Sync() override {
+    metrics_.syncs.Increment();
+    return Status::OK();
+  }
   const DeviceMetrics* device_metrics() const override { return &metrics_; }
 
   // Direct access for tests and the deniability auditor (an "attacker" that

@@ -8,14 +8,13 @@
 // device waits, exactly as it does on real disks — so the decorated device
 // must actually wait, unlike SimDisk which only accounts virtual time.
 //
-// Thread-safety: the decorator adds no shared mutable state beyond atomic
-// counters, so it is as thread-safe as the wrapped device. (MemBlockDevice
-// is safe for concurrent access to distinct blocks; the buffer cache's
-// per-shard locking already serializes same-block access.)
+// Thread-safety: the decorator adds no shared mutable state, so it is as
+// thread-safe as the wrapped device. (MemBlockDevice is safe for
+// concurrent access to distinct blocks; the buffer cache's per-shard
+// locking already serializes same-block access.)
 #ifndef STEGFS_BLOCKDEV_THROTTLED_BLOCK_DEVICE_H_
 #define STEGFS_BLOCKDEV_THROTTLED_BLOCK_DEVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -44,13 +43,11 @@ class ThrottledBlockDevice : public BlockDevice {
 
   Status ReadBlock(uint64_t block, uint8_t* buf) override {
     if (read_lat_.count() > 0) std::this_thread::sleep_for(read_lat_);
-    reads_.fetch_add(1, std::memory_order_relaxed);
     return inner_->ReadBlock(block, buf);
   }
 
   Status WriteBlock(uint64_t block, const uint8_t* buf) override {
     if (write_lat_.count() > 0) std::this_thread::sleep_for(write_lat_);
-    writes_.fetch_add(1, std::memory_order_relaxed);
     return inner_->WriteBlock(block, buf);
   }
 
@@ -66,9 +63,6 @@ class ThrottledBlockDevice : public BlockDevice {
     return inner_->flush_durability();
   }
 
-  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
-  uint64_t writes() const { return writes_.load(std::memory_order_relaxed); }
-
   // Physical-I/O accounting belongs to the wrapped device.
   const DeviceMetrics* device_metrics() const override {
     return inner_->device_metrics();
@@ -79,8 +73,6 @@ class ThrottledBlockDevice : public BlockDevice {
   std::chrono::microseconds read_lat_;
   std::chrono::microseconds write_lat_;
   std::chrono::microseconds sync_lat_;
-  std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
 };
 
 }  // namespace stegfs

@@ -1,10 +1,9 @@
 #include "crypto/gf256.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "crypto/gf256_simd.h"
-#include "util/coding.h"
 
 namespace stegfs {
 namespace crypto {
@@ -68,10 +67,6 @@ uint8_t Gf256::Pow(uint8_t a, unsigned e) {
   return result;
 }
 
-InformationDispersal::InformationDispersal(int m, int n) : m_(m), n_(n) {
-  assert(m >= 1 && n >= m && n <= 255);
-}
-
 std::vector<uint8_t> IdaRow(uint8_t index, int m) {
   std::vector<uint8_t> row(m, 0);
   if (index < m) {
@@ -87,20 +82,12 @@ std::vector<uint8_t> IdaRow(uint8_t index, int m) {
   return row;
 }
 
-std::vector<uint8_t> InformationDispersal::RowFor(uint8_t index) const {
-  return IdaRow(index, m_);
-}
-
 void IdaEncodeParity(const uint8_t* const* blocks, int m, int n, size_t len,
                      uint8_t* const* parity) {
   assert(m >= 1 && n >= m);
   for (int i = m; i < n; ++i) {
-    uint8_t* out = parity[i - m];
-    std::memset(out, 0, len);
     std::vector<uint8_t> row = IdaRow(static_cast<uint8_t>(i), m);
-    for (int j = 0; j < m; ++j) {
-      GfMulAccum(row[j], blocks[j], out, len);
-    }
+    GfDotProd(row.data(), blocks, m, parity[i - m], len);
   }
 }
 
@@ -117,7 +104,7 @@ std::vector<std::vector<uint8_t>> IdaEncodeStripe(
   }
   std::vector<uint8_t*> parity(n - m);
   for (int i = m; i < n; ++i) {
-    shares[i].assign(len, 0);
+    shares[i].resize(len);
     parity[i - m] = shares[i].data();
   }
   IdaEncodeParity(data.data(), m, n, len, parity.data());
@@ -131,155 +118,61 @@ StatusOr<std::vector<std::vector<uint8_t>>> IdaDecodeStripe(
     return Status::InvalidArgument("need at least m shares");
   }
   const size_t len = shares[0].second.size();
-  std::vector<std::vector<uint8_t>> mat(m);
-  std::vector<std::vector<uint8_t>> rhs(m);
+  // The first m distinct shares and their coefficient rows.
+  std::vector<std::vector<uint8_t>> mat;
+  std::vector<const uint8_t*> chosen;
   std::vector<bool> seen(256, false);
-  int rows = 0;
   for (const auto& [index, block] : shares) {
-    if (seen[index] || rows == m) continue;
+    if (seen[index] || static_cast<int>(chosen.size()) == m) continue;
     if (block.size() != len) {
       return Status::InvalidArgument("share length mismatch");
     }
     seen[index] = true;
-    mat[rows] = IdaRow(index, m);
-    rhs[rows] = block;
-    ++rows;
+    mat.push_back(IdaRow(index, m));
+    chosen.push_back(block.data());
   }
-  if (rows < m) {
+  if (static_cast<int>(chosen.size()) < m) {
     return Status::InvalidArgument("fewer than m distinct shares");
   }
+  // Gauss-Jordan on [mat | inv] with scalar field arithmetic: m x m bytes,
+  // not m whole blocks.
+  std::vector<std::vector<uint8_t>> inv(m, std::vector<uint8_t>(m, 0));
+  for (int r = 0; r < m; ++r) inv[r][r] = 1;
   for (int col = 0; col < m; ++col) {
-    int pivot = -1;
-    for (int r = col; r < m; ++r) {
-      if (mat[r][col] != 0) {
-        pivot = r;
-        break;
-      }
-    }
-    if (pivot < 0) return Status::Corruption("singular share matrix");
+    int pivot = col;
+    while (pivot < m && mat[pivot][col] == 0) ++pivot;
+    if (pivot == m) return Status::Corruption("singular share matrix");
     std::swap(mat[col], mat[pivot]);
-    std::swap(rhs[col], rhs[pivot]);
-    uint8_t inv = Gf256::Inv(mat[col][col]);
-    for (int c = 0; c < m; ++c) mat[col][c] = Gf256::Mul(mat[col][c], inv);
-    GfScale(inv, rhs[col].data(), len);
+    std::swap(inv[col], inv[pivot]);
+    const uint8_t scale = Gf256::Inv(mat[col][col]);
+    for (int c = 0; c < m; ++c) {
+      mat[col][c] = Gf256::Mul(mat[col][c], scale);
+      inv[col][c] = Gf256::Mul(inv[col][c], scale);
+    }
     for (int r = 0; r < m; ++r) {
-      if (r == col || mat[r][col] == 0) continue;
-      uint8_t factor = mat[r][col];
+      const uint8_t factor = mat[r][col];
+      if (r == col || factor == 0) continue;
       for (int c = 0; c < m; ++c) {
         mat[r][c] ^= Gf256::Mul(factor, mat[col][c]);
-      }
-      GfMulAccum(factor, rhs[col].data(), rhs[r].data(), len);
-    }
-  }
-  return rhs;
-}
-
-std::vector<InformationDispersal::Share> InformationDispersal::Encode(
-    const std::vector<uint8_t>& data) const {
-  // Prefix with the true length, then pad to a multiple of m.
-  std::string framed;
-  PutFixed64(&framed, data.size());
-  framed.append(reinterpret_cast<const char*>(data.data()), data.size());
-  size_t stripe_len = (framed.size() + m_ - 1) / m_;
-  framed.resize(stripe_len * m_, '\0');
-
-  // Stripe j = bytes j, j+m, j+2m, ... (byte-interleaved).
-  std::vector<std::vector<uint8_t>> stripes(
-      m_, std::vector<uint8_t>(stripe_len));
-  for (size_t k = 0; k < framed.size(); ++k) {
-    stripes[k % m_][k / m_] = static_cast<uint8_t>(framed[k]);
-  }
-
-  std::vector<Share> shares(n_);
-  for (int i = 0; i < n_; ++i) {
-    shares[i].index = static_cast<uint8_t>(i);
-    if (i < m_) {
-      shares[i].bytes = stripes[i];
-      continue;
-    }
-    std::vector<uint8_t> row = RowFor(static_cast<uint8_t>(i));
-    shares[i].bytes.assign(stripe_len, 0);
-    for (int j = 0; j < m_; ++j) {
-      GfMulAccum(row[j], stripes[j].data(), shares[i].bytes.data(),
-                 stripe_len);
-    }
-  }
-  return shares;
-}
-
-StatusOr<std::vector<uint8_t>> InformationDispersal::Decode(
-    const std::vector<Share>& shares) const {
-  if (static_cast<int>(shares.size()) < m_) {
-    return Status::InvalidArgument("need at least m shares to reconstruct");
-  }
-  // Take the first m distinct-index shares.
-  std::vector<const Share*> chosen;
-  std::vector<bool> seen(n_, false);
-  for (const Share& s : shares) {
-    if (s.index >= n_ || seen[s.index]) continue;
-    seen[s.index] = true;
-    chosen.push_back(&s);
-    if (static_cast<int>(chosen.size()) == m_) break;
-  }
-  if (static_cast<int>(chosen.size()) < m_) {
-    return Status::InvalidArgument("fewer than m distinct shares");
-  }
-  size_t stripe_len = chosen[0]->bytes.size();
-  for (const Share* s : chosen) {
-    if (s->bytes.size() != stripe_len) {
-      return Status::InvalidArgument("share length mismatch");
-    }
-  }
-
-  // Solve M * stripes = shares by Gaussian elimination, with the share
-  // byte vectors as the augmented columns.
-  std::vector<std::vector<uint8_t>> mat(m_);
-  std::vector<std::vector<uint8_t>> rhs(m_);
-  for (int r = 0; r < m_; ++r) {
-    mat[r] = RowFor(chosen[r]->index);
-    rhs[r] = chosen[r]->bytes;
-  }
-  for (int col = 0; col < m_; ++col) {
-    // Pivot.
-    int pivot = -1;
-    for (int r = col; r < m_; ++r) {
-      if (mat[r][col] != 0) {
-        pivot = r;
-        break;
+        inv[r][c] ^= Gf256::Mul(factor, inv[col][c]);
       }
     }
-    if (pivot < 0) {
-      return Status::Corruption("singular share matrix");
-    }
-    std::swap(mat[col], mat[pivot]);
-    std::swap(rhs[col], rhs[pivot]);
-    // Normalize.
-    uint8_t inv = Gf256::Inv(mat[col][col]);
-    for (int c = 0; c < m_; ++c) mat[col][c] = Gf256::Mul(mat[col][c], inv);
-    GfScale(inv, rhs[col].data(), stripe_len);
-    // Eliminate.
-    for (int r = 0; r < m_; ++r) {
-      if (r == col || mat[r][col] == 0) continue;
-      uint8_t factor = mat[r][col];
-      for (int c = 0; c < m_; ++c) {
-        mat[r][c] ^= Gf256::Mul(factor, mat[col][c]);
-      }
-      GfMulAccum(factor, rhs[col].data(), rhs[r].data(), stripe_len);
+  }
+  // Data block r = inv row r . chosen shares; a unit row (a data share
+  // that arrived intact) is a copy.
+  std::vector<std::vector<uint8_t>> data(m);
+  for (int r = 0; r < m; ++r) {
+    const std::vector<uint8_t>& row = inv[r];
+    const auto one = std::find(row.begin(), row.end(), 1);
+    if (one != row.end() && std::count(row.begin(), row.end(), 0) == m - 1) {
+      const uint8_t* src = chosen[one - row.begin()];
+      data[r].assign(src, src + len);
+    } else {
+      data[r].resize(len);
+      GfDotProd(row.data(), chosen.data(), m, data[r].data(), len);
     }
   }
-
-  // De-interleave and strip the length frame.
-  std::vector<uint8_t> framed(stripe_len * m_);
-  for (size_t k = 0; k < framed.size(); ++k) {
-    framed[k] = rhs[k % m_][k / m_];
-  }
-  if (framed.size() < 8) return Status::Corruption("short reconstruction");
-  uint64_t length = DecodeFixed64(framed.data());
-  if (length > framed.size() - 8) {
-    return Status::Corruption("reconstructed length out of range");
-  }
-  return std::vector<uint8_t>(framed.begin() + 8,
-                              framed.begin() + 8 + length);
+  return data;
 }
 
 }  // namespace crypto

@@ -1,4 +1,4 @@
-// GF(2^8) arithmetic and systematic Vandermonde erasure coding — the
+// GF(2^8) arithmetic and systematic Cauchy stripe coding — the
 // machinery behind Rabin's Information Dispersal Algorithm (IDA), which the
 // paper's related-work section cites as Hand & Roscoe's improvement over
 // naive replication for the random-placement scheme: a file is encoded into
@@ -28,46 +28,12 @@ class Gf256 {
   static uint8_t Pow(uint8_t a, unsigned e);
 };
 
-// Systematic (m, n) erasure code: Encode produces n shares of
-// ceil(|data|/m) bytes each; Decode reconstructs from any m distinct
-// shares. Shares 0..m-1 are the data stripes themselves (systematic), the
-// rest are Vandermonde parity.
-class InformationDispersal {
- public:
-  // m >= 1, n >= m, n <= 255.
-  InformationDispersal(int m, int n);
-
-  int m() const { return m_; }
-  int n() const { return n_; }
-
-  struct Share {
-    uint8_t index = 0;  // 0..n-1
-    std::vector<uint8_t> bytes;
-  };
-
-  // Splits `data` into n shares (adds an 8-byte length prefix internally so
-  // Decode can strip stripe padding).
-  std::vector<Share> Encode(const std::vector<uint8_t>& data) const;
-
-  // Reconstructs the original data from any m distinct shares.
-  StatusOr<std::vector<uint8_t>> Decode(
-      const std::vector<Share>& shares) const;
-
- private:
-  // Evaluation point for share row i (data rows are unit vectors).
-  std::vector<uint8_t> RowFor(uint8_t index) const;
-
-  int m_;
-  int n_;
-};
-
 // Stripe-level coding for block stores (Mnemosyne-style): m equal-size
 // data blocks in, n coded blocks out (shares 0..m-1 systematic, the rest
 // Cauchy parity); any m distinct shares reconstruct the stripe.
 //
 // The coefficient row for share `index` over `m` data blocks: unit vector
-// for index < m, Cauchy 1/(index XOR j) otherwise. Shared by
-// InformationDispersal and the stripe codecs.
+// for index < m, Cauchy 1/(index XOR j) otherwise.
 std::vector<uint8_t> IdaRow(uint8_t index, int m);
 
 // blocks.size() == m, all the same size; returns n share blocks.
@@ -81,7 +47,9 @@ void IdaEncodeParity(const uint8_t* const* blocks, int m, int n, size_t len,
                      uint8_t* const* parity);
 
 // shares = (share index, block) pairs, >= m distinct; returns the m data
-// blocks of the stripe.
+// blocks of the stripe. The first m distinct shares are used: their m x m
+// coefficient matrix is inverted once, and each data block is one dot
+// product of an inverse row with the share blocks.
 StatusOr<std::vector<std::vector<uint8_t>>> IdaDecodeStripe(
     const std::vector<std::pair<uint8_t, std::vector<uint8_t>>>& shares,
     int m);

@@ -1,6 +1,8 @@
 #include "crypto/gf256_simd.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstring>
 
 #include "crypto/gf256.h"
@@ -23,31 +25,61 @@ struct NibbleTables {
   uint8_t hi[16];
 };
 
-NibbleTables TablesFor(uint8_t c) {
-  NibbleTables t;
-  for (int x = 0; x < 16; ++x) {
-    t.lo[x] = Gf256::Mul(c, static_cast<uint8_t>(x));
-    t.hi[x] = Gf256::Mul(c, static_cast<uint8_t>(x << 4));
+// Every coefficient's tables, built once: mul[c][b] == c * b for the scalar
+// tier, nib[c] for the PSHUFB tiers (72 KiB in all).
+struct ProductTables {
+  uint8_t mul[256][256];
+  NibbleTables nib[256];
+
+  ProductTables() {
+    for (int c = 0; c < 256; ++c) {
+      for (int b = 0; b < 256; ++b) {
+        mul[c][b] =
+            Gf256::Mul(static_cast<uint8_t>(c), static_cast<uint8_t>(b));
+      }
+      for (int x = 0; x < 16; ++x) {
+        nib[c].lo[x] = mul[c][x];
+        nib[c].hi[x] = mul[c][x << 4];
+      }
+    }
   }
-  return t;
+};
+
+const ProductTables& Products() {
+  static const ProductTables tables;
+  return tables;
 }
 
-void MulAccumScalar(uint8_t c, const uint8_t* src, uint8_t* dst, size_t len) {
-  // One 256-entry product table per call, amortized over the whole block —
-  // the honest scalar baseline (log/exp per byte would be slower).
-  uint8_t table[256];
-  for (int x = 0; x < 256; ++x) {
-    table[x] = Gf256::Mul(c, static_cast<uint8_t>(x));
+// Bytes [from, len) of the dot product. A byte loop that walks the m
+// sources for every output byte runs slower than per-source passes here,
+// so the scalar tier accumulates source by source into a chunk of dst
+// small enough to stay in L1: the first source writes the chunk, the rest
+// XOR into it, and coefficient 1 XORs eight bytes at a time.
+void DotProdScalar(const uint8_t* coefs, const uint8_t* const* srcs, int m,
+                   uint8_t* dst, size_t from, size_t len) {
+  constexpr size_t kChunk = 1024;
+  const ProductTables& t = Products();
+  for (size_t begin = from; begin < len; begin += kChunk) {
+    const size_t end = std::min(len, begin + kChunk);
+    const uint8_t* row = t.mul[coefs[0]];
+    const uint8_t* first = srcs[0];
+    for (size_t i = begin; i < end; ++i) dst[i] = row[first[i]];
+    for (int j = 1; j < m; ++j) {
+      const uint8_t* src = srcs[j];
+      size_t i = begin;
+      if (coefs[j] == 1) {
+        for (; i + 8 <= end; i += 8) {
+          uint64_t d = 0, s = 0;
+          std::memcpy(&d, dst + i, 8);
+          std::memcpy(&s, src + i, 8);
+          d ^= s;
+          std::memcpy(dst + i, &d, 8);
+        }
+      }
+      row = t.mul[coefs[j]];
+      for (; i < end; ++i) dst[i] ^= row[src[i]];
+    }
   }
-  for (size_t i = 0; i < len; ++i) dst[i] ^= table[src[i]];
-}
-
-void ScaleScalar(uint8_t c, uint8_t* buf, size_t len) {
-  uint8_t table[256];
-  for (int x = 0; x < 256; ++x) {
-    table[x] = Gf256::Mul(c, static_cast<uint8_t>(x));
-  }
-  for (size_t i = 0; i < len; ++i) buf[i] = table[buf[i]];
 }
 
 #ifdef STEGFS_GF_X86
@@ -56,134 +88,79 @@ void ScaleScalar(uint8_t c, uint8_t* buf, size_t len) {
 #define STEGFS_GF_AVX2 __attribute__((target("avx2")))
 #define STEGFS_GF_GFNI __attribute__((target("gfni,avx2")))
 
-// Tail bytes (< vector width) via the same nibble tables the vector body
-// used, so every tier is self-consistent.
-inline void MulAccumTail(const NibbleTables& t, const uint8_t* src,
-                         uint8_t* dst, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    dst[i] ^= static_cast<uint8_t>(t.lo[src[i] & 15] ^ t.hi[src[i] >> 4]);
-  }
-}
+// The vector tiers keep one output vector in a register across all m
+// sources and store it once; the bytes past the last whole vector go to the
+// scalar kernel.
 
-inline void ScaleTail(const NibbleTables& t, uint8_t* buf, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    buf[i] = static_cast<uint8_t>(t.lo[buf[i] & 15] ^ t.hi[buf[i] >> 4]);
-  }
-}
-
-STEGFS_GF_SSSE3 void MulAccumPshufb128(const NibbleTables& t,
-                                       const uint8_t* src, uint8_t* dst,
-                                       size_t len) {
-  const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
-  const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
+STEGFS_GF_SSSE3 void DotProdPshufb128(const uint8_t* coefs,
+                                      const uint8_t* const* srcs, int m,
+                                      uint8_t* dst, size_t len) {
+  const NibbleTables* nib = Products().nib;
   const __m128i mask = _mm_set1_epi8(0x0f);
   size_t i = 0;
   for (; i + 16 <= len; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    __m128i l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-    __m128i h =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), mask));
-    __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(d, _mm_xor_si128(l, h)));
+    __m128i acc = _mm_setzero_si128();
+    for (int j = 0; j < m; ++j) {
+      const NibbleTables& t = nib[coefs[j]];
+      const __m128i lo =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
+      const __m128i hi =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
+      __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[j] + i));
+      __m128i l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
+      __m128i h =
+          _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), mask));
+      acc = _mm_xor_si128(acc, _mm_xor_si128(l, h));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), acc);
   }
-  MulAccumTail(t, src + i, dst + i, len - i);
+  DotProdScalar(coefs, srcs, m, dst, i, len);
 }
 
-STEGFS_GF_SSSE3 void ScalePshufb128(const NibbleTables& t, uint8_t* buf,
-                                    size_t len) {
-  const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
-  const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  size_t i = 0;
-  for (; i + 16 <= len; i += 16) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf + i));
-    __m128i l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
-    __m128i h =
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), mask));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(buf + i),
-                     _mm_xor_si128(l, h));
-  }
-  ScaleTail(t, buf + i, len - i);
-}
-
-STEGFS_GF_AVX2 void MulAccumPshufb256(const NibbleTables& t,
-                                      const uint8_t* src, uint8_t* dst,
-                                      size_t len) {
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi)));
+STEGFS_GF_AVX2 void DotProdPshufb256(const uint8_t* coefs,
+                                     const uint8_t* const* srcs, int m,
+                                     uint8_t* dst, size_t len) {
+  const NibbleTables* nib = Products().nib;
   const __m256i mask = _mm256_set1_epi8(0x0f);
   size_t i = 0;
   for (; i + 32 <= len; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
-    __m256i h = _mm256_shuffle_epi8(
-        hi, _mm256_and_si256(_mm256_srli_epi64(v, 4), mask));
-    __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, _mm256_xor_si256(l, h)));
+    __m256i acc = _mm256_setzero_si256();
+    for (int j = 0; j < m; ++j) {
+      const NibbleTables& t = nib[coefs[j]];
+      const __m256i lo = _mm256_broadcastsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo)));
+      const __m256i hi = _mm256_broadcastsi128_si256(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi)));
+      __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i));
+      __m256i l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
+      __m256i h = _mm256_shuffle_epi8(
+          hi, _mm256_and_si256(_mm256_srli_epi64(v, 4), mask));
+      acc = _mm256_xor_si256(acc, _mm256_xor_si256(l, h));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc);
   }
-  MulAccumTail(t, src + i, dst + i, len - i);
-}
-
-STEGFS_GF_AVX2 void ScalePshufb256(const NibbleTables& t, uint8_t* buf,
-                                   size_t len) {
-  const __m256i lo = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m256i hi = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi)));
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(buf + i));
-    __m256i l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
-    __m256i h = _mm256_shuffle_epi8(
-        hi, _mm256_and_si256(_mm256_srli_epi64(v, 4), mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(buf + i),
-                        _mm256_xor_si256(l, h));
-  }
-  ScaleTail(t, buf + i, len - i);
+  DotProdScalar(coefs, srcs, m, dst, i, len);
 }
 
 // GF2P8MULB multiplies in x^8 + x^4 + x^3 + x + 1 — exactly our field, no
 // tables needed.
-STEGFS_GF_GFNI void MulAccumGfni(uint8_t c, const uint8_t* src, uint8_t* dst,
-                                 size_t len) {
-  const __m256i cv = _mm256_set1_epi8(static_cast<char>(c));
+STEGFS_GF_GFNI void DotProdGfni(const uint8_t* coefs,
+                                const uint8_t* const* srcs, int m,
+                                uint8_t* dst, size_t len) {
   size_t i = 0;
   for (; i + 32 <= len; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i p = _mm256_gf2p8mul_epi8(v, cv);
-    __m256i d =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(d, p));
+    __m256i acc = _mm256_setzero_si256();
+    for (int j = 0; j < m; ++j) {
+      __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i));
+      __m256i c = _mm256_set1_epi8(static_cast<char>(coefs[j]));
+      acc = _mm256_xor_si256(acc, _mm256_gf2p8mul_epi8(v, c));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), acc);
   }
-  if (i < len) {
-    NibbleTables t = TablesFor(c);
-    MulAccumTail(t, src + i, dst + i, len - i);
-  }
-}
-
-STEGFS_GF_GFNI void ScaleGfni(uint8_t c, uint8_t* buf, size_t len) {
-  const __m256i cv = _mm256_set1_epi8(static_cast<char>(c));
-  size_t i = 0;
-  for (; i + 32 <= len; i += 32) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(buf + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(buf + i),
-                        _mm256_gf2p8mul_epi8(v, cv));
-  }
-  if (i < len) {
-    NibbleTables t = TablesFor(c);
-    ScaleTail(t, buf + i, len - i);
-  }
+  DotProdScalar(coefs, srcs, m, dst, i, len);
 }
 
 bool GfniSupported() {
@@ -236,26 +213,21 @@ bool SetGfTier(GfTier tier) {
   return true;
 }
 
-void GfMulAccum(uint8_t c, const uint8_t* src, uint8_t* dst, size_t len) {
-  if (len == 0 || c == 0) return;
-  if (c == 1) {
-    for (size_t i = 0; i < len; ++i) dst[i] ^= src[i];
-    return;
-  }
+void GfDotProd(const uint8_t* coefs, const uint8_t* const* srcs, int m,
+               uint8_t* dst, size_t len) {
+  assert(m >= 1);
   switch (ActiveGfTier()) {
 #ifdef STEGFS_GF_X86
     case GfTier::kGfni:
-      MulAccumGfni(c, src, dst, len);
+      DotProdGfni(coefs, srcs, m, dst, len);
       return;
-    case GfTier::kPshufb: {
-      NibbleTables t = TablesFor(c);
+    case GfTier::kPshufb:
       if (Avx2Supported()) {
-        MulAccumPshufb256(t, src, dst, len);
+        DotProdPshufb256(coefs, srcs, m, dst, len);
       } else {
-        MulAccumPshufb128(t, src, dst, len);
+        DotProdPshufb128(coefs, srcs, m, dst, len);
       }
       return;
-    }
 #else
     case GfTier::kGfni:
     case GfTier::kPshufb:
@@ -263,37 +235,7 @@ void GfMulAccum(uint8_t c, const uint8_t* src, uint8_t* dst, size_t len) {
     case GfTier::kScalar:
       break;
   }
-  MulAccumScalar(c, src, dst, len);
-}
-
-void GfScale(uint8_t c, uint8_t* buf, size_t len) {
-  if (len == 0 || c == 1) return;
-  if (c == 0) {
-    std::memset(buf, 0, len);
-    return;
-  }
-  switch (ActiveGfTier()) {
-#ifdef STEGFS_GF_X86
-    case GfTier::kGfni:
-      ScaleGfni(c, buf, len);
-      return;
-    case GfTier::kPshufb: {
-      NibbleTables t = TablesFor(c);
-      if (Avx2Supported()) {
-        ScalePshufb256(t, buf, len);
-      } else {
-        ScalePshufb128(t, buf, len);
-      }
-      return;
-    }
-#else
-    case GfTier::kGfni:
-    case GfTier::kPshufb:
-#endif
-    case GfTier::kScalar:
-      break;
-  }
-  ScaleScalar(c, buf, len);
+  DotProdScalar(coefs, srcs, m, dst, 0, len);
 }
 
 }  // namespace crypto

@@ -1,11 +1,11 @@
-// Bulk GF(2^8) kernels (AES polynomial 0x11b) behind the IDA stripe
+// The bulk GF(2^8) kernel (AES polynomial 0x11b) behind the IDA stripe
 // codecs, with runtime-detected SIMD tiers mirroring the AES dispatch in
 // crypto/aes.h:
 //   kGfni   - GF2P8MULB, which multiplies in the AES field natively,
 //             32 bytes per instruction (requires GFNI + AVX2),
 //   kPshufb - the classic nibble-table multiply (two PSHUFB lookups per
 //             vector), 32 bytes (AVX2) or 16 bytes (SSSE3) per step,
-//   kScalar - a per-coefficient 256-entry product table.
+//   kScalar - a static 64 KiB product table, eight bytes per step.
 // All tiers produce bitwise-identical results; SetGfTier lets tests and
 // benchmarks pin a specific one.
 #ifndef STEGFS_CRYPTO_GF256_SIMD_H_
@@ -31,13 +31,12 @@ const char* GfTierName();
 // run it. kScalar always succeeds.
 bool SetGfTier(GfTier tier);
 
-// dst[i] ^= c * src[i] for i in [0, len) — the encode / row-eliminate
-// primitive. c == 0 is a no-op, c == 1 a plain XOR.
-void GfMulAccum(uint8_t c, const uint8_t* src, uint8_t* dst, size_t len);
-
-// buf[i] = c * buf[i] for i in [0, len) — the row-normalize primitive.
-// c == 0 zeroes the buffer, c == 1 is a no-op.
-void GfScale(uint8_t c, uint8_t* buf, size_t len);
+// dst[i] = sum over j < m of coefs[j] * srcs[j][i], for i in [0, len) —
+// the one encode / decode primitive (a row of a coding matrix times m
+// source buffers). m >= 1. dst is overwritten, not accumulated into, and
+// must not overlap any source.
+void GfDotProd(const uint8_t* coefs, const uint8_t* const* srcs, int m,
+               uint8_t* dst, size_t len);
 
 }  // namespace crypto
 }  // namespace stegfs

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "crypto/gf256_simd.h"
+#include "crypto/sha256.h"
+#include "util/hex.h"
 #include "util/random.h"
 
 namespace stegfs {
@@ -63,107 +65,7 @@ std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
   return v;
 }
 
-TEST(IdaTest, RoundTripFromDataShares) {
-  InformationDispersal ida(4, 7);
-  auto data = RandomBytes(10000, 1);
-  auto shares = ida.Encode(data);
-  ASSERT_EQ(shares.size(), 7u);
-  auto back = ida.Decode({shares[0], shares[1], shares[2], shares[3]});
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), data);
-}
-
-TEST(IdaTest, RoundTripFromParityShares) {
-  InformationDispersal ida(4, 8);
-  auto data = RandomBytes(5000, 2);
-  auto shares = ida.Encode(data);
-  auto back = ida.Decode({shares[4], shares[5], shares[6], shares[7]});
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), data);
-}
-
-TEST(IdaTest, EveryMSubsetReconstructs) {
-  const int m = 3, n = 6;
-  InformationDispersal ida(m, n);
-  auto data = RandomBytes(1000, 3);
-  auto shares = ida.Encode(data);
-  // All C(6,3) = 20 subsets.
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      for (int c = b + 1; c < n; ++c) {
-        auto back = ida.Decode({shares[a], shares[b], shares[c]});
-        ASSERT_TRUE(back.ok()) << a << "," << b << "," << c;
-        EXPECT_EQ(back.value(), data) << a << "," << b << "," << c;
-      }
-    }
-  }
-}
-
-TEST(IdaTest, FewerThanMSharesRejected) {
-  InformationDispersal ida(3, 5);
-  auto shares = ida.Encode(RandomBytes(100, 4));
-  EXPECT_FALSE(ida.Decode({shares[0], shares[1]}).ok());
-  // Duplicate indices don't count twice.
-  EXPECT_FALSE(ida.Decode({shares[0], shares[0], shares[0]}).ok());
-}
-
-TEST(IdaTest, ShareSizeIsDataOverM) {
-  InformationDispersal ida(4, 8);
-  auto data = RandomBytes(40000, 5);
-  auto shares = ida.Encode(data);
-  // (8-byte frame + data) / 4, rounded up.
-  EXPECT_EQ(shares[0].bytes.size(), (40008u + 3) / 4);
-  // Total storage = n/m x data (the IDA advantage over replication).
-  size_t total = 0;
-  for (const auto& s : shares) total += s.bytes.size();
-  EXPECT_NEAR(static_cast<double>(total) / data.size(), 8.0 / 4.0, 0.01);
-}
-
-TEST(IdaTest, EmptyAndTinyInputs) {
-  InformationDispersal ida(3, 5);
-  for (size_t len : {0u, 1u, 2u, 3u, 7u}) {
-    auto data = RandomBytes(len, 10 + len);
-    auto shares = ida.Encode(data);
-    auto back = ida.Decode({shares[1], shares[3], shares[4]});
-    ASSERT_TRUE(back.ok()) << len;
-    EXPECT_EQ(back.value(), data) << len;
-  }
-}
-
-TEST(IdaTest, MEqualsOneIsReplication) {
-  InformationDispersal ida(1, 4);
-  auto data = RandomBytes(500, 6);
-  auto shares = ida.Encode(data);
-  for (const auto& s : shares) {
-    auto back = ida.Decode({s});
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value(), data);
-  }
-}
-
-TEST(IdaTest, MEqualsNIsStriping) {
-  InformationDispersal ida(5, 5);
-  auto data = RandomBytes(1234, 7);
-  auto shares = ida.Encode(data);
-  auto back = ida.Decode(shares);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value(), data);
-}
-
-TEST(IdaTest, CorruptedShareYieldsWrongDataNotCrash) {
-  InformationDispersal ida(3, 5);
-  auto data = RandomBytes(300, 8);
-  auto shares = ida.Encode(data);
-  shares[4].bytes[10] ^= 0xff;
-  auto back = ida.Decode({shares[2], shares[3], shares[4]});
-  // IDA has no integrity check (callers MAC their shares); decode either
-  // fails structurally or returns different bytes.
-  if (back.ok()) {
-    EXPECT_NE(back.value(), data);
-  }
-}
-
-// --- SIMD GF(256) tiers (PR 6) ---------------------------------------
+// --- SIMD GF(256) tiers ----------------------------------------------
 // Same pattern as crypto_tiers_test.cc for AES: force each backend in
 // turn and require bit-identical results against the scalar reference.
 
@@ -190,70 +92,145 @@ TEST(GfSimdTest, TierNameIsStable) {
               std::string(name) == "gf-scalar");
 }
 
-TEST(GfSimdTest, MulAccumMatchesScalarReferenceOnEveryTier) {
-  // Odd lengths cover the vector tail path; every coefficient class
-  // (0, 1, arbitrary) covers the fast paths.
-  const size_t kLens[] = {1, 15, 16, 31, 32, 33, 64, 257, 4096, 4099};
+TEST(GfSimdTest, DotProdMatchesMulReferenceOnEveryTier) {
+  // Lengths straddle the 16- and 32-byte vector steps and the scalar
+  // tier's 8-byte words; the rows mix 0 and 1 (the old fast paths) with
+  // arbitrary coefficients.
+  const size_t kLens[] = {0, 1, 31, 32, 33, 4096, 4113};
   for (GfTier tier : kAllTiers) {
     GfTierScope scope(tier);
     if (!scope.active()) continue;  // CPU lacks this tier
-    for (size_t len : kLens) {
-      for (uint8_t c : {0, 1, 2, 0x53, 0xca, 0xff}) {
-        auto src = RandomBytes(len, 0x1000 + len + c);
-        auto dst = RandomBytes(len, 0x2000 + len + c);
-        std::vector<uint8_t> expect(dst);
-        for (size_t i = 0; i < len; ++i) {
-          expect[i] ^= Gf256::Mul(c, src[i]);
+    for (int m = 1; m <= 16; ++m) {
+      Xoshiro rng(0x600d + m);
+      std::vector<std::vector<uint8_t>> rows(4, std::vector<uint8_t>(m));
+      for (uint8_t& c : rows[0]) c = static_cast<uint8_t>(rng.Next());
+      rows[0][0] = 0;
+      rows[0][m - 1] = 1;
+      rows[1].assign(m, 1);
+      rows[2].assign(m, 0);
+      for (uint8_t& c : rows[3]) c = static_cast<uint8_t>(rng.Next());
+      for (size_t len : kLens) {
+        std::vector<std::vector<uint8_t>> srcs(m);
+        std::vector<const uint8_t*> ptrs(m);
+        for (int j = 0; j < m; ++j) {
+          srcs[j] = RandomBytes(len, 0x1000 * m + 16 * len + j);
+          ptrs[j] = srcs[j].data();
         }
-        GfMulAccum(c, src.data(), dst.data(), len);
-        EXPECT_EQ(dst, expect) << GfTierName() << " c=" << int(c)
-                               << " len=" << len;
+        for (const std::vector<uint8_t>& row : rows) {
+          std::vector<uint8_t> expect(len, 0);
+          for (int j = 0; j < m; ++j) {
+            for (size_t i = 0; i < len; ++i) {
+              expect[i] ^= Gf256::Mul(row[j], srcs[j][i]);
+            }
+          }
+          // dst starts as garbage (it is overwritten, not accumulated
+          // into) and carries a guard byte the kernel must not touch.
+          std::vector<uint8_t> dst = RandomBytes(len + 1, 0x2000 + len);
+          const uint8_t guard = dst[len];
+          GfDotProd(row.data(), ptrs.data(), m, dst.data(), len);
+          EXPECT_EQ(dst[len], guard) << GfTierName();
+          dst.pop_back();
+          EXPECT_EQ(dst, expect) << GfTierName() << " m=" << m
+                                 << " len=" << len;
+        }
       }
     }
   }
 }
 
-TEST(GfSimdTest, ScaleMatchesScalarReferenceOnEveryTier) {
-  const size_t kLens[] = {1, 16, 31, 33, 1024, 4097};
+// (share index, block) pairs for the shares whose bit is set in `mask`,
+// highest index first so the decoder has to reorder rows.
+std::vector<std::pair<uint8_t, std::vector<uint8_t>>> Select(
+    const std::vector<std::vector<uint8_t>>& shares, uint32_t mask) {
+  std::vector<std::pair<uint8_t, std::vector<uint8_t>>> sel;
+  for (int s = static_cast<int>(shares.size()) - 1; s >= 0; --s) {
+    if (mask & (1u << s)) sel.emplace_back(static_cast<uint8_t>(s), shares[s]);
+  }
+  return sel;
+}
+
+std::vector<std::vector<uint8_t>> RandomStripe(int m, size_t len,
+                                               uint64_t seed) {
+  std::vector<std::vector<uint8_t>> blocks(m);
+  for (int j = 0; j < m; ++j) blocks[j] = RandomBytes(len, seed + j);
+  return blocks;
+}
+
+TEST(IdaStripeTest, EveryKSubsetReconstructsOnEveryTier) {
+  const std::pair<int, int> kShapes[] = {{1, 4}, {3, 4}, {4, 8}, {5, 5},
+                                         {16, 16}};
   for (GfTier tier : kAllTiers) {
     GfTierScope scope(tier);
     if (!scope.active()) continue;
-    for (size_t len : kLens) {
-      for (uint8_t c : {0, 1, 7, 0x8e, 0xff}) {
-        auto buf = RandomBytes(len, 0x3000 + len + c);
-        std::vector<uint8_t> expect(len);
-        for (size_t i = 0; i < len; ++i) {
-          expect[i] = Gf256::Mul(c, buf[i]);
-        }
-        GfScale(c, buf.data(), len);
-        EXPECT_EQ(buf, expect) << GfTierName() << " c=" << int(c)
-                               << " len=" << len;
+    for (auto [m, n] : kShapes) {
+      auto blocks = RandomStripe(m, 4096 + 7, 0x5000 + 32 * m + n);
+      auto shares = IdaEncodeStripe(blocks, n);
+      ASSERT_EQ(shares.size(), static_cast<size_t>(n));
+      for (int j = 0; j < m; ++j) EXPECT_EQ(shares[j], blocks[j]);
+      int subsets = 0;
+      for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+        if (__builtin_popcount(mask) != m) continue;
+        ++subsets;
+        auto back = IdaDecodeStripe(Select(shares, mask), m);
+        ASSERT_TRUE(back.ok()) << GfTierName() << " (" << m << "," << n
+                               << ") mask " << mask;
+        EXPECT_EQ(back.value(), blocks)
+            << GfTierName() << " (" << m << "," << n << ") mask " << mask;
       }
+      EXPECT_GE(subsets, 1);
     }
   }
 }
 
-TEST(GfSimdTest, IdaRoundTripIdenticalAcrossTiers) {
-  // The k-of-n round trip exercises encode AND the Gaussian-elimination
-  // decode through the SIMD kernels; every available tier must produce
-  // byte-identical shares and recover the data from parity-only subsets.
-  auto data = RandomBytes(40000, 42);
-  std::vector<std::vector<InformationDispersal::Share>> per_tier_shares;
+TEST(IdaStripeTest, FewerThanKSharesRejected) {
+  auto shares = IdaEncodeStripe(RandomStripe(3, 100, 4), 5);
+  auto two = IdaDecodeStripe({{0, shares[0]}, {4, shares[4]}}, 3);
+  EXPECT_TRUE(two.status().IsInvalidArgument());
+  // Duplicate indices don't count twice.
+  auto dup = IdaDecodeStripe({{0, shares[0]}, {0, shares[0]}, {0, shares[0]}},
+                             3);
+  EXPECT_TRUE(dup.status().IsInvalidArgument());
+}
+
+TEST(IdaStripeTest, DuplicateIndicesAreIgnoredOnEveryTier) {
+  auto blocks = RandomStripe(3, 500, 9);
   for (GfTier tier : kAllTiers) {
     GfTierScope scope(tier);
     if (!scope.active()) continue;
-    InformationDispersal ida(3, 6);
-    auto shares = ida.Encode(data);
-    ASSERT_EQ(shares.size(), 6u);
-    auto back = ida.Decode({shares[5], shares[3], shares[4]});
+    auto shares = IdaEncodeStripe(blocks, 5);
+    // A repeat of share 4 (even one whose bytes were damaged) is skipped;
+    // the first three distinct indices decode.
+    std::vector<uint8_t> bad = shares[4];
+    bad[0] ^= 0xff;
+    auto back = IdaDecodeStripe(
+        {{4, shares[4]}, {4, bad}, {1, shares[1]}, {4, bad}, {3, shares[3]}},
+        3);
     ASSERT_TRUE(back.ok()) << GfTierName();
-    EXPECT_EQ(back.value(), data) << GfTierName();
-    per_tier_shares.push_back(std::move(shares));
+    EXPECT_EQ(back.value(), blocks) << GfTierName();
   }
-  for (size_t t = 1; t < per_tier_shares.size(); ++t) {
-    for (size_t s = 0; s < 6; ++s) {
-      EXPECT_EQ(per_tier_shares[t][s].bytes, per_tier_shares[0][s].bytes)
-          << "tier " << t << " share " << s;
+}
+
+TEST(IdaStripeTest, LengthMismatchRejected) {
+  auto shares = IdaEncodeStripe(RandomStripe(3, 64, 11), 5);
+  shares[3].pop_back();
+  auto back =
+      IdaDecodeStripe({{0, shares[0]}, {3, shares[3]}, {4, shares[4]}}, 3);
+  EXPECT_TRUE(back.status().IsInvalidArgument());
+}
+
+TEST(IdaStripeTest, CorruptedShareYieldsWrongDataNotCrashOnEveryTier) {
+  auto blocks = RandomStripe(3, 300, 8);
+  for (GfTier tier : kAllTiers) {
+    GfTierScope scope(tier);
+    if (!scope.active()) continue;
+    auto shares = IdaEncodeStripe(blocks, 5);
+    shares[4][10] ^= 0xff;
+    auto back =
+        IdaDecodeStripe({{2, shares[2]}, {3, shares[3]}, {4, shares[4]}}, 3);
+    // The stripe code has no integrity check (callers MAC their shares);
+    // decode either fails structurally or returns different bytes.
+    if (back.ok()) {
+      EXPECT_NE(back.value(), blocks) << GfTierName();
     }
   }
 }
@@ -261,8 +238,7 @@ TEST(GfSimdTest, IdaRoundTripIdenticalAcrossTiers) {
 TEST(GfSimdTest, StripeEncodeDecodeAcrossTiers) {
   const int m = 4, n = 7;
   const size_t len = 4096 + 13;
-  std::vector<std::vector<uint8_t>> blocks(m);
-  for (int j = 0; j < m; ++j) blocks[j] = RandomBytes(len, 99 + j);
+  auto blocks = RandomStripe(m, len, 99);
   std::vector<std::vector<uint8_t>> first;
   for (GfTier tier : kAllTiers) {
     GfTierScope scope(tier);
@@ -287,6 +263,40 @@ TEST(GfSimdTest, StripeEncodeDecodeAcrossTiers) {
         EXPECT_EQ(shares[s], first[s]) << GfTierName() << " share " << s;
       }
     }
+  }
+}
+
+// Pins the bytes of one fixed kIda(3,5) stripe: both parity shares and
+// the data decoded from a subset that mixes data and parity rows. Every
+// tier must reproduce these digests, whatever loop shape its kernel has.
+TEST(GfSimdTest, GoldenIda35StripeDigests) {
+  const int m = 3, n = 5;
+  const size_t len = 4096 + 13;
+  std::vector<std::vector<uint8_t>> blocks(m);
+  for (int j = 0; j < m; ++j) blocks[j] = RandomBytes(len, 0x6017 + j);
+  for (GfTier tier : kAllTiers) {
+    GfTierScope scope(tier);
+    if (!scope.active()) continue;
+    auto shares = IdaEncodeStripe(blocks, n);
+    ASSERT_EQ(shares.size(), static_cast<size_t>(n));
+    Sha256 parity;
+    for (int s = m; s < n; ++s) parity.Update(shares[s].data(), len);
+    Sha256Digest pd = parity.Finish();
+    EXPECT_EQ(HexEncode(pd.data(), pd.size()),
+              "7c324b34ee21ab8066b5fa35dd5e9f24b7f0518ead83f4b07ecf9ae4dfa4ec8d")
+        << GfTierName();
+
+    auto back = IdaDecodeStripe({{4, shares[4]}, {1, shares[1]},
+                                 {3, shares[3]}},
+                                m);
+    ASSERT_TRUE(back.ok()) << GfTierName();
+    Sha256 decoded;
+    for (const auto& b : back.value()) decoded.Update(b.data(), b.size());
+    Sha256Digest dd = decoded.Finish();
+    EXPECT_EQ(HexEncode(dd.data(), dd.size()),
+              "10c53f96fadc33f6bb2cde876586573665736fa47f70295b48866fcf8ab4fc4c")
+        << GfTierName();
+    for (int j = 0; j < m; ++j) EXPECT_EQ(back.value()[j], blocks[j]);
   }
 }
 

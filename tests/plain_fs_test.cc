@@ -457,6 +457,26 @@ TEST(PlainFsExportTest, MountExportsThePinnedSeries) {
   std::remove(path.c_str());
 }
 
+// An in-memory volume counts its barriers like a file-backed one: a
+// durable mount's first commit reaches MemBlockDevice::Sync, and the
+// registry exports the count.
+TEST(PlainFsExportTest, DurableMemMountCountsDeviceSyncs) {
+  MemBlockDevice dev(4096, 1024);
+  FormatOptions fo;
+  fo.journal_blocks = 16;
+  ASSERT_TRUE(PlainFs::Format(&dev, fo).ok());
+  MountOptions mo;
+  mo.durability = Durability::kJournal;
+  auto fs = PlainFs::Mount(&dev, mo);
+  ASSERT_TRUE(fs.ok()) << fs.status().ToString();
+  ASSERT_TRUE((*fs)->WriteFile("/f", "committed").ok());
+  EXPECT_GT(dev.device_metrics()->syncs.value(), 0u);
+  uint64_t exported = 0;
+  ASSERT_TRUE((*fs)->metrics_registry()->FindCounter(
+      "stegfs_device_syncs_total", &exported));
+  EXPECT_EQ(exported, dev.device_metrics()->syncs.value());
+}
+
 TEST(PlainFsFormatTest, MountRejectsUnformattedDevice) {
   MemBlockDevice dev(1024, 4096);
   EXPECT_FALSE(PlainFs::Mount(&dev, MountOptions{}).ok());
