@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cassert>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -19,6 +20,7 @@ size_t BufferCache::AutoShardCount(size_t capacity_blocks) {
 BufferCache::BufferCache(BlockDevice* device, size_t capacity_blocks,
                          WritePolicy policy, size_t shard_count)
     : device_(device),
+      block_size_(device->block_size()),
       capacity_(capacity_blocks),
       policy_(policy),
       locks_(shard_count == 0 ? AutoShardCount(capacity_blocks)
@@ -110,102 +112,134 @@ void BufferCache::CountHit(Entry& e) {
   }
 }
 
-Status BufferCache::Read(uint64_t block, uint8_t* out) {
-  size_t idx = ShardOf(block);
-  Shard* shard = &shards_[idx];
-  std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-  auto found = shard->map.find(block);
-  if (found != shard->map.end()) {
-    Entry& e = Touch(shard, found->second);
-    CountHit(e);
-    std::memcpy(out, e.data.data(), e.data.size());
-    return Status::OK();
-  }
-  metrics_.misses.Increment();
+Status BufferCache::Insert(Shard* shard, uint64_t block, const uint8_t* bytes,
+                           bool prefetched) {
   STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
-  Entry e;
+  Entry& e = shard->lru.emplace_front();
   e.block = block;
-  e.data.resize(device_->block_size());
-  {
-    obs::LatencyTimer fill_timer(&metrics_.fill_ns);
-    STEGFS_RETURN_IF_ERROR(device_->ReadBlock(block, e.data.data()));
-  }
-  std::memcpy(out, e.data.data(), e.data.size());
-  shard->lru.push_front(std::move(e));
+  e.data.assign(bytes, bytes + block_size_);
+  e.prefetched = prefetched;
   shard->map[block] = shard->lru.begin();
   return Status::OK();
 }
 
-Status BufferCache::Write(uint64_t block, const uint8_t* data) {
-  size_t idx = ShardOf(block);
-  Shard* shard = &shards_[idx];
-  std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-  shard->gen++;  // invalidates in-flight async reads' snapshots
-  if (policy_ == WritePolicy::kWriteThrough) {
-    STEGFS_RETURN_IF_ERROR(device_->WriteBlock(block, data));
-  }
-  auto found = shard->map.find(block);
-  if (found != shard->map.end()) {
-    Entry& e = Touch(shard, found->second);
-    CountHit(e);
-    std::memcpy(e.data.data(), data, e.data.size());
-    MarkWritten(shard, &e);
-    return Status::OK();
-  }
-  metrics_.misses.Increment();
-  STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
-  Entry e;
-  e.block = block;
-  e.data.assign(data, data + device_->block_size());
-  shard->lru.push_front(std::move(e));
-  shard->map[block] = shard->lru.begin();
-  MarkWritten(shard, &shard->lru.front());
-  return Status::OK();
-}
+namespace {
 
-std::vector<std::vector<size_t>> BufferCache::GroupByShard(
-    const uint64_t* blocks, size_t n) const {
-  std::vector<std::vector<size_t>> groups(shards_.size());
-  if (shards_.size() == 1) {
-    groups[0].resize(n);
-    for (size_t i = 0; i < n; ++i) groups[0][i] = i;
-    return groups;
+// Per-call scratch whose capacity is fixed at construction: inline for up
+// to kInline elements, one heap allocation beyond. The batch calls size
+// theirs by the request, so a one-block call allocates nothing.
+template <typename T, size_t kInline = 8>
+class Scratch {
+ public:
+  explicit Scratch(size_t capacity) {
+    if (capacity > kInline) {
+      heap_.reset(new T[capacity]);
+      data_ = heap_.get();
+    }
   }
-  for (size_t i = 0; i < n; ++i) {
-    groups[ShardOf(blocks[i])].push_back(i);
+  Scratch(const Scratch&) = delete;
+
+  void push_back(const T& v) { data_[size_++] = v; }
+  size_t size() const { return size_; }
+  T* data() { return data_; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
+  T& operator[](size_t i) { return data_[i]; }
+
+ private:
+  T inline_[kInline];
+  std::unique_ptr<T[]> heap_;
+  T* data_ = inline_;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
+// The positions of a batch grouped by shard: ascending shard order (the
+// multi-stripe lock order), request order within a shard. One in-place
+// sort of (shard << 32 | position) keys, so no group has a heap vector.
+class BufferCache::ShardGroups {
+ public:
+  ShardGroups(const BufferCache& cache, const uint64_t* blocks, size_t n)
+      : keys_(n) {
+    assert(n <= UINT32_MAX);
+    const bool one_shard = cache.shards_.size() == 1;
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t idx = one_shard ? 0 : cache.ShardOf(blocks[i]);
+      keys_.push_back(idx << 32 | i);
+    }
+    if (!one_shard && n > 1) std::sort(keys_.begin(), keys_.end());
   }
-  return groups;
-}
+
+  // Steps to the next shard's group; false past the last one.
+  bool Next() {
+    begin_ = end_;
+    if (begin_ == keys_.size()) return false;
+    while (end_ < keys_.size() && keys_[end_] >> 32 == keys_[begin_] >> 32) {
+      ++end_;
+    }
+    return true;
+  }
+  size_t shard() { return keys_[begin_] >> 32; }
+  size_t size() const { return end_ - begin_; }
+  // Request position of the group's k-th block.
+  size_t operator[](size_t k) { return keys_[begin_ + k] & UINT32_MAX; }
+
+ private:
+  Scratch<uint64_t> keys_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+};
 
 Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
                               uint8_t* out) {
-  const size_t bs = device_->block_size();
-  metrics_.batched_reads.Add(n);
+  const size_t bs = block_size_;
 
-  // One shard at a time, holding only that shard's lock — exactly the
-  // demand path's locking granularity, so concurrent sessions on other
-  // shards never stall behind this batch's device I/O. On a one-shard
-  // cache the whole extent's misses leave as a single coalescable
-  // vectored call (see the sharding-vs-coalescing note in the header).
-  auto groups = GroupByShard(blocks, n);
-  std::vector<size_t> miss_pos;
-  std::vector<std::pair<size_t, size_t>> dup_of;
-  std::vector<BlockIoVec> iov;
-  for (size_t idx = 0; idx < groups.size(); ++idx) {
-    const std::vector<size_t>& group = groups[idx];
-    if (group.empty()) continue;
-    Shard* shard = &shards_[idx];
-    std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
+  // One shard at a time, holding only that shard's lock, so concurrent
+  // sessions on other shards never stall behind this batch's device I/O.
+  // On a one-shard cache the whole extent's misses leave as a single
+  // coalescable vectored call (see the sharding-vs-coalescing note in the
+  // header).
+  ShardGroups group(*this, blocks, n);
+  struct Dup {
+    size_t pos;
+    size_t first;
+  };
+  while (group.Next()) {
+    Shard* shard = &shards_[group.shard()];
+    std::lock_guard<std::shared_mutex> lock(locks_.stripe(group.shard()));
+    // Counted under the lock, not on entry: a locked add there would wait
+    // for the previous call's stores to drain without the shard hash to
+    // overlap with.
+    metrics_.batched_reads.Add(group.size());
 
-    // Pass 1: copy hits out; collect the distinct misses (request order)
-    // and read them from the device straight into `out` with one vectored
-    // call, under the shard lock (that is what makes a concurrent miss on
-    // the same block read the device exactly once).
-    miss_pos.clear();
-    dup_of.clear();
-    iov.clear();
-    for (size_t pos : group) {
+    // Pass 1. The hits before the group's first miss are served in full
+    // here: no insert can precede them, so touching them now is the
+    // one-block order, and an all-hit group is done.
+    size_t k = 0;
+    for (; k < group.size(); ++k) {
+      const size_t pos = group[k];
       auto found = shard->map.find(blocks[pos]);
+      if (found == shard->map.end()) break;
+      CountHit(Touch(shard, found->second));
+      std::memcpy(out + pos * bs, found->second->data.data(), bs);
+    }
+    if (k == group.size()) continue;
+    // From the first miss on, hits are copied out now and their LRU
+    // updates wait for pass 2. The distinct misses are read from the
+    // device straight into `out` with one vectored call, under the shard
+    // lock (that is what makes a concurrent miss on the same block read
+    // the device exactly once).
+    const size_t replay_from = k;
+    const size_t rest = group.size() - k;
+    Scratch<size_t> miss_pos(rest);
+    Scratch<Dup> dups(rest);
+    Scratch<BlockIoVec> iov(rest);
+    Scratch<bool> was_hit(rest);  // indexed k - replay_from
+    for (; k < group.size(); ++k) {
+      const size_t pos = group[k];
+      auto found = shard->map.find(blocks[pos]);
+      was_hit.push_back(found != shard->map.end());
       if (found != shard->map.end()) {
         std::memcpy(out + pos * bs, found->second->data.data(), bs);
         continue;
@@ -221,49 +255,37 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
         miss_pos.push_back(pos);
         iov.push_back({blocks[pos], out + pos * bs});
       } else {
-        dup_of.push_back({pos, first});  // filled after the device read
+        dups.push_back({pos, first});  // filled after the device read
       }
     }
-    if (!iov.empty()) {
+    {
       obs::LatencyTimer fill_timer(&metrics_.fill_ns);
       STEGFS_RETURN_IF_ERROR(device_->ReadBlocks(iov.data(), iov.size()));
     }
-    for (const auto& [pos, first] : dup_of) {
-      std::memcpy(out + pos * bs, out + first * bs, bs);
+    for (const Dup& d : dups) {
+      std::memcpy(out + d.pos * bs, out + d.first * bs, bs);
     }
 
-    // Pass 2: replay the per-block algorithm in request order — identical
-    // hit/miss counts, LRU updates and eviction sequence to a Read loop.
-    // (A pass-1 hit evicted by an earlier insert in this same pass is
-    // re-inserted from the bytes copied in pass 1 and still counts as a
-    // hit; this can only happen when one batch touches more distinct
-    // blocks than the shard holds.)
-    for (size_t pos : group) {
+    // Pass 2: replay the per-block algorithm in request order from the
+    // first miss on — identical hit/miss counts, LRU updates and eviction
+    // sequence to a one-block loop. Every byte is already in `out`. (A
+    // pass-1 hit evicted by an earlier insert in this same pass is
+    // re-inserted from its copy and still counts as a hit; this can only
+    // happen when one batch touches more distinct blocks than the shard
+    // holds.)
+    for (k = replay_from; k < group.size(); ++k) {
+      const size_t pos = group[k];
       auto found = shard->map.find(blocks[pos]);
       if (found != shard->map.end()) {
-        Entry& e = Touch(shard, found->second);
-        CountHit(e);
-        std::memcpy(out + pos * bs, e.data.data(), bs);
+        CountHit(Touch(shard, found->second));
         continue;
       }
-      bool fetched = false;
-      for (size_t mp : miss_pos) {
-        if (blocks[mp] == blocks[pos]) {
-          fetched = true;
-          break;
-        }
-      }
-      if (fetched) {
-        metrics_.misses.Increment();
-      } else {
+      if (was_hit[k - replay_from]) {
         metrics_.hits.Increment();  // evicted pass-1 hit
+      } else {
+        metrics_.misses.Increment();
       }
-      STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
-      Entry e;
-      e.block = blocks[pos];
-      e.data.assign(out + pos * bs, out + pos * bs + bs);
-      shard->lru.push_front(std::move(e));
-      shard->map[blocks[pos]] = shard->lru.begin();
+      STEGFS_RETURN_IF_ERROR(Insert(shard, blocks[pos], out + pos * bs));
     }
   }
   return Status::OK();
@@ -271,14 +293,14 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
 
 Status BufferCache::ProbeBatch(const uint64_t* blocks, size_t n,
                                uint8_t* out, size_t* cache_hits) {
-  const size_t bs = device_->block_size();
-  auto groups = GroupByShard(blocks, n);
+  const size_t bs = block_size_;
+  ShardGroups group(*this, blocks, n);
   std::vector<BlockIoVec> misses;
-  for (size_t idx = 0; idx < groups.size(); ++idx) {
-    if (groups[idx].empty()) continue;
-    const Shard& shard = shards_[idx];
-    std::shared_lock<std::shared_mutex> lock(locks_.stripe(idx));
-    for (size_t pos : groups[idx]) {
+  while (group.Next()) {
+    const Shard& shard = shards_[group.shard()];
+    std::shared_lock<std::shared_mutex> lock(locks_.stripe(group.shard()));
+    for (size_t k = 0; k < group.size(); ++k) {
+      const size_t pos = group[k];
       auto found = shard.map.find(blocks[pos]);
       if (found != shard.map.end()) {
         std::memcpy(out + pos * bs, found->second->data.data(), bs);
@@ -294,31 +316,30 @@ Status BufferCache::ProbeBatch(const uint64_t* blocks, size_t n,
 
 Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
                                const uint8_t* data) {
-  const size_t bs = device_->block_size();
-  metrics_.batched_writes.Add(n);
-  auto groups = GroupByShard(blocks, n);
-  std::vector<ConstBlockIoVec> iov;
-  for (size_t idx = 0; idx < groups.size(); ++idx) {
-    const std::vector<size_t>& group = groups[idx];
-    if (group.empty()) continue;
-    Shard* shard = &shards_[idx];
-    std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
+  const size_t bs = block_size_;
+  ShardGroups group(*this, blocks, n);
+  while (group.Next()) {
+    Shard* shard = &shards_[group.shard()];
+    std::lock_guard<std::shared_mutex> lock(locks_.stripe(group.shard()));
+    metrics_.batched_writes.Add(group.size());  // under the lock: see ReadBatch
     shard->gen++;  // invalidates in-flight async reads' snapshots
 
     if (policy_ == WritePolicy::kWriteThrough) {
       // One vectored device call per shard group, in request order (a
       // duplicate block writes twice, last value winning — same as the
       // per-block loop).
-      iov.clear();
-      iov.reserve(group.size());
-      for (size_t pos : group) iov.push_back({blocks[pos], data + pos * bs});
+      Scratch<ConstBlockIoVec> iov(group.size());
+      for (size_t k = 0; k < group.size(); ++k) {
+        iov.push_back({blocks[group[k]], data + group[k] * bs});
+      }
       Status ws = device_->WriteBlocks(iov.data(), iov.size());
       if (!ws.ok()) {
-        // The device may have persisted a prefix of the group; drop the
-        // group's cached entries (never dirty under write-through) so the
-        // cache cannot serve bytes older than what reached the device.
-        for (size_t pos : group) {
-          auto found = shard->map.find(blocks[pos]);
+        // The device may hold any prefix of the group, and a torn block
+        // holds neither image: drop the group's cached entries (never
+        // dirty under write-through) so the cache cannot serve bytes
+        // other than the device's.
+        for (size_t k = 0; k < group.size(); ++k) {
+          auto found = shard->map.find(blocks[group[k]]);
           if (found != shard->map.end()) {
             MarkClean(shard, &*found->second);
             shard->lru.erase(found->second);
@@ -329,7 +350,8 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
       }
     }
 
-    for (size_t pos : group) {
+    for (size_t k = 0; k < group.size(); ++k) {
+      const size_t pos = group[k];
       auto found = shard->map.find(blocks[pos]);
       if (found != shard->map.end()) {
         Entry& e = Touch(shard, found->second);
@@ -339,12 +361,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
         continue;
       }
       metrics_.misses.Increment();
-      STEGFS_RETURN_IF_ERROR(EnsureRoom(shard));
-      Entry e;
-      e.block = blocks[pos];
-      e.data.assign(data + pos * bs, data + pos * bs + bs);
-      shard->lru.push_front(std::move(e));
-      shard->map[blocks[pos]] = shard->lru.begin();
+      STEGFS_RETURN_IF_ERROR(Insert(shard, blocks[pos], data + pos * bs));
       MarkWritten(shard, &shard->lru.front());
     }
   }
@@ -367,15 +384,14 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
     }
     return result;
   }
-  const size_t bs = device_->block_size();
+  const size_t bs = block_size_;
   metrics_.batched_reads.Add(n);
   metrics_.async_batched_reads.Add(n);
 
-  auto groups = GroupByShard(blocks, n);
+  ShardGroups group(*this, blocks, n);
   std::unordered_map<uint64_t, size_t> first_pos;  // block -> first miss pos
-  for (size_t idx = 0; idx < groups.size(); ++idx) {
-    const std::vector<size_t>& group = groups[idx];
-    if (group.empty()) continue;
+  while (group.Next()) {
+    const size_t idx = group.shard();
     Shard* shard = &shards_[idx];
     std::vector<BlockIoVec> iov;
     std::vector<std::pair<size_t, size_t>> dups;
@@ -389,7 +405,8 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
       // generation-guarded there.
       std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
       gen = shard->gen;
-      for (size_t pos : group) {
+      for (size_t k = 0; k < group.size(); ++k) {
+        const size_t pos = group[k];
         auto found = shard->map.find(blocks[pos]);
         if (found != shard->map.end()) {
           Entry& e = Touch(shard, found->second);
@@ -445,7 +462,6 @@ CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
 void BufferCache::CompleteAsyncRead(size_t idx,
                                     const std::vector<BlockIoVec>& misses,
                                     uint64_t gen, bool prefetch) {
-  const size_t bs = device_->block_size();
   Shard* shard = &shards_[idx];
   std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
   if (shard->gen != gen) {
@@ -459,19 +475,15 @@ void BufferCache::CompleteAsyncRead(size_t idx,
     if (shard->map.find(v.block) != shard->map.end()) {
       continue;  // a racing demand read inserted it first
     }
-    if (!EnsureRoom(shard).ok()) return;  // victim write-back failed
-    Entry e;
-    e.block = v.block;
-    e.data.assign(v.buf, v.buf + bs);
-    e.prefetched = prefetch;
-    shard->lru.push_front(std::move(e));
-    shard->map[v.block] = shard->lru.begin();
+    if (!Insert(shard, v.block, v.buf, prefetch).ok()) {
+      return;  // victim write-back failed
+    }
     if (prefetch) metrics_.prefetched.Increment();
   }
 }
 
 Status BufferCache::CheckpointBlock(uint64_t block, const uint8_t* data) {
-  const size_t bs = device_->block_size();
+  const size_t bs = block_size_;
   size_t idx = ShardOf(block);
   Shard* shard = &shards_[idx];
   std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
@@ -502,18 +514,19 @@ void BufferCache::Prefetch(const uint64_t* blocks, size_t n) {
   // handler does the insert, so no thread ever blocks on a background
   // read. Fire-and-forget: the dropped ticket is covered by the engine's
   // Drain/destructor, and a failed read just leaves the blocks uncached.
-  const size_t bs = device_->block_size();
-  auto groups = GroupByShard(wanted.data(), wanted.size());
-  for (size_t idx = 0; idx < groups.size(); ++idx) {
-    if (groups[idx].empty()) continue;
+  const size_t bs = block_size_;
+  ShardGroups group(*this, wanted.data(), wanted.size());
+  while (group.Next()) {
+    const size_t idx = group.shard();
     std::vector<uint64_t> need;
     uint64_t gen;
     {
       std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
       gen = shards_[idx].gen;
-      for (size_t pos : groups[idx]) {
-        if (shards_[idx].map.find(wanted[pos]) == shards_[idx].map.end()) {
-          need.push_back(wanted[pos]);
+      for (size_t k = 0; k < group.size(); ++k) {
+        const uint64_t block = wanted[group[k]];
+        if (shards_[idx].map.find(block) == shards_[idx].map.end()) {
+          need.push_back(block);
         }
       }
     }

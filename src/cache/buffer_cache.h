@@ -38,11 +38,11 @@
 //                   its own writes, making interleaved replay attribution
 //                   exact)
 //
-// One write path, two read paths: every write (Write, WriteBatch) reaches
-// the cache, and under kWriteThrough the device, synchronously under its
-// shard lock, whether or not an async engine is attached. An attached
-// engine carries reads only: ReadBatchAsync's misses and Prefetch's
-// background loads.
+// One transfer body per direction: Read and Write are the n = 1 case of
+// ReadBatch and WriteBatch. Every write reaches the cache, and under
+// kWriteThrough the device, synchronously under its shard lock, whether or
+// not an async engine is attached. An attached engine carries reads only:
+// ReadBatchAsync's misses and Prefetch's background loads.
 #ifndef STEGFS_CACHE_BUFFER_CACHE_H_
 #define STEGFS_CACHE_BUFFER_CACHE_H_
 
@@ -74,7 +74,8 @@ struct CacheMetrics {
   obs::Counter misses;
   obs::Counter evictions;
   obs::Counter writebacks;
-  // Blocks moved through ReadBatch / WriteBatch.
+  // Blocks moved through ReadBatch / WriteBatch: every block the cache
+  // transfers, since Read and Write are their n = 1 case.
   obs::Counter batched_reads;
   obs::Counter batched_writes;
   // Blocks inserted by the engine prefetcher, and how many of those were
@@ -149,13 +150,13 @@ class BufferCache {
   BufferCache(const BufferCache&) = delete;
   BufferCache& operator=(const BufferCache&) = delete;
 
-  uint32_t block_size() const { return device_->block_size(); }
+  uint32_t block_size() const { return block_size_; }
   uint64_t num_blocks() const { return device_->num_blocks(); }
 
-  // Reads a whole block through the cache. `out` holds block_size() bytes.
-  Status Read(uint64_t block, uint8_t* out);
-  // Writes a whole block through the cache.
-  Status Write(uint64_t block, const uint8_t* data);
+  // One whole block (block_size() bytes): the n = 1 case of ReadBatch /
+  // WriteBatch, which are the cache's only transfer bodies.
+  Status Read(uint64_t b, uint8_t* out) { return ReadBatch(&b, 1, out); }
+  Status Write(uint64_t b, const uint8_t* in) { return WriteBatch(&b, 1, in); }
 
   // Batched read of n blocks (any numbers, duplicates allowed) into the
   // contiguous buffer `out` (n * block_size() bytes, request order).
@@ -163,15 +164,17 @@ class BufferCache {
   // other shards stay fully parallel under concurrent sessions — with the
   // shard's misses leaving as ONE vectored ReadBlocks call (a single
   // coalescable transfer when the cache has one shard). Per shard,
-  // hit/miss accounting, LRU updates and eviction order match a per-block
-  // Read loop exactly (the seeded tests rely on this).
+  // hit/miss accounting, LRU updates and eviction order match a loop of
+  // one-block calls exactly (the seeded tests rely on this), and each hit
+  // is copied out once. Per-call scratch is inline for small n, so a
+  // one-block call allocates nothing unless it misses.
   Status ReadBatch(const uint64_t* blocks, size_t n, uint8_t* out);
   // Batched write of n blocks from the contiguous buffer `data`; same
   // locking scheme. Under kWriteThrough the device sees one vectored
-  // WriteBlocks call per shard group (request order; on a mid-batch
-  // device error the group's cached entries are invalidated so the cache
-  // can never serve bytes older than the device); entry updates then
-  // replay in request order, matching the per-block loop.
+  // WriteBlocks call per shard group (request order; on a device error,
+  // torn writes included, the group's cached entries are invalidated so
+  // the cache can never serve bytes other than the device's); entry
+  // updates then replay in request order, matching the one-block loop.
   Status WriteBatch(const uint64_t* blocks, size_t n, const uint8_t* data);
 
   // Side-effect-free batched read for the header locator's probes: the
@@ -347,6 +350,11 @@ class BufferCache {
                     const std::unordered_set<uint64_t>* hold_back = nullptr);
   // Counts a demand hit on `e`, claiming its prefetched flag if set.
   void CountHit(Entry& e);
+  // Makes room (EnsureRoom), then inserts `block` holding a copy of
+  // `bytes` as the shard's most recently used entry. The one insertion
+  // path of the sync and async reads and of the writes.
+  Status Insert(Shard* shard, uint64_t block, const uint8_t* bytes,
+                bool prefetched = false);
   // Marks `e` (an entry already in `shard`'s LRU list, so its address is
   // stable) dirty under the write policy.
   void MarkWritten(Shard* shard, Entry* e) {
@@ -363,10 +371,8 @@ class BufferCache {
   void CompleteAsyncRead(size_t idx, const std::vector<BlockIoVec>& misses,
                          uint64_t gen, bool prefetch);
 
-  // Request positions grouped per shard, in request order (index into the
-  // caller's blocks array). Shards with no requests are empty.
-  std::vector<std::vector<size_t>> GroupByShard(const uint64_t* blocks,
-                                                size_t n) const;
+  // A batch's request positions grouped per shard (buffer_cache.cc).
+  class ShardGroups;
 
   // Snapshot of the parked set (see ParkBlocks); null when nothing is
   // parked. Guarded by parked_mu_; write-back paths take a shared_ptr
@@ -377,6 +383,7 @@ class BufferCache {
   }
 
   BlockDevice* device_;
+  const uint32_t block_size_;
   size_t capacity_;
   WritePolicy policy_;
   mutable std::mutex parked_mu_;

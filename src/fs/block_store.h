@@ -1,10 +1,15 @@
 // BlockStore: how file machinery (block mapper, directory code) touches
-// blocks. Two implementations make the same mapping code serve both plain
-// and hidden files:
+// blocks. A store implements one transfer body per direction, the n-block
+// ReadBlocks / WriteBlocks; ReadBlock / WriteBlock are their n = 1 case.
+// Two stores make the same mapping code serve both plain and hidden files:
 //
 //   CacheBlockStore     - plain blocks, straight through the buffer cache
 //   EncryptedBlockStore - hidden blocks: AES-CBC-ESSIV encrypt on write,
 //                         decrypt on read, keyed by the file's FAK
+//
+// and two decorate another store within one operation: RecordingStore
+// logs the blocks a metadata mutation writes, CoalescingStore stages an
+// operation's writes and flushes each block once.
 //
 // BlockAllocator is the matching allocation seam: PlainFs allocates by
 // bitmap policy; a hidden file allocates from its internal free-block pool
@@ -29,24 +34,20 @@ class BlockStore {
  public:
   virtual ~BlockStore() = default;
   virtual uint32_t block_size() const = 0;
-  virtual Status ReadBlock(uint64_t block, uint8_t* buf) = 0;
-  virtual Status WriteBlock(uint64_t block, const uint8_t* buf) = 0;
 
-  // Batch transfers of n blocks to/from the contiguous buffer (request
-  // order, n * block_size() bytes). Base implementation loops; the cache-
-  // backed stores forward to the cache's vectored batch path.
-  virtual Status ReadBlocks(const uint64_t* blocks, size_t n, uint8_t* out) {
-    for (size_t i = 0; i < n; ++i) {
-      STEGFS_RETURN_IF_ERROR(ReadBlock(blocks[i], out + i * block_size()));
-    }
-    return Status::OK();
-  }
+  // Transfers n blocks to/from the contiguous buffer (request order,
+  // n * block_size() bytes).
+  virtual Status ReadBlocks(const uint64_t* blocks, size_t n,
+                            uint8_t* out) = 0;
   virtual Status WriteBlocks(const uint64_t* blocks, size_t n,
-                             const uint8_t* data) {
-    for (size_t i = 0; i < n; ++i) {
-      STEGFS_RETURN_IF_ERROR(WriteBlock(blocks[i], data + i * block_size()));
-    }
-    return Status::OK();
+                             const uint8_t* data) = 0;
+
+  // One block: the n = 1 case.
+  Status ReadBlock(uint64_t block, uint8_t* buf) {
+    return ReadBlocks(&block, 1, buf);
+  }
+  Status WriteBlock(uint64_t block, const uint8_t* buf) {
+    return WriteBlocks(&block, 1, buf);
   }
 
   // Best-effort readahead hint; default is to ignore it.
@@ -60,12 +61,6 @@ class CacheBlockStore : public BlockStore {
  public:
   explicit CacheBlockStore(BufferCache* cache) : cache_(cache) {}
   uint32_t block_size() const override { return cache_->block_size(); }
-  Status ReadBlock(uint64_t block, uint8_t* buf) override {
-    return cache_->Read(block, buf);
-  }
-  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
-    return cache_->Write(block, buf);
-  }
   Status ReadBlocks(const uint64_t* blocks, size_t n,
                     uint8_t* out) override {
     return cache_->ReadBatch(blocks, n, out);
@@ -93,22 +88,11 @@ class EncryptedBlockStore : public BlockStore {
       : cache_(cache), crypter_(crypter) {}
   uint32_t block_size() const override { return cache_->block_size(); }
 
-  Status ReadBlock(uint64_t block, uint8_t* buf) override {
-    STEGFS_RETURN_IF_ERROR(cache_->Read(block, buf));
-    crypter_->DecryptBlock(block, buf, cache_->block_size());
-    return Status::OK();
-  }
-
-  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
-    // Copy so the caller's plaintext buffer is left untouched.
-    std::vector<uint8_t> tmp(buf, buf + cache_->block_size());
-    crypter_->EncryptBlock(block, tmp.data(), tmp.size());
-    return cache_->Write(block, tmp.data());
-  }
-
-  // Whole-extent transfers. Without an async engine, or for at most
-  // kAsyncSubBatch blocks: one vectored cache transfer and one batch
-  // decrypt/encrypt on the caller's thread.
+  // Without an async engine, or for at most kAsyncSubBatch blocks (one
+  // block included): one vectored cache transfer and one batch
+  // decrypt/encrypt on the caller's thread, counted and timed in the
+  // crypto instruments. The caller's plaintext buffer is never modified:
+  // writes encrypt a staging copy.
   //
   // With an engine, the extent's AES runs on the engine's workers as well:
   //   - ReadBlocks keeps the extent's tail, n / (workers + 1) blocks, for
@@ -169,13 +153,6 @@ class RecordingStore : public BlockStore {
       : inner_(inner), sink_(sink) {}
 
   uint32_t block_size() const override { return inner_->block_size(); }
-  Status ReadBlock(uint64_t block, uint8_t* buf) override {
-    return inner_->ReadBlock(block, buf);
-  }
-  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
-    sink_->Record(block);
-    return inner_->WriteBlock(block, buf);
-  }
   Status ReadBlocks(const uint64_t* blocks, size_t n,
                     uint8_t* out) override {
     return inner_->ReadBlocks(blocks, n, out);
@@ -215,21 +192,6 @@ class CoalescingStore : public BlockStore {
 
   uint32_t block_size() const override { return inner_->block_size(); }
 
-  Status ReadBlock(uint64_t block, uint8_t* buf) override {
-    auto it = pending_.find(block);
-    if (it != pending_.end()) {
-      std::memcpy(buf, it->second.data(), it->second.size());
-      return Status::OK();
-    }
-    return inner_->ReadBlock(block, buf);
-  }
-
-  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
-    auto [it, inserted] = pending_.try_emplace(block);
-    it->second.assign(buf, buf + inner_->block_size());
-    return Status::OK();
-  }
-
   // Serves pending blocks from memory and fetches the rest with one
   // vectored inner read.
   Status ReadBlocks(const uint64_t* blocks, size_t n,
@@ -247,11 +209,22 @@ class CoalescingStore : public BlockStore {
       }
     }
     if (missing.empty()) return Status::OK();
+    if (missing.size() == n) return inner_->ReadBlocks(blocks, n, out);
     std::vector<uint8_t> buf(missing.size() * bs);
     STEGFS_RETURN_IF_ERROR(
         inner_->ReadBlocks(missing.data(), missing.size(), buf.data()));
     for (size_t j = 0; j < missing.size(); ++j) {
       std::memcpy(out + missing_pos[j] * bs, buf.data() + j * bs, bs);
+    }
+    return Status::OK();
+  }
+
+  // Stages the blocks; a later write of the same block replaces it.
+  Status WriteBlocks(const uint64_t* blocks, size_t n,
+                     const uint8_t* data) override {
+    const size_t bs = inner_->block_size();
+    for (size_t i = 0; i < n; ++i) {
+      pending_[blocks[i]].assign(data + i * bs, data + (i + 1) * bs);
     }
     return Status::OK();
   }

@@ -25,17 +25,19 @@ class TestAllocator : public BlockAllocator {
   Xoshiro* rng_;
 };
 
-// Counts reads that reach the wrapped store.
+// Counts the blocks read through the wrapped store.
 class CountingStore : public BlockStore {
  public:
   explicit CountingStore(BlockStore* base) : base_(base) {}
   uint32_t block_size() const override { return base_->block_size(); }
-  Status ReadBlock(uint64_t block, uint8_t* buf) override {
-    ++reads;
-    return base_->ReadBlock(block, buf);
+  Status ReadBlocks(const uint64_t* blocks, size_t n,
+                    uint8_t* out) override {
+    reads += n;
+    return base_->ReadBlocks(blocks, n, out);
   }
-  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
-    return base_->WriteBlock(block, buf);
+  Status WriteBlocks(const uint64_t* blocks, size_t n,
+                     const uint8_t* data) override {
+    return base_->WriteBlocks(blocks, n, data);
   }
   uint64_t reads = 0;
 

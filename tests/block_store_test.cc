@@ -20,6 +20,7 @@
 #include "blockdev/thread_pool_async_device.h"
 #include "core/stegfs.h"
 #include "fault/fault_injection_device.h"
+#include "obs/metrics.h"
 #include "util/random.h"  // Xoshiro
 
 namespace stegfs {
@@ -340,6 +341,32 @@ TEST(EngineMountTest, HiddenWritesSubmitNothingAndMatchTheSyncImage) {
         << (policy == WritePolicy::kWriteBack ? "write-back"
                                               : "write-through");
   }
+}
+
+// A one-block write is the n = 1 case of WriteBlocks: its encrypt is
+// counted and timed in the crypto instruments like any batch's, and the
+// ciphertext is BlockCrypter::EncryptBlock's, so no byte on disk moves.
+TEST(EncryptedStoreTest, OneBlockWriteCountsItsEncrypt) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  BufferCache cache(&dev, 64, WritePolicy::kWriteThrough);
+  EncryptedBlockStore store(&cache, &crypter);
+  const obs::CryptoMetrics& cm = obs::GlobalCryptoMetrics();
+  const uint64_t blocks0 = cm.blocks_encrypted.value();
+  const uint64_t samples0 = cm.encrypt_ns.count();
+
+  std::vector<uint8_t> plain(kBs);
+  for (uint32_t i = 0; i < kBs; ++i) plain[i] = static_cast<uint8_t>(i * 7);
+  ASSERT_TRUE(store.WriteBlock(17, plain.data()).ok());
+  EXPECT_EQ(cm.blocks_encrypted.value() - blocks0, 1u);
+  EXPECT_EQ(cm.encrypt_ns.count() - samples0, 1u);
+
+  std::vector<uint8_t> want = plain;
+  crypter.EncryptBlock(17, want.data(), kBs);
+  EXPECT_EQ(std::memcmp(dev.raw().data() + 17 * kBs, want.data(), kBs), 0);
+  std::vector<uint8_t> back(kBs);
+  ASSERT_TRUE(store.ReadBlock(17, back.data()).ok());
+  EXPECT_EQ(back, plain);
 }
 
 #ifndef NDEBUG
