@@ -1,7 +1,5 @@
 #include "cache/buffer_cache.h"
 
-#include "obs/trace.h"
-
 #include <algorithm>
 #include <cstdint>
 #include <cassert>
@@ -106,8 +104,9 @@ Status BufferCache::EnsureRoom(Shard* shard) {
 
 void BufferCache::CountHit(Entry& e) {
   metrics_.hits.Increment();
-  if (e.prefetched) {
-    e.prefetched = false;
+  // Exclusive lock: no other claimant, so a plain load and store will do.
+  if (e.prefetched.load(std::memory_order_relaxed)) {
+    e.prefetched.store(false, std::memory_order_relaxed);
     metrics_.prefetch_hits.Increment();
   }
 }
@@ -118,7 +117,7 @@ Status BufferCache::Insert(Shard* shard, uint64_t block, const uint8_t* bytes,
   Entry& e = shard->lru.emplace_front();
   e.block = block;
   e.data.assign(bytes, bytes + block_size_);
-  e.prefetched = prefetched;
+  e.prefetched.store(prefetched, std::memory_order_relaxed);
   shard->map[block] = shard->lru.begin();
   return Status::OK();
 }
@@ -291,26 +290,41 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
   return Status::OK();
 }
 
-Status BufferCache::ProbeBatch(const uint64_t* blocks, size_t n,
-                               uint8_t* out, size_t* cache_hits) {
+Status BufferCache::Peek(const uint64_t* blocks, size_t n, uint8_t* out,
+                         bool demand, size_t* cache_hits) {
   const size_t bs = block_size_;
   ShardGroups group(*this, blocks, n);
-  std::vector<BlockIoVec> misses;
+  Scratch<BlockIoVec> misses(n);
+  size_t claimed = 0;  // prefetched entries this read claimed
   while (group.Next()) {
     const Shard& shard = shards_[group.shard()];
     std::shared_lock<std::shared_mutex> lock(locks_.stripe(group.shard()));
     for (size_t k = 0; k < group.size(); ++k) {
       const size_t pos = group[k];
       auto found = shard.map.find(blocks[pos]);
-      if (found != shard.map.end()) {
-        std::memcpy(out + pos * bs, found->second->data.data(), bs);
-      } else {
+      if (found == shard.map.end()) {
         misses.push_back({blocks[pos], out + pos * bs});
+        continue;
+      }
+      std::memcpy(out + pos * bs, found->second->data.data(), bs);
+      // Shared lock: concurrent readers race for the claim, so it is an
+      // exchange (skipped, as a plain load, on the common unflagged entry).
+      std::atomic<bool>& flag = found->second->prefetched;
+      if (demand && flag.load(std::memory_order_relaxed) &&
+          flag.exchange(false, std::memory_order_relaxed)) {
+        ++claimed;
       }
     }
   }
   if (cache_hits != nullptr) *cache_hits = n - misses.size();
-  if (misses.empty()) return Status::OK();
+  if (demand) {
+    metrics_.batched_reads.Add(n);
+    metrics_.hits.Add(n - misses.size());
+    metrics_.misses.Add(misses.size());
+    if (claimed != 0) metrics_.prefetch_hits.Add(claimed);
+  }
+  if (misses.size() == 0) return Status::OK();
+  obs::LatencyTimer fill_timer(demand ? &metrics_.fill_ns : nullptr);
   return device_->ReadBlocks(misses.data(), misses.size());
 }
 
@@ -322,7 +336,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
     Shard* shard = &shards_[group.shard()];
     std::lock_guard<std::shared_mutex> lock(locks_.stripe(group.shard()));
     metrics_.batched_writes.Add(group.size());  // under the lock: see ReadBatch
-    shard->gen++;  // invalidates in-flight async reads' snapshots
+    shard->gen++;  // invalidates in-flight prefetches' snapshots
 
     if (policy_ == WritePolicy::kWriteThrough) {
       // One vectored device call per shard group, in request order (a
@@ -372,113 +386,25 @@ void BufferCache::SetAsyncEngine(AsyncBlockDevice* engine) {
   async_engine_.store(engine, std::memory_order_release);
 }
 
-CacheIoTicket BufferCache::ReadBatchAsync(const uint64_t* blocks, size_t n,
-                                          uint8_t* out, FillFn on_fill,
-                                          std::vector<size_t>* ready) {
-  CacheIoTicket result;
-  AsyncBlockDevice* engine = async_engine();
-  if (engine == nullptr || n == 0) {
-    result.base_ = ReadBatch(blocks, n, out);
-    if (ready != nullptr && result.base_.ok()) {
-      for (size_t i = 0; i < n; ++i) ready->push_back(i);
-    }
-    return result;
-  }
-  const size_t bs = block_size_;
-  metrics_.batched_reads.Add(n);
-  metrics_.async_batched_reads.Add(n);
-
-  ShardGroups group(*this, blocks, n);
-  std::unordered_map<uint64_t, size_t> first_pos;  // block -> first miss pos
-  while (group.Next()) {
-    const size_t idx = group.shard();
-    Shard* shard = &shards_[idx];
-    std::vector<BlockIoVec> iov;
-    std::vector<std::pair<size_t, size_t>> dups;
-    std::vector<size_t> filled;  // miss and duplicate positions, for on_fill
-    uint64_t gen;
-    first_pos.clear();
-    {
-      // Pass 1 only: hits copy out, misses are collected. Unlike the sync
-      // path the lock does NOT cover the device read — that is the whole
-      // point — so the insert is deferred to the completion handler and
-      // generation-guarded there.
-      std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-      gen = shard->gen;
-      for (size_t k = 0; k < group.size(); ++k) {
-        const size_t pos = group[k];
-        auto found = shard->map.find(blocks[pos]);
-        if (found != shard->map.end()) {
-          Entry& e = Touch(shard, found->second);
-          CountHit(e);
-          std::memcpy(out + pos * bs, e.data.data(), bs);
-          if (ready != nullptr) ready->push_back(pos);
-          continue;
-        }
-        auto [it, fresh] = first_pos.try_emplace(blocks[pos], pos);
-        if (fresh) {
-          metrics_.misses.Increment();
-          iov.push_back({blocks[pos], out + pos * bs});
-        } else {
-          // Sync-replay parity: the first occurrence is the miss, later
-          // duplicates find the freshly inserted entry and count as hits.
-          metrics_.hits.Increment();
-          dups.push_back({pos, it->second});
-        }
-        if (on_fill) filled.push_back(pos);
-      }
-    }
-    if (iov.empty()) continue;
-    // Submission-time capture: fill latency spans submit→completion, and
-    // the caller's trace context rides along so the completion (an engine
-    // thread) lands in the submitting operation's span tree.
-    const uint64_t fill_t0 = obs::MetricsEnabled() ? obs::NowNanos() : 0;
-    const obs::SpanContext span_ctx = obs::CurrentSpanContext();
-    // The engine owns its copy of the miss list; the callback keeps `iov`
-    // to insert the fetched blocks.
-    std::vector<BlockIoVec> engine_iov = iov;
-    result.tickets_.push_back(engine->SubmitRead(
-        std::move(engine_iov),
-        [this, idx, iov = std::move(iov), dups = std::move(dups), gen, out,
-         bs, fill_t0, span_ctx, on_fill,
-         filled = std::move(filled)](const Status& s) {
-          {
-            obs::Span span(span_ctx, "cache.fill", "cache");
-            if (fill_t0 != 0) {
-              metrics_.fill_ns.Record(obs::NowNanos() - fill_t0);
-            }
-            if (!s.ok()) return;  // nothing inserted; Wait() reports it
-            for (const auto& [pos, first] : dups) {
-              std::memcpy(out + pos * bs, out + first * bs, bs);
-            }
-            CompleteAsyncRead(idx, iov, gen, /*prefetch=*/false);
-          }
-          if (on_fill) on_fill(filled);
-        }));
-  }
-  return result;
-}
-
 void BufferCache::CompleteAsyncRead(size_t idx,
                                     const std::vector<BlockIoVec>& misses,
-                                    uint64_t gen, bool prefetch) {
+                                    uint64_t gen) {
   Shard* shard = &shards_[idx];
   std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
   if (shard->gen != gen) {
     // A write or invalidation touched this shard while the read was in
-    // flight: the fetched bytes may be older than the device, so they go
-    // to the caller (a legal linearization — the read began first) but
-    // never into the cache.
+    // flight: the fetched bytes may be older than the device, so they
+    // never go into the cache.
     return;
   }
   for (const BlockIoVec& v : misses) {
     if (shard->map.find(v.block) != shard->map.end()) {
       continue;  // a racing demand read inserted it first
     }
-    if (!Insert(shard, v.block, v.buf, prefetch).ok()) {
+    if (!Insert(shard, v.block, v.buf, /*prefetched=*/true).ok()) {
       return;  // victim write-back failed
     }
-    if (prefetch) metrics_.prefetched.Increment();
+    metrics_.prefetched.Increment();
   }
 }
 
@@ -487,8 +413,8 @@ Status BufferCache::CheckpointBlock(uint64_t block, const uint8_t* data) {
   size_t idx = ShardOf(block);
   Shard* shard = &shards_[idx];
   std::lock_guard<std::shared_mutex> lock(locks_.stripe(idx));
-  // The device bytes change under the lock: invalidate in-flight async
-  // read snapshots so they cannot insert the pre-checkpoint bytes.
+  // The device bytes change under the lock: invalidate in-flight
+  // prefetch snapshots so they cannot insert the pre-checkpoint bytes.
   shard->gen++;
   STEGFS_RETURN_IF_ERROR(device_->WriteBlock(block, data));
   metrics_.writebacks.Increment();
@@ -541,7 +467,7 @@ void BufferCache::Prefetch(const uint64_t* blocks, size_t n) {
                        [this, idx, iov = std::move(iov), buf,
                         gen](const Status& s) {
                          if (!s.ok()) return;  // best-effort
-                         CompleteAsyncRead(idx, iov, gen, /*prefetch=*/true);
+                         CompleteAsyncRead(idx, iov, gen);
                        });
   }
 }
@@ -613,7 +539,7 @@ void BufferCache::DropAll() {
     shard.dirty_head = nullptr;
     shard.dirty_count = 0;
     // Callers drop the cache because the device was rewritten underneath
-    // it; nothing an in-flight async read fetched before the rewrite may
+    // it; nothing an in-flight prefetch fetched before the rewrite may
     // come back.
     shard.gen++;
   }

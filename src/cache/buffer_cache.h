@@ -41,14 +41,14 @@
 // One transfer body per direction: Read and Write are the n = 1 case of
 // ReadBatch and WriteBatch. Every write reaches the cache, and under
 // kWriteThrough the device, synchronously under its shard lock, whether or
-// not an async engine is attached. An attached engine carries reads only:
-// ReadBatchAsync's misses and Prefetch's background loads.
+// not an async engine is attached. An attached engine carries Prefetch's
+// background loads only. StreamBatch reads past the cache: it inserts
+// nothing, for extents too large for the cache to hold.
 #ifndef STEGFS_CACHE_BUFFER_CACHE_H_
 #define STEGFS_CACHE_BUFFER_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -74,18 +74,15 @@ struct CacheMetrics {
   obs::Counter misses;
   obs::Counter evictions;
   obs::Counter writebacks;
-  // Blocks moved through ReadBatch / WriteBatch: every block the cache
-  // transfers, since Read and Write are their n = 1 case.
+  // Blocks moved through ReadBatch / StreamBatch / WriteBatch: every block
+  // a demand transfer moves, since Read and Write are the n = 1 case.
   obs::Counter batched_reads;
   obs::Counter batched_writes;
   // Blocks inserted by the engine prefetcher, and how many of those were
   // later claimed by a demand read before eviction.
   obs::Counter prefetched;
   obs::Counter prefetch_hits;
-  // Blocks moved through ReadBatchAsync (a subset of batched_reads).
-  obs::Counter async_batched_reads;
-  // Miss-fill device latency (sync vectored fills and async
-  // submit-to-completion).
+  // Demand miss-fill device latency (one sample per vectored miss read).
   obs::Histogram fill_ns;
 
   void RegisterWith(obs::MetricsRegistry* reg) const {
@@ -107,35 +104,10 @@ struct CacheMetrics {
     reg->RegisterCounter("stegfs_cache_prefetch_hits_total",
                          "Prefetched blocks claimed by demand reads",
                          &prefetch_hits);
-    reg->RegisterCounter("stegfs_cache_async_batched_reads_total",
-                         "Blocks read through the async batch path",
-                         &async_batched_reads);
     reg->RegisterHistogram("stegfs_cache_fill_seconds",
                            "Demand miss fill latency (device read)",
                            &fill_ns);
   }
-};
-
-// Waitable handle for one async cache batch: aggregates the per-shard
-// engine tickets plus the status of the inline (hit-only) part. Wait()
-// blocks until every group's device I/O AND cache insertion has finished,
-// returning the first error. Callers must not hold any cache shard lock
-// while waiting (completion handlers acquire shard locks).
-class CacheIoTicket {
- public:
-  Status Wait() {
-    Status first = base_;
-    for (IoTicket& t : tickets_) {
-      Status s = t.Wait();
-      if (first.ok() && !s.ok()) first = s;
-    }
-    return first;
-  }
-
- private:
-  friend class BufferCache;
-  Status base_;
-  std::vector<IoTicket> tickets_;
 };
 
 class BufferCache {
@@ -187,66 +159,49 @@ class BufferCache {
   // walk cannot flush the working set out of the cache. `cache_hits`
   // (optional) receives how many blocks the cache served.
   //
-  // Why reading misses outside the locks is still exact for a probe:
+  // Why reading misses outside the locks is still exact:
   //   - a block absent from the cache at peek time holds its latest
   //     completed write on the device, because EnsureRoom writes a dirty
   //     victim back before erasing it, under the same stripe lock the
   //     peek took;
-  //   - only the owner of a (name, key) pair ever writes that header, so
-  //     a write racing the probe linearizes after it. (A header rewrite
-  //     also leaves the signature cells' ciphertext unchanged: same IV,
-  //     same leading plaintext under CBC.)
+  //   - a write racing the read may show in it or not, as any racing
+  //     write may: the device only moves forward to newer images. (A
+  //     probe races no write at all: only the owner of a (name, key)
+  //     pair ever writes that header, and a header rewrite leaves the
+  //     signature cells' ciphertext unchanged: same IV, same leading
+  //     plaintext under CBC.)
   // Holding the stripes across the device read instead convoyed connects
   // behind creates.
   Status ProbeBatch(const uint64_t* blocks, size_t n, uint8_t* out,
-                    size_t* cache_hits = nullptr);
+                    size_t* cache_hits = nullptr) {
+    return Peek(blocks, n, out, /*demand=*/false, cache_hits);
+  }
+  // ProbeBatch as a demand read, for extents that would only churn the
+  // cache: the same access pattern, so nothing is inserted, evicted or
+  // moved in the LRU, but every position counts as a hit or a miss, a hit
+  // claims its entry's prefetched flag, and the miss read is timed as a
+  // fill.
+  Status StreamBatch(const uint64_t* blocks, size_t n, uint8_t* out) {
+    return Peek(blocks, n, out, /*demand=*/true, nullptr);
+  }
 
-  // Attaches an async I/O engine for reads. While attached,
-  // ReadBatchAsync submits its misses to the engine and Prefetch loads
-  // blocks in the background through it. The engine must be drained and
-  // destroyed before the cache (PlainFs declares it after the cache for
-  // exactly this reason) or detached first. nullptr detaches;
-  // ReadBatchAsync then degrades to ReadBatch and Prefetch to a no-op.
+  // Attaches an async I/O engine: Prefetch loads blocks in the background
+  // through it, and EncryptedBlockStore runs extent crypto on its workers.
+  // The engine must be drained and destroyed before the cache (PlainFs
+  // declares it after the cache for exactly this reason) or detached
+  // first. nullptr detaches; Prefetch then degrades to a no-op.
   void SetAsyncEngine(AsyncBlockDevice* engine);
   AsyncBlockDevice* async_engine() const {
     return async_engine_.load(std::memory_order_acquire);
   }
 
-  // Async batch read: hits are copied to `out` inline; each shard's
-  // distinct misses are submitted to the engine as one batch WITHOUT the
-  // shard lock held across the wait (ReadBatch holds it — that is its
-  // concurrent-miss dedup, and why it cannot overlap anything).
-  // The completion handler re-acquires the shard lock and inserts the
-  // fetched blocks, guarded by a per-shard generation counter: if any
-  // write/invalidation touched the shard since submission, the inserts
-  // are skipped, so the cache can never serve bytes older than the
-  // device. Counter parity with the sync path: pass-1 hits and distinct
-  // misses count identically; insert-time eviction replay happens only
-  // when the generation guard admits the insert.
-  //
-  // Two optional hooks let a caller transform the bytes where they land
-  // (EncryptedBlockStore decrypts them there):
-  //   - `ready` receives the request positions whose bytes are already
-  //     in `out` when the call returns: the hits, or every position when
-  //     the call degrades to the synchronous ReadBatch.
-  //   - `on_fill` runs once per shard group whose miss read succeeded,
-  //     on the engine thread that completed it, with the group's miss
-  //     and duplicate positions. It runs after the cache has taken its
-  //     copy of the bytes, outside the shard lock, and before Wait() can
-  //     return, so whatever it writes into `out` stays out of the cache.
-  //
-  // `blocks` and `out` must stay alive until Wait() returns.
-  using FillFn = std::function<void(const std::vector<size_t>& positions)>;
-  CacheIoTicket ReadBatchAsync(const uint64_t* blocks, size_t n,
-                               uint8_t* out, FillFn on_fill = nullptr,
-                               std::vector<size_t>* ready = nullptr);
   // Schedules a background load of the given blocks into the cache
   // through the attached engine (best-effort: errors are swallowed,
   // already-cached and out-of-range blocks skipped; without an engine
   // nothing is loaded). The caller never waits: the engine's completion
-  // inserts the blocks under the same generation guard as ReadBatchAsync.
-  // A later demand read that claims a prefetched entry counts as a normal
-  // hit plus one prefetch_hit.
+  // inserts the blocks, skipping the insert if a write or invalidation
+  // touched the shard meanwhile. A later demand read that claims a
+  // prefetched entry counts as a normal hit plus one prefetch_hit.
   void Prefetch(const uint64_t* blocks, size_t n);
 
   // Writes back all dirty blocks and flushes the device.
@@ -307,7 +262,8 @@ class BufferCache {
     // True exactly while the entry is linked on its shard's dirty list.
     bool dirty = false;
     // Inserted by the prefetcher and not yet claimed by a demand access.
-    bool prefetched = false;
+    // Atomic because StreamBatch claims it under the shared stripe lock.
+    std::atomic<bool> prefetched{false};
     // Dirty-list links (intrusive: a std::list node never moves, so the
     // links stay valid until the entry is erased, and the list costs no
     // allocation of its own).
@@ -323,10 +279,9 @@ class BufferCache {
     std::unordered_map<uint64_t, EntryList::iterator> map;
     // Bumped (under the stripe) by anything that begins changing this
     // shard's device bytes or entries: writes, checkpoints, DropAll.
-    // Async read completions (ReadBatchAsync, Prefetch) compare it
-    // against their submission-time snapshot and skip their inserts on
-    // mismatch — that is what makes inserting device bytes read OUTSIDE
-    // the shard lock safe.
+    // Prefetch completions compare it against their submission-time
+    // snapshot and skip their inserts on mismatch — that is what makes
+    // inserting device bytes read OUTSIDE the shard lock safe.
     uint64_t gen = 0;
     // The shard's dirty entries, unordered, linked through
     // Entry::dirty_prev/dirty_next. An entry is linked when a write-back
@@ -350,9 +305,12 @@ class BufferCache {
                     const std::unordered_set<uint64_t>* hold_back = nullptr);
   // Counts a demand hit on `e`, claiming its prefetched flag if set.
   void CountHit(Entry& e);
+  // The body of ProbeBatch and StreamBatch; only a demand read counts.
+  Status Peek(const uint64_t* blocks, size_t n, uint8_t* out, bool demand,
+              size_t* cache_hits);
   // Makes room (EnsureRoom), then inserts `block` holding a copy of
   // `bytes` as the shard's most recently used entry. The one insertion
-  // path of the sync and async reads and of the writes.
+  // path of the reads, the prefetcher and the writes.
   Status Insert(Shard* shard, uint64_t block, const uint8_t* bytes,
                 bool prefetched = false);
   // Marks `e` (an entry already in `shard`'s LRU list, so its address is
@@ -365,11 +323,11 @@ class BufferCache {
   // already in that state.
   static void MarkDirty(Shard* shard, Entry* e);
   static void MarkClean(Shard* shard, Entry* e);
-  // Completion handler of the async reads (runs on an engine thread;
+  // Completion handler of Prefetch's reads (runs on an engine thread;
   // takes the shard stripe, never holds it across device I/O except
   // dirty-victim write-back, same as the sync path).
   void CompleteAsyncRead(size_t idx, const std::vector<BlockIoVec>& misses,
-                         uint64_t gen, bool prefetch);
+                         uint64_t gen);
 
   // A batch's request positions grouped per shard (buffer_cache.cc).
   class ShardGroups;

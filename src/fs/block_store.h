@@ -79,37 +79,38 @@ class CacheBlockStore : public BlockStore {
 
 class EncryptedBlockStore : public BlockStore {
  public:
-  // Extents larger than this take the engine path (below); smaller ones
-  // stay on the synchronous path. Reads are submitted in sub-batches of
-  // this many blocks.
-  static constexpr size_t kAsyncSubBatch = 64;
+  // Extents of more than this many blocks fan out (below); smaller ones,
+  // one block included, stay on the caller's thread.
+  static constexpr size_t kFanOutThreshold = 64;
 
   EncryptedBlockStore(BufferCache* cache, const crypto::BlockCrypter* crypter)
       : cache_(cache), crypter_(crypter) {}
   uint32_t block_size() const override { return cache_->block_size(); }
 
-  // Without an async engine, or for at most kAsyncSubBatch blocks (one
-  // block included): one vectored cache transfer and one batch
-  // decrypt/encrypt on the caller's thread, counted and timed in the
+  // At most kFanOutThreshold blocks: one vectored cache transfer and one
+  // batch decrypt/encrypt on the caller's thread, counted and timed in the
   // crypto instruments. The caller's plaintext buffer is never modified:
   // writes encrypt a staging copy.
   //
-  // With an engine, the extent's AES runs on the engine's workers as well:
-  //   - ReadBlocks keeps the extent's tail, n / (workers + 1) blocks, for
-  //     the caller to read and decrypt itself, and submits the rest up
-  //     front in kAsyncSubBatch-block sub-batches. Each shard group's
-  //     misses decrypt on the worker that completes their device read,
-  //     after the cache has copied the ciphertext; the hits, already in
-  //     `out`, are decrypted by the caller and the workers together.
-  //   - WriteBlocks encrypts the extent into a staging copy on the caller
-  //     and the workers together, then hands it to the cache as one
+  // Larger extents are split into 16-block chunks that the caller and up
+  // to workers() engine tasks claim in turn (the caller alone without an
+  // engine):
+  //   - ReadBlocks streams past the cache, which holds only ciphertext, so
+  //     a large extent would evict the working set for hits that still
+  //     need decrypting. Per chunk, BufferCache::StreamBatch copies the
+  //     hits, reads the misses with one vectored device call straight
+  //     into `out`, and inserts nothing; the chunk then decrypts in place.
+  //     This holds with or without an engine: the path depends only on
+  //     the extent's size.
+  //   - WriteBlocks, on an engine mount, encrypts the extent into a
+  //     staging copy in chunks, then hands it to the cache as one
   //     synchronous WriteBatch, as the engineless path does. (Under
   //     write-back, the policy of journaled mounts, that write never
   //     reaches the device.)
   // Plaintext only ever lands in the caller's buffer; the cache and the
-  // device see ciphertext. Every task that writes `out` has finished
-  // before the call returns, error or not. The caller must not be an
-  // engine worker (debug-asserted): it waits on the engine.
+  // device see ciphertext. Every chunk has finished before the call
+  // returns, error or not. The caller must not be an engine worker
+  // (debug-asserted): it waits on the engine.
   Status ReadBlocks(const uint64_t* blocks, size_t n, uint8_t* out) override;
   Status WriteBlocks(const uint64_t* blocks, size_t n,
                      const uint8_t* data) override;

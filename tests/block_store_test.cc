@@ -1,10 +1,12 @@
-// EncryptedBlockStore's engine path against its synchronous path: extents
-// of more than kAsyncSubBatch blocks read and write through the async
-// engine, with their AES spread over the engine's workers and the caller.
-// The plaintext, the device image and the cache contents must be exactly
-// what the synchronous path produces, for hits, misses and duplicate
-// blocks under both write policies; a failed sub-batch must return its
-// error with no task left writing the caller's buffer.
+// EncryptedBlockStore's fan-out path against its inserting path: extents
+// of more than kFanOutThreshold blocks read past the cache in chunks that
+// the caller and the engine's workers claim, and (on an engine mount)
+// encrypt their writes the same way. The plaintext, the device image and
+// the cache contents must be exactly what the engineless store produces,
+// for hits, misses and duplicate blocks under both write policies; a large
+// read must leave the cache as it found it and count every position; a
+// failed chunk must return its error with no task left writing the
+// caller's buffer.
 #include "fs/block_store.h"
 
 #include <gtest/gtest.h>
@@ -28,8 +30,8 @@ namespace {
 
 constexpr uint32_t kBs = 512;
 constexpr uint64_t kBlocks = 1024;
-constexpr size_t kN = 200;  // > kAsyncSubBatch: takes the engine path
-static_assert(kN > EncryptedBlockStore::kAsyncSubBatch);
+constexpr size_t kN = 200;  // > kFanOutThreshold: fans out
+static_assert(kN > EncryptedBlockStore::kFanOutThreshold);
 
 void FillRandom(MemBlockDevice* dev, uint64_t seed) {
   Xoshiro rng(seed);
@@ -57,8 +59,9 @@ std::vector<uint64_t> DistinctRequest() {
 // One cache + store over its own device, with or without an engine.
 struct Stack {
   Stack(MemBlockDevice* dev, WritePolicy policy, size_t shards,
-        const crypto::BlockCrypter* crypter, bool with_engine)
-      : cache(dev, 512, policy, shards), store(&cache, crypter) {
+        const crypto::BlockCrypter* crypter, bool with_engine,
+        size_t capacity = 512)
+      : cache(dev, capacity, policy, shards), store(&cache, crypter) {
     if (with_engine) {
       engine = std::make_unique<ThreadPoolAsyncDevice>(dev, 2);
       cache.SetAsyncEngine(engine.get());
@@ -127,11 +130,24 @@ TEST_P(EnginePathTest, ReadsMatchSyncPathOverHitsMissesAndDuplicates) {
   async.engine->Drain();
   ASSERT_GT(async.cache.metrics().prefetched.value(), 0u);
 
+  const size_t sync_cached = sync.cache.size();
+  const size_t async_cached = async.cache.size();
+  ASSERT_EQ(async_cached,
+            sync_cached + async.cache.metrics().prefetched.value());
+  const uint64_t hits0 = async.cache.metrics().hits.value();
+  const uint64_t misses0 = async.cache.metrics().misses.value();
+
   std::vector<uint8_t> want(kN * kBs), got(kN * kBs);
   ASSERT_TRUE(sync.store.ReadBlocks(blocks.data(), kN, want.data()).ok());
   ASSERT_TRUE(async.store.ReadBlocks(blocks.data(), kN, got.data()).ok());
   EXPECT_EQ(got, want);
-  EXPECT_GT(async.cache.metrics().async_batched_reads.value(), 0u);
+  // Every position counted once, and every prefetched entry the read
+  // touched claimed.
+  EXPECT_EQ(async.cache.metrics().hits.value() - hits0 +
+                async.cache.metrics().misses.value() - misses0,
+            kN);
+  EXPECT_EQ(async.cache.metrics().prefetch_hits.value(),
+            async.cache.metrics().prefetched.value());
 
   // The plaintext is the device ciphertext decrypted, position by position.
   for (size_t i = 0; i < kN; ++i) {
@@ -142,8 +158,11 @@ TEST_P(EnginePathTest, ReadsMatchSyncPathOverHitsMissesAndDuplicates) {
         << "position " << i;
   }
   EXPECT_EQ(async_dev.raw(), sync_dev.raw());
-  // Every block is cached now, as ciphertext.
-  EXPECT_EQ(ExpectCacheMatchesDevice(&async.cache, &async_dev, blocks), kN);
+  // Neither read inserted a block: the caches hold what the warm-up put
+  // there, as ciphertext.
+  EXPECT_EQ(sync.cache.size(), sync_cached);
+  EXPECT_EQ(async.cache.size(), async_cached);
+  ExpectCacheMatchesDevice(&async.cache, &async_dev, blocks);
 }
 
 TEST_P(EnginePathTest, WritesMatchSyncPathImageAndCache) {
@@ -223,14 +242,14 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.shards) + "Shards";
     });
 
-// A failed sub-batch returns its error, and once ReadBlocks returns no
-// task writes the caller's buffer any more: not the sub-batches slowed
-// down behind the failure, not their decrypts. The buffer is refilled
-// with a sentinel after the call and must keep it; then it is freed, so
-// under ASan a late write would also be a heap-use-after-free.
-TEST(EnginePathFaultTest, FailedSubBatchReturnsErrorAndLeavesBufferAlone) {
+// A failed chunk returns its error, and once ReadBlocks returns no task
+// writes the caller's buffer any more: not the chunks slowed down behind
+// the failure, not their decrypts. The buffer is refilled with a sentinel
+// after the call and must keep it; then it is freed, so under ASan a late
+// write would also be a heap-use-after-free.
+TEST(EnginePathFaultTest, FailedChunkReturnsErrorAndLeavesBufferAlone) {
   crypto::BlockCrypter crypter("block-store-test-key");
-  // Fail the first sub-batch's first block, then the caller's own share.
+  // Fail the first chunk's first block, then the last chunk's last one.
   for (uint64_t failing : {uint64_t{0}, uint64_t{kN - 1}}) {
     fault::FaultInjectionBlockDevice dev(kBs, kBlocks);
     FillRandom(dev.mem(), 5);
@@ -286,13 +305,13 @@ TEST(EngineWorkerTest, OnWorkerThreadOnlyInsideEngineTasks) {
   EXPECT_FALSE(foreign.get_future().get());
 }
 
-// On a mounted volume the engine carries reads only: a hidden write of
-// more than kAsyncSubBatch blocks encrypts on the engine's workers but
-// submits nothing to the engine, and leaves the image a kSync mount
-// leaves, under both write policies.
+// On a mounted volume the engine carries no demand transfer: a hidden
+// write of more than kFanOutThreshold blocks encrypts on the engine's
+// workers but submits nothing to the engine, and leaves the image a kSync
+// mount leaves, under both write policies.
 TEST(EngineMountTest, HiddenWritesSubmitNothingAndMatchTheSyncImage) {
   const std::string data = [] {
-    std::string d(150 * 1024, '\0');  // 150 blocks: takes the engine path
+    std::string d(150 * 1024, '\0');  // 150 blocks: fans out
     Xoshiro rng(9);
     for (char& c : d) c = static_cast<char>(rng.Next());
     return d;
@@ -369,9 +388,181 @@ TEST(EncryptedStoreTest, OneBlockWriteCountsItsEncrypt) {
   EXPECT_EQ(back, plain);
 }
 
+// The plaintext of `blocks[i]` as the device holds it, for each i.
+void ExpectDecryptsDevice(const crypto::BlockCrypter& crypter,
+                          const MemBlockDevice& dev,
+                          const std::vector<uint64_t>& blocks,
+                          const uint8_t* out) {
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    std::vector<uint8_t> plain(dev.raw().data() + blocks[i] * kBs,
+                               dev.raw().data() + (blocks[i] + 1) * kBs);
+    crypter.DecryptBlock(blocks[i], plain.data(), kBs);
+    EXPECT_EQ(std::memcmp(out + i * kBs, plain.data(), kBs), 0)
+        << "position " << i;
+  }
+}
+
+// A large read streams past the cache and a small one goes through it,
+// with and without an engine: the path depends only on the extent's size.
+class StreamPathTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StreamPathTest, LargeReadLeavesEntriesAndLruOrderAsTheyWere) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  FillRandom(&dev, 21);
+  // One shard, so the whole LRU order is observable through evictions.
+  Stack stack(&dev, WritePolicy::kWriteBack, 1, &crypter, GetParam(),
+              /*capacity=*/64);
+  BufferCache& cache = stack.cache;
+  std::vector<uint8_t> one(kBs);
+  for (uint64_t b = 0; b < 64; ++b) {
+    ASSERT_TRUE(cache.Read(b, one.data()).ok());  // LRU order 0 .. 63
+  }
+  const CacheMetrics& m = cache.metrics();
+  const uint64_t hits0 = m.hits.value(), misses0 = m.misses.value();
+  const uint64_t evictions0 = m.evictions.value();
+
+  // kN positions: the 32 even cached blocks, then 168 uncached ones.
+  std::vector<uint64_t> blocks;
+  for (uint64_t b = 0; b < 64; b += 2) blocks.push_back(b);
+  for (uint64_t b = 600; blocks.size() < kN; ++b) blocks.push_back(b);
+  std::vector<uint8_t> out(kN * kBs);
+  ASSERT_TRUE(stack.store.ReadBlocks(blocks.data(), kN, out.data()).ok());
+  ExpectDecryptsDevice(crypter, dev, blocks, out.data());
+  EXPECT_EQ(m.hits.value() - hits0, 32u);
+  EXPECT_EQ(m.misses.value() - misses0, kN - 32);
+  EXPECT_EQ(m.evictions.value(), evictions0);
+  EXPECT_EQ(cache.size(), 64u);
+
+  // LRU order unchanged: 32 fresh blocks evict exactly 0 .. 31 (had the
+  // read touched the even blocks, the odd ones would have gone first).
+  for (uint64_t b = 900; b < 932; ++b) {
+    ASSERT_TRUE(cache.Read(b, one.data()).ok());
+  }
+  EXPECT_EQ(m.evictions.value(), evictions0 + 32);
+  const uint64_t misses1 = m.misses.value();
+  for (uint64_t b = 32; b < 64; ++b) {
+    ASSERT_TRUE(cache.Read(b, one.data()).ok());
+  }
+  EXPECT_EQ(m.misses.value(), misses1);
+}
+
+TEST_P(StreamPathTest, SmallReadStillInsertsItsBlocks) {
+  constexpr size_t kSmall = 16;
+  static_assert(kSmall <= EncryptedBlockStore::kFanOutThreshold);
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  FillRandom(&dev, 23);
+  Stack stack(&dev, WritePolicy::kWriteBack, 1, &crypter, GetParam(),
+              /*capacity=*/64);
+  std::vector<uint64_t> blocks(kSmall);
+  for (size_t i = 0; i < kSmall; ++i) blocks[i] = 100 + i * 3;
+  std::vector<uint8_t> out(kSmall * kBs);
+  ASSERT_TRUE(stack.store.ReadBlocks(blocks.data(), kSmall, out.data()).ok());
+  ExpectDecryptsDevice(crypter, dev, blocks, out.data());
+  const CacheMetrics& m = stack.cache.metrics();
+  EXPECT_EQ(m.misses.value(), kSmall);
+  EXPECT_EQ(stack.cache.size(), kSmall);
+  // The re-read is all hits.
+  ASSERT_TRUE(stack.store.ReadBlocks(blocks.data(), kSmall, out.data()).ok());
+  EXPECT_EQ(m.hits.value(), kSmall);
+  EXPECT_EQ(m.misses.value(), kSmall);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, StreamPathTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Engine" : "NoEngine";
+                         });
+
+// A self-describing plaintext image: block, version, then a body derived
+// from both, so a torn or misplaced block cannot pass for a version.
+void StampPlain(uint64_t block, uint32_t version, uint8_t* p) {
+  std::memset(p, static_cast<int>(block * 31 + version * 101), kBs);
+  std::memcpy(p, &block, sizeof(block));
+  std::memcpy(p + sizeof(block), &version, sizeof(version));
+}
+
+// Two threads stream large reads of one extent while a third rewrites its
+// blocks through a cache small enough that the writes evict dirty victims
+// (the TSan job runs this). Every block read is one version that was
+// written, never older than the last write that returned before the read
+// was issued, never newer than the last write begun before it returned.
+TEST(StreamPathRaceTest, StreamReadsSeeWholeVersionsAndCompletedWrites) {
+  constexpr size_t kExtent = 160;
+  constexpr uint32_t kRounds = 200;
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  Stack stack(&dev, WritePolicy::kWriteBack, 4, &crypter,
+              /*with_engine=*/true, /*capacity=*/48);
+  std::vector<uint64_t> extent(kExtent);
+  for (size_t i = 0; i < kExtent; ++i) extent[i] = (i * 53 + 7) % kBlocks;
+  {
+    std::vector<uint8_t> v0(kExtent * kBs);
+    for (size_t i = 0; i < kExtent; ++i) {
+      StampPlain(extent[i], 0, v0.data() + i * kBs);
+    }
+    ASSERT_TRUE(
+        stack.store.WriteBlocks(extent.data(), kExtent, v0.data()).ok());
+  }
+  // Per extent position: the last version whose write began / returned.
+  std::vector<std::atomic<uint32_t>> begun(kExtent), returned(kExtent);
+  std::atomic<bool> writing{true};
+  std::atomic<int> errors{0};
+
+  std::thread writer([&] {
+    std::vector<uint8_t> buf(8 * kBs);
+    std::vector<uint64_t> blocks(8);
+    std::vector<size_t> pos(8);
+    for (uint32_t v = 1; v <= kRounds; ++v) {
+      for (size_t k = 0; k < 8; ++k) {
+        pos[k] = (v * 29 + k * 20) % kExtent;
+        blocks[k] = extent[pos[k]];
+        StampPlain(blocks[k], v, buf.data() + k * kBs);
+        begun[pos[k]].store(v);
+      }
+      if (!stack.store.WriteBlocks(blocks.data(), 8, buf.data()).ok()) {
+        errors++;
+      }
+      for (size_t k = 0; k < 8; ++k) returned[pos[k]].store(v);
+    }
+    writing = false;
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      std::vector<uint8_t> out(kExtent * kBs);
+      std::vector<uint32_t> floor(kExtent);
+      std::vector<uint8_t> want(kBs);
+      for (int reads = 0; reads < 20 || writing.load(); ++reads) {
+        for (size_t i = 0; i < kExtent; ++i) floor[i] = returned[i].load();
+        if (!stack.store.ReadBlocks(extent.data(), kExtent, out.data())
+                 .ok()) {
+          errors++;
+          continue;
+        }
+        for (size_t i = 0; i < kExtent; ++i) {
+          uint32_t v;
+          std::memcpy(&v, out.data() + i * kBs + sizeof(uint64_t),
+                      sizeof(v));
+          StampPlain(extent[i], v, want.data());
+          if (std::memcmp(out.data() + i * kBs, want.data(), kBs) != 0 ||
+              v < floor[i] || v > begun[i].load()) {
+            errors++;
+          }
+        }
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_GT(stack.cache.metrics().writebacks.value(), 0u)
+      << "no dirty eviction raced the reads";
+}
+
 #ifndef NDEBUG
-// Debug builds refuse to enter the engine path on an engine worker: its
-// waits could block on tasks queued behind the waiting worker.
+// Debug builds refuse to fan out on an engine worker: its waits could
+// block on tasks queued behind the waiting worker.
 TEST(EngineWorkerDeathTest, EnginePathOnAWorkerAsserts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

@@ -337,7 +337,7 @@ TEST(BufferCacheTest, WriteThroughTornWriteDropsTheStaleEntry) {
   EXPECT_EQ(out, raw);
 }
 
-// --- async read path ----------------------------------------------------
+// --- stream reads and the prefetcher ------------------------------------
 
 // Completes batches only when the test says so: SubmitRead performs the
 // base device read at submission time (capturing the bytes of that
@@ -384,7 +384,10 @@ class ManualAsyncDevice : public AsyncBlockDevice {
   std::vector<Pending> pending_;
 };
 
-TEST(BufferCacheAsyncTest, ReadBatchAsyncMatchesSyncResults) {
+// StreamBatch is ProbeBatch as a demand read: the same bytes, nothing
+// inserted, but every position counts as a hit or a miss, duplicates
+// included, and a hit on a prefetched entry claims it once.
+TEST(BufferCacheTest, StreamBatchCountsEveryPositionAndInsertsNothing) {
   MemBlockDevice dev(512, 32);
   std::vector<std::vector<uint8_t>> patterns;
   for (uint64_t b = 0; b < 8; ++b) {
@@ -395,37 +398,44 @@ TEST(BufferCacheAsyncTest, ReadBatchAsyncMatchesSyncResults) {
   ThreadPoolAsyncDevice engine(&dev, 2);
   cache.SetAsyncEngine(&engine);
 
-  // Warm two blocks, then batch hits + misses + a duplicate.
+  // Warm two blocks by demand and one by prefetch.
   std::vector<uint8_t> one(512);
   ASSERT_TRUE(cache.Read(2, one.data()).ok());
   ASSERT_TRUE(cache.Read(5, one.data()).ok());
-  uint64_t hits0 = cache.metrics().hits.value();
-  uint64_t misses0 = cache.metrics().misses.value();
+  const uint64_t prefetch[1] = {6};
+  cache.Prefetch(prefetch, 1);
+  engine.Drain();
+  ASSERT_EQ(cache.metrics().prefetched.value(), 1u);
+  const CacheMetrics& m = cache.metrics();
+  const uint64_t hits0 = m.hits.value(), misses0 = m.misses.value();
+  const uint64_t batched0 = m.batched_reads.value();
 
   uint64_t blocks[9] = {0, 1, 2, 3, 4, 5, 6, 7, 3};  // 3 twice
   std::vector<uint8_t> out(9 * 512);
-  ASSERT_TRUE(cache.ReadBatchAsync(blocks, 9, out.data()).Wait().ok());
+  ASSERT_TRUE(cache.StreamBatch(blocks, 9, out.data()).ok());
   for (size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(std::memcmp(out.data() + i * 512, patterns[blocks[i]].data(),
                           512),
               0)
         << "position " << i;
   }
-  // 2 warm hits + 1 duplicate hit; 6 distinct misses (sync parity).
-  EXPECT_EQ(cache.metrics().hits.value(), hits0 + 3);
-  EXPECT_EQ(cache.metrics().misses.value(), misses0 + 6);
-  EXPECT_EQ(cache.metrics().async_batched_reads.value(), 9u);
-  EXPECT_EQ(cache.size(), 8u);  // misses inserted by the completion
+  EXPECT_EQ(m.hits.value() - hits0, 3u);      // 2, 5 and 6
+  EXPECT_EQ(m.misses.value() - misses0, 6u);  // 0, 1, 3, 4, 7 and 3 again
+  EXPECT_EQ(m.batched_reads.value() - batched0, 9u);
+  EXPECT_EQ(m.prefetch_hits.value(), 1u);
+  EXPECT_EQ(m.evictions.value(), 0u);
+  EXPECT_EQ(cache.size(), 3u);  // nothing inserted
 
-  // Everything cached: all hits, no engine involvement needed.
-  ASSERT_TRUE(cache.ReadBatchAsync(blocks, 9, out.data()).Wait().ok());
-  EXPECT_EQ(cache.metrics().misses.value(), misses0 + 6);
+  // The claim is once: a second stream read of 6 is a plain hit.
+  ASSERT_TRUE(cache.StreamBatch(blocks, 9, out.data()).ok());
+  EXPECT_EQ(m.hits.value() - hits0, 6u);
+  EXPECT_EQ(m.prefetch_hits.value(), 1u);
   cache.SetAsyncEngine(nullptr);
 }
 
-// Generation guard: a write that lands while an async miss read is in
-// flight must prevent the read's (stale) bytes from being inserted.
-TEST(BufferCacheAsyncTest, RacedWriteBeatsInFlightReadInsert) {
+// Generation guard: a write that lands while a prefetch read is in flight
+// must keep the read's (stale) bytes out of the cache.
+TEST(BufferCacheAsyncTest, RacedWriteBeatsInFlightPrefetchInsert) {
   MemBlockDevice dev(512, 32);
   std::vector<uint8_t> old_bytes = Pattern(512, 1);
   ASSERT_TRUE(dev.WriteBlock(7, old_bytes.data()).ok());
@@ -434,16 +444,14 @@ TEST(BufferCacheAsyncTest, RacedWriteBeatsInFlightReadInsert) {
   cache.SetAsyncEngine(&engine);
 
   uint64_t blocks[1] = {7};
-  std::vector<uint8_t> out(512);
-  CacheIoTicket t = cache.ReadBatchAsync(blocks, 1, out.data());
+  cache.Prefetch(blocks, 1);
   // The engine has read the OLD bytes; before completion, new bytes land.
   std::vector<uint8_t> new_bytes = Pattern(512, 99);
   ASSERT_TRUE(cache.Write(7, new_bytes.data()).ok());
   engine.Release();
-  ASSERT_TRUE(t.Wait().ok());
-  // The caller legally observes the old bytes (its read began first)...
-  EXPECT_EQ(out, old_bytes);
-  // ...but the cache must keep serving the newer write.
+  EXPECT_EQ(cache.metrics().prefetched.value(), 0u);
+  // The cache must keep serving the newer write.
+  std::vector<uint8_t> out(512);
   ASSERT_TRUE(cache.Read(7, out.data()).ok());
   EXPECT_EQ(out, new_bytes);
   ASSERT_TRUE(dev.ReadBlock(7, out.data()).ok());
@@ -494,9 +502,10 @@ TEST(BufferCacheAsyncTest, PrefetchIsAPureSubmitterWithEngine) {
   cache.SetAsyncEngine(nullptr);
 }
 
-// Concurrent demand traffic against async batches (the TSan job runs
-// this): no lost updates, no double completions, consistent bytes.
-TEST(BufferCacheAsyncTest, ConcurrentAsyncBatchesUnderContention) {
+// Stream reads racing prefetch inserts and demand reads (the TSan job
+// runs this): consistent bytes, and each prefetched entry claimed at most
+// once although stream readers claim it under the shared lock.
+TEST(BufferCacheAsyncTest, ConcurrentStreamReadsAndPrefetches) {
   MemBlockDevice dev(512, 128);
   std::vector<uint8_t> seed(512);
   for (uint64_t b = 0; b < 128; ++b) {
@@ -519,9 +528,11 @@ TEST(BufferCacheAsyncTest, ConcurrentAsyncBatchesUnderContention) {
         for (size_t i = 0; i < 16; ++i) {
           blocks[i] = (tid * 31 + round * 7 + i * 3) % 128;
         }
-        if (!cache.ReadBatchAsync(blocks.data(), 16, out.data())
-                 .Wait()
-                 .ok()) {
+        cache.Prefetch(blocks.data() + 8, 8);
+        Status s = tid % 2 == 0
+                       ? cache.StreamBatch(blocks.data(), 16, out.data())
+                       : cache.ReadBatch(blocks.data(), 16, out.data());
+        if (!s.ok()) {
           errors.fetch_add(1);
           continue;
         }
@@ -542,6 +553,8 @@ TEST(BufferCacheAsyncTest, ConcurrentAsyncBatchesUnderContention) {
   for (std::thread& t : threads) t.join();
   engine.Drain();
   EXPECT_EQ(errors.load(), 0);
+  EXPECT_LE(cache.metrics().prefetch_hits.value(),
+            cache.metrics().prefetched.value());
   cache.SetAsyncEngine(nullptr);
 }
 

@@ -16,11 +16,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blockdev/mem_block_device.h"
@@ -355,12 +357,49 @@ TEST(FaultMatrixTest, IdleFaultLayerLeavesImageBitIdentical) {
   EXPECT_EQ(run(true), run(false));
 }
 
-// The async engine transfers through the mount's one retry layer: a
-// pipelined hidden read (1 MiB, 4 KiB blocks, so 256 blocks in four
-// engine sub-batches) on a kAuto mount. Each case connects, writes and
-// flushes the object, then drops the cache so the read's data blocks are
-// cold. A one-byte read of the last block re-warms the single-indirect
-// pointer block, so the next device read is an engine slice.
+// Fails the first read issued off the thread that built it, once, with a
+// transient error the retry layer absorbs. The engine's workers are the
+// only other readers, so the retry lands on one of them.
+class FailFirstWorkerRead : public BlockDevice {
+ public:
+  explicit FailFirstWorkerRead(BlockDevice* inner)
+      : inner_(inner), owner_(std::this_thread::get_id()) {}
+
+  void Arm() { armed_.store(true); }
+  uint64_t faults_injected() const { return injected_.load(); }
+
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t num_blocks() const override { return inner_->num_blocks(); }
+  Status ReadBlock(uint64_t block, uint8_t* buf) override {
+    if (std::this_thread::get_id() != owner_ && armed_.exchange(false)) {
+      injected_++;
+      return Status::TransientIOError("injected worker read fault");
+    }
+    return inner_->ReadBlock(block, buf);
+  }
+  Status WriteBlock(uint64_t block, const uint8_t* buf) override {
+    return inner_->WriteBlock(block, buf);
+  }
+  Status Flush() override { return inner_->Flush(); }
+  Status Sync() override { return inner_->Sync(); }
+  const DeviceMetrics* device_metrics() const override {
+    return inner_->device_metrics();
+  }
+
+ private:
+  BlockDevice* inner_;
+  const std::thread::id owner_;
+  std::atomic<bool> armed_{false};
+  std::atomic<uint64_t> injected_{0};
+};
+
+// The fan-out's engine workers transfer through the mount's one retry
+// layer: a large hidden read (1 MiB, 4 KiB blocks, so 256 blocks in 16
+// chunks) on a kAuto mount. Each case connects, writes and flushes the
+// object, then drops the cache so the read's data blocks are cold. A
+// one-byte read of the last block re-warms the single-indirect pointer
+// block. Every device read then sleeps 100 us, so the caller cannot run
+// out of chunks before the workers claim theirs.
 class EngineRetryTest : public ::testing::Test {
  protected:
   static constexpr uint32_t kBlockSize = 4096;
@@ -371,9 +410,10 @@ class EngineRetryTest : public ::testing::Test {
     dev_ = std::make_unique<FaultInjectionBlockDevice>(kBlockSize,
                                                        kVolumeBlocks);
     ASSERT_TRUE(StegFs::Format(dev_.get(), SmallFormat()).ok());
+    worker_fault_ = std::make_unique<FailFirstWorkerRead>(dev_.get());
     StegFsOptions opts = EngineOpts(IoEngine::kAuto);
     opts.mount.cache_blocks = 1024;
-    auto fs = StegFs::Mount(dev_.get(), opts);
+    auto fs = StegFs::Mount(worker_fault_.get(), opts);
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
     fs_ = std::move(fs).value();
     ASSERT_TRUE(fs_->StegCreate(kUid, "big", kUak, HiddenType::kFile).ok());
@@ -385,6 +425,7 @@ class EngineRetryTest : public ::testing::Test {
     std::string last;
     ASSERT_TRUE(
         fs_->HiddenRead(kUid, "big", kObjectBytes - 1, 1, &last).ok());
+    ASSERT_TRUE(dev_->LoadSchedule("read:delay@0x1000000:us=100").ok());
   }
 
   // Runs the traced 1 MiB read, checks its bytes, and returns the ring.
@@ -396,7 +437,7 @@ class EngineRetryTest : public ::testing::Test {
     Status s = fs_->HiddenRead(kUid, "big", 0, kObjectBytes, &out);
     trace->Stop();
     EXPECT_TRUE(s.ok()) << s.ToString();
-    EXPECT_TRUE(out == data_) << "pipelined read returned wrong bytes";
+    EXPECT_TRUE(out == data_) << "fanned-out read returned wrong bytes";
     return trace->Events();
   }
 
@@ -409,23 +450,24 @@ class EngineRetryTest : public ::testing::Test {
   }
 
   std::unique_ptr<FaultInjectionBlockDevice> dev_;
+  std::unique_ptr<FailFirstWorkerRead> worker_fault_;
   std::unique_ptr<StegFs> fs_;
   std::string data_;
 };
 
 TEST_F(EngineRetryTest, TransientFaultRetriedInsideTheEngineSlice) {
   if (!obs::MetricsEnabled()) GTEST_SKIP() << "observability disabled";
-  ASSERT_TRUE(dev_->LoadSchedule("read:eio@0x1").ok());
+  worker_fault_->Arm();
   const std::vector<obs::TraceEvent> events = TracedRead();
-  EXPECT_EQ(dev_->faults_injected(), 1u);
+  EXPECT_EQ(worker_fault_->faults_injected(), 1u);
   const fault::FaultStats* stats = fs_->plain()->fault_stats();
   EXPECT_EQ(stats->retries.value(), 1u);
   EXPECT_EQ(stats->retry_successes.value(), 1u);
   EXPECT_EQ(stats->retry_exhausted.value(), 0u);
   EXPECT_EQ(fs_->plain()->health()->state(), MountHealth::kHealthy);
 
-  // The retry happened on a pool thread, inside an engine slice, and
-  // still belongs to the read's operation tree.
+  // The retry happened on a pool thread, inside a chunk of the fan-out,
+  // and still belongs to the read's operation tree.
   const obs::TraceEvent* root = Find(events, "hidden.read");
   const obs::TraceEvent* retry = Find(events, "fault.retry");
   ASSERT_NE(root, nullptr);
@@ -436,7 +478,7 @@ TEST_F(EngineRetryTest, TransientFaultRetriedInsideTheEngineSlice) {
     if (e.span_id == retry->parent_span) parent = &e;
   }
   ASSERT_NE(parent, nullptr);
-  EXPECT_STREQ(parent->name, "async.transfer");
+  EXPECT_STREQ(parent->name, "store.read");
   EXPECT_EQ(parent->op_id, root->op_id);
   EXPECT_NE(parent->tid, root->tid);
 }
@@ -445,12 +487,15 @@ TEST_F(EngineRetryTest, FaultFreePipelinedReadRecordsNoFaultSpan) {
   if (!obs::MetricsEnabled()) GTEST_SKIP() << "observability disabled";
   const std::vector<obs::TraceEvent> events = TracedRead();
   EXPECT_EQ(fs_->plain()->fault_stats()->retries.value(), 0u);
+  const obs::TraceEvent* root = Find(events, "hidden.read");
+  ASSERT_NE(root, nullptr);
+  bool on_worker = false;
   for (const obs::TraceEvent& e : events) {
     EXPECT_NE(std::strncmp(e.name, "fault.", 6), 0)
         << "fault span " << e.name << " on a fault-free read";
+    on_worker |= std::strcmp(e.name, "store.read") == 0 && e.tid != root->tid;
   }
-  EXPECT_NE(Find(events, "async.transfer"), nullptr)
-      << "the read did not run through the engine";
+  EXPECT_TRUE(on_worker) << "no chunk of the read ran on an engine worker";
 }
 
 // The C API face of the subsystem: steg_mount_faulty scripts faults on a

@@ -325,7 +325,6 @@ TEST(PlainFsExportTest, MountExportsThePinnedSeries) {
       "stegfs_async_submitted_blocks_total",
       "stegfs_barrier_arrivals_total",
       "stegfs_barrier_rounds_total",
-      "stegfs_cache_async_batched_reads_total",
       "stegfs_cache_batched_reads_total",
       "stegfs_cache_batched_writes_total",
       "stegfs_cache_evictions_total",
@@ -411,7 +410,6 @@ TEST(PlainFsExportTest, MountExportsThePinnedSeries) {
       {"stegfs_cache_batched_writes_total", &cache.batched_writes},
       {"stegfs_cache_prefetched_total", &cache.prefetched},
       {"stegfs_cache_prefetch_hits_total", &cache.prefetch_hits},
-      {"stegfs_cache_async_batched_reads_total", &cache.async_batched_reads},
       {"stegfs_journal_records_committed_total", &journal.records_committed},
       {"stegfs_journal_blocks_journaled_total", &journal.blocks_journaled},
       {"stegfs_journal_barrier_syncs_total", &journal.barrier_syncs},
