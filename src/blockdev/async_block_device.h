@@ -12,10 +12,11 @@
 // never coalesce into contiguous runs (the placement randomness IS the
 // deniability), but they can all be in flight at once.
 //
-// Writes never go through an engine. Under write-back (every journaled
-// mount) a write only reaches the cache, and under write-through the
-// cache writes the device synchronously under its shard lock; the engine
-// helps a write with its encryption only (SubmitTask).
+// Writes never go through an engine: every write is synchronous under
+// its cache shard's lock. A hidden extent of more than 64 blocks writes
+// through to the device past the cache (BufferCache::StreamWrite), in
+// chunks the engine's workers help with (SubmitTask); smaller writes
+// update the cache, and the device too under write-through.
 //
 // The implementation is ThreadPoolAsyncDevice, which adapts any
 // synchronous BlockDevice via a small thread pool, so the decorated

@@ -22,14 +22,12 @@
 // submitter's trace context, so a retry's "fault.retry" span stays in the
 // submitting operation's tree.
 //
-// The workers also carry the hidden data path's AES. A read batch's
-// completion runs on the worker that finished its last slice, so the
-// cache inserts the ciphertext and EncryptedBlockStore then decrypts the
-// group right there, before the ticket unblocks (the finalize order of
-// async_block_device.h). SubmitTask queues the store's crypto fan-out
-// behind the transfers. Neither waits on the engine, and no thread that
-// waits on the engine may be a worker (OnWorkerThread), or it could
-// block on work queued behind itself.
+// The workers also carry the hidden data path's large extents:
+// SubmitTask queues EncryptedBlockStore's fan-out behind the transfers,
+// and each task claims 16-block chunks (a device read and decrypt, or an
+// encrypt and device write). A task never waits on the engine, and no
+// thread that waits on the engine may be a worker (OnWorkerThread), or it
+// could block on work queued behind itself.
 #ifndef STEGFS_BLOCKDEV_THREAD_POOL_ASYNC_DEVICE_H_
 #define STEGFS_BLOCKDEV_THREAD_POOL_ASYNC_DEVICE_H_
 

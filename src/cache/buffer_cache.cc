@@ -328,8 +328,23 @@ Status BufferCache::Peek(const uint64_t* blocks, size_t n, uint8_t* out,
   return device_->ReadBlocks(misses.data(), misses.size());
 }
 
-Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
-                               const uint8_t* data) {
+Status BufferCache::StreamWrite(const uint64_t* blocks, size_t n,
+                                const uint8_t* data) {
+#ifndef NDEBUG
+  std::vector<uint64_t> sorted(blocks, blocks + n);
+  std::sort(sorted.begin(), sorted.end());
+  assert(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
+#endif
+  if (auto parked = ParkedSnapshot()) {
+    for (size_t i = 0; i < n; ++i) {
+      if (parked->count(blocks[i]) != 0) return WriteBatch(blocks, n, data);
+    }
+  }
+  return WriteGroups(blocks, n, data, /*stream=*/true);
+}
+
+Status BufferCache::WriteGroups(const uint64_t* blocks, size_t n,
+                                const uint8_t* data, bool stream) {
   const size_t bs = block_size_;
   ShardGroups group(*this, blocks, n);
   while (group.Next()) {
@@ -338,7 +353,7 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
     metrics_.batched_writes.Add(group.size());  // under the lock: see ReadBatch
     shard->gen++;  // invalidates in-flight prefetches' snapshots
 
-    if (policy_ == WritePolicy::kWriteThrough) {
+    if (stream || policy_ == WritePolicy::kWriteThrough) {
       // One vectored device call per shard group, in request order (a
       // duplicate block writes twice, last value winning — same as the
       // per-block loop).
@@ -349,9 +364,8 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
       Status ws = device_->WriteBlocks(iov.data(), iov.size());
       if (!ws.ok()) {
         // The device may hold any prefix of the group, and a torn block
-        // holds neither image: drop the group's cached entries (never
-        // dirty under write-through) so the cache cannot serve bytes
-        // other than the device's.
+        // holds neither image: drop the group's cached entries so the
+        // cache cannot serve bytes other than the device's.
         for (size_t k = 0; k < group.size(); ++k) {
           auto found = shard->map.find(blocks[group[k]]);
           if (found != shard->map.end()) {
@@ -368,13 +382,20 @@ Status BufferCache::WriteBatch(const uint64_t* blocks, size_t n,
       const size_t pos = group[k];
       auto found = shard->map.find(blocks[pos]);
       if (found != shard->map.end()) {
-        Entry& e = Touch(shard, found->second);
+        // A stream write leaves the LRU order alone; the device now holds
+        // the entry's new bytes.
+        Entry& e = stream ? *found->second : Touch(shard, found->second);
         CountHit(e);
         std::memcpy(e.data.data(), data + pos * bs, bs);
-        MarkWritten(shard, &e);
+        if (stream) {
+          MarkClean(shard, &e);
+        } else {
+          MarkWritten(shard, &e);
+        }
         continue;
       }
       metrics_.misses.Increment();
+      if (stream) continue;
       STEGFS_RETURN_IF_ERROR(Insert(shard, blocks[pos], data + pos * bs));
       MarkWritten(shard, &shard->lru.front());
     }

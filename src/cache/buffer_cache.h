@@ -39,11 +39,12 @@
 //                   exact)
 //
 // One transfer body per direction: Read and Write are the n = 1 case of
-// ReadBatch and WriteBatch. Every write reaches the cache, and under
-// kWriteThrough the device, synchronously under its shard lock, whether or
-// not an async engine is attached. An attached engine carries Prefetch's
-// background loads only. StreamBatch reads past the cache: it inserts
-// nothing, for extents too large for the cache to hold.
+// ReadBatch and WriteBatch. Every write is synchronous under its shard
+// lock, whether or not an async engine is attached; an attached engine
+// carries Prefetch's background loads only. For extents too large for the
+// cache to hold, StreamBatch and StreamWrite move blocks past it: they
+// insert, evict and reorder nothing, and StreamWrite writes through to the
+// device under either policy.
 #ifndef STEGFS_CACHE_BUFFER_CACHE_H_
 #define STEGFS_CACHE_BUFFER_CACHE_H_
 
@@ -147,7 +148,21 @@ class BufferCache {
   // torn writes included, the group's cached entries are invalidated so
   // the cache can never serve bytes other than the device's); entry
   // updates then replay in request order, matching the one-block loop.
-  Status WriteBatch(const uint64_t* blocks, size_t n, const uint8_t* data);
+  Status WriteBatch(const uint64_t* blocks, size_t n, const uint8_t* data) {
+    return WriteGroups(blocks, n, data, /*stream=*/false);
+  }
+  // WriteBatch past the cache, for extents that would only churn it:
+  // under either policy each shard group is written through with one
+  // vectored device call, under the stripe held exclusively, exactly as
+  // WriteBatch's write-through branch (a device error drops the group's
+  // cached entries). A block already cached takes the new bytes and turns
+  // clean; nothing is inserted or evicted and the LRU order does not
+  // move. Every position counts as one hit or miss. A batch holding a
+  // parked block (ParkBlocks) takes WriteBatch instead, so a journal's
+  // held-back image never reaches the device early. The blocks must be
+  // distinct (debug-asserted): callers run chunks of one extent
+  // concurrently, so a duplicate's last value would be a race's winner.
+  Status StreamWrite(const uint64_t* blocks, size_t n, const uint8_t* data);
 
   // Side-effect-free batched read for the header locator's probes: the
   // current bytes of n blocks into `out` (n * block_size() bytes, request
@@ -162,8 +177,8 @@ class BufferCache {
   // Why reading misses outside the locks is still exact:
   //   - a block absent from the cache at peek time holds its latest
   //     completed write on the device, because EnsureRoom writes a dirty
-  //     victim back before erasing it, under the same stripe lock the
-  //     peek took;
+  //     victim back before erasing it, and StreamWrite writes through,
+  //     under the same stripe lock the peek took;
   //   - a write racing the read may show in it or not, as any racing
   //     write may: the device only moves forward to newer images. (A
   //     probe races no write at all: only the owner of a (name, key)
@@ -186,7 +201,8 @@ class BufferCache {
   }
 
   // Attaches an async I/O engine: Prefetch loads blocks in the background
-  // through it, and EncryptedBlockStore runs extent crypto on its workers.
+  // through it, and EncryptedBlockStore runs large extents' chunks on its
+  // workers.
   // The engine must be drained and destroyed before the cache (PlainFs
   // declares it after the cache for exactly this reason) or detached
   // first. nullptr detaches; Prefetch then degrades to a no-op.
@@ -308,6 +324,9 @@ class BufferCache {
   // The body of ProbeBatch and StreamBatch; only a demand read counts.
   Status Peek(const uint64_t* blocks, size_t n, uint8_t* out, bool demand,
               size_t* cache_hits);
+  // The body of WriteBatch and StreamWrite; a stream write inserts nothing.
+  Status WriteGroups(const uint64_t* blocks, size_t n, const uint8_t* data,
+                     bool stream);
   // Makes room (EnsureRoom), then inserts `block` holding a copy of
   // `bytes` as the shard's most recently used entry. The one insertion
   // path of the reads, the prefetcher and the writes.

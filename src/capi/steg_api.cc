@@ -432,11 +432,11 @@ int steg_hidden_read(stegfs_volume* vol, const char* uid,
                      const char* objname, void* buf, size_t cap,
                      size_t* out_len) {
   if (vol == nullptr || out_len == nullptr) return STEG_ERR_INVALID;
-  auto data = vol->fs->HiddenReadAll(uid, objname);
-  if (!data.ok()) return Fail(vol, data.status());
-  size_t n = std::min(cap, data->size());
-  std::memcpy(buf, data->data(), n);
-  *out_len = n;
+  std::string data;
+  Status s = vol->fs->HiddenRead(uid, objname, 0, cap, &data);
+  if (!s.ok()) return Fail(vol, s);
+  std::memcpy(buf, data.data(), data.size());
+  *out_len = data.size();
   return STEG_OK;
 }
 

@@ -44,14 +44,19 @@ class ChunkJob {
   void Work(const obs::SpanContext& ctx) {
     size_t c = next_.fetch_add(1, std::memory_order_relaxed);
     if (c >= chunks_) return;
-    obs::Span span(ctx, span_name_, "store");
     size_t finished = 0;
     Status first;
-    for (; c < chunks_; c = next_.fetch_add(1, std::memory_order_relaxed)) {
-      const size_t begin = c * kClaim;
-      Status s = fn_(begin, std::min(kClaim, n_ - begin));
-      if (first.ok()) first = std::move(s);
-      ++finished;
+    {
+      // Closed before the chunks count as done, so a participant's span
+      // is recorded before the caller can return.
+      obs::Span span(ctx, span_name_, "store");
+      for (; c < chunks_;
+           c = next_.fetch_add(1, std::memory_order_relaxed)) {
+        const size_t begin = c * kClaim;
+        Status s = fn_(begin, std::min(kClaim, n_ - begin));
+        if (first.ok()) first = std::move(s);
+        ++finished;
+      }
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (status_.ok()) status_ = std::move(first);
@@ -96,13 +101,25 @@ Status FanOut(AsyncBlockDevice* engine, size_t n, const char* span_name,
   return job->Wait();
 }
 
-// Decrypts the n blocks of `buf` in place, block i keyed by blocks[i].
+// The n blocks of `buf` as crypt spans, block i keyed by blocks[i].
+std::vector<crypto::CryptSpan> Spans(const uint64_t* blocks, size_t n,
+                                     uint8_t* buf, size_t bs) {
+  std::vector<crypto::CryptSpan> spans(n);
+  for (size_t i = 0; i < n; ++i) spans[i] = {blocks[i], buf + i * bs};
+  return spans;
+}
+
+// Decrypts / encrypts the n blocks of `buf` in place.
 void DecryptInPlace(const crypto::BlockCrypter* crypter,
                     const uint64_t* blocks, size_t n, uint8_t* buf,
                     size_t bs) {
-  std::vector<crypto::CryptSpan> spans(n);
-  for (size_t i = 0; i < n; ++i) spans[i] = {blocks[i], buf + i * bs};
-  crypter->DecryptBlocks(spans.data(), n, bs);
+  crypter->DecryptBlocks(Spans(blocks, n, buf, bs).data(), n, bs);
+}
+
+void EncryptInPlace(const crypto::BlockCrypter* crypter,
+                    const uint64_t* blocks, size_t n, uint8_t* buf,
+                    size_t bs) {
+  crypter->EncryptBlocks(Spans(blocks, n, buf, bs).data(), n, bs);
 }
 
 }  // namespace
@@ -130,23 +147,27 @@ Status EncryptedBlockStore::ReadBlocks(const uint64_t* blocks, size_t n,
 Status EncryptedBlockStore::WriteBlocks(const uint64_t* blocks, size_t n,
                                         const uint8_t* data) {
   const size_t bs = cache_->block_size();
-  AsyncBlockDevice* engine = cache_->async_engine();
-  std::vector<uint8_t> tmp(data, data + n * bs);  // ciphertext staging
-  std::vector<crypto::CryptSpan> spans(n);
-  for (size_t i = 0; i < n; ++i) spans[i] = {blocks[i], tmp.data() + i * bs};
-  if (engine == nullptr || n <= kFanOutThreshold) {
+  if (n <= kFanOutThreshold) {
     obs::Span span("store.write", "store");
-    crypter_->EncryptBlocks(spans.data(), n, bs);
+    std::vector<uint8_t> tmp(data, data + n * bs);  // ciphertext staging
+    EncryptInPlace(crypter_, blocks, n, tmp.data(), bs);
     return cache_->WriteBatch(blocks, n, tmp.data());
   }
+#ifndef NDEBUG
+  std::vector<uint64_t> sorted(blocks, blocks + n);
+  std::sort(sorted.begin(), sorted.end());
+  assert(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
+#endif
   obs::Span pipeline_span("store.write_pipeline", "store");
-  STEGFS_RETURN_IF_ERROR(FanOut(engine, n, "store.encrypt",
-                                [&](size_t begin, size_t count) {
-                                  crypter_->EncryptBlocks(
-                                      spans.data() + begin, count, bs);
-                                  return Status::OK();
-                                }));
-  return cache_->WriteBatch(blocks, n, tmp.data());
+  return FanOut(cache_->async_engine(), n, "store.write",
+                [this, blocks, data, bs](size_t begin, size_t count) {
+                  std::vector<uint8_t> chunk(data + begin * bs,
+                                             data + (begin + count) * bs);
+                  EncryptInPlace(crypter_, blocks + begin, count,
+                                 chunk.data(), bs);
+                  return cache_->StreamWrite(blocks + begin, count,
+                                             chunk.data());
+                });
 }
 
 }  // namespace stegfs

@@ -92,21 +92,22 @@ class EncryptedBlockStore : public BlockStore {
   // crypto instruments. The caller's plaintext buffer is never modified:
   // writes encrypt a staging copy.
   //
-  // Larger extents are split into 16-block chunks that the caller and up
-  // to workers() engine tasks claim in turn (the caller alone without an
-  // engine):
-  //   - ReadBlocks streams past the cache, which holds only ciphertext, so
-  //     a large extent would evict the working set for hits that still
-  //     need decrypting. Per chunk, BufferCache::StreamBatch copies the
-  //     hits, reads the misses with one vectored device call straight
-  //     into `out`, and inserts nothing; the chunk then decrypts in place.
-  //     This holds with or without an engine: the path depends only on
-  //     the extent's size.
-  //   - WriteBlocks, on an engine mount, encrypts the extent into a
-  //     staging copy in chunks, then hands it to the cache as one
-  //     synchronous WriteBatch, as the engineless path does. (Under
-  //     write-back, the policy of journaled mounts, that write never
-  //     reaches the device.)
+  // Larger extents stream past the cache, which holds only ciphertext: a
+  // large extent would evict the working set for blocks nobody reads back
+  // soon. They are split into 16-block chunks that the caller and up to
+  // workers() engine tasks claim in turn (the caller alone without an
+  // engine); the path depends only on the extent's size. Per chunk:
+  //   - ReadBlocks: BufferCache::StreamBatch copies the hits, reads the
+  //     misses with one vectored device call straight into `out`, and
+  //     inserts nothing; the chunk then decrypts in place.
+  //   - WriteBlocks: the chunk's plaintext is copied into chunk-sized
+  //     staging and encrypted there, then BufferCache::StreamWrite writes
+  //     it through to the device under either write policy, updating
+  //     (and cleaning) any cached copy but inserting nothing. Its blocks
+  //     must be distinct (debug-asserted), since chunks run concurrently.
+  //     An early device write of hidden data is a state a write-back
+  //     eviction could always produce, so the crash and deniability
+  //     invariants already admit it.
   // Plaintext only ever lands in the caller's buffer; the cache and the
   // device see ciphertext. Every chunk has finished before the call
   // returns, error or not. The caller must not be an engine worker

@@ -1,12 +1,13 @@
 // EncryptedBlockStore's fan-out path against its inserting path: extents
-// of more than kFanOutThreshold blocks read past the cache in chunks that
-// the caller and the engine's workers claim, and (on an engine mount)
-// encrypt their writes the same way. The plaintext, the device image and
-// the cache contents must be exactly what the engineless store produces,
-// for hits, misses and duplicate blocks under both write policies; a large
-// read must leave the cache as it found it and count every position; a
-// failed chunk must return its error with no task left writing the
-// caller's buffer.
+// of more than kFanOutThreshold blocks read and write past the cache in
+// chunks that the caller and the engine's workers claim. The plaintext,
+// the device image and the cache contents must be exactly what the
+// engineless store produces under both write policies; a large read or
+// write must leave the cache's entries and LRU order as it found them
+// (a write refreshes and cleans the entries it hits) and count every
+// position; a failed chunk must return its error with no task left
+// writing the caller's buffer, and a failed write drops exactly its
+// group's entries.
 #include "fs/block_store.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "blockdev/mem_block_device.h"
@@ -23,6 +25,7 @@
 #include "core/stegfs.h"
 #include "fault/fault_injection_device.h"
 #include "obs/metrics.h"
+#include "test_device.h"
 #include "util/random.h"  // Xoshiro
 
 namespace stegfs {
@@ -38,6 +41,14 @@ void FillRandom(MemBlockDevice* dev, uint64_t seed) {
   for (uint8_t& b : *dev->mutable_raw()) {
     b = static_cast<uint8_t>(rng.Next());
   }
+}
+
+// `n` blocks of seeded random plaintext.
+std::vector<uint8_t> RandomPlain(size_t n, uint64_t seed) {
+  std::vector<uint8_t> data(n * kBs);
+  Xoshiro rng(seed);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  return data;
 }
 
 // kN request positions over ~150 distinct blocks: every fourth position
@@ -58,7 +69,7 @@ std::vector<uint64_t> DistinctRequest() {
 
 // One cache + store over its own device, with or without an engine.
 struct Stack {
-  Stack(MemBlockDevice* dev, WritePolicy policy, size_t shards,
+  Stack(BlockDevice* dev, WritePolicy policy, size_t shards,
         const crypto::BlockCrypter* crypter, bool with_engine,
         size_t capacity = 512)
       : cache(dev, capacity, policy, shards), store(&cache, crypter) {
@@ -95,6 +106,20 @@ size_t ExpectCacheMatchesDevice(BufferCache* cache, MemBlockDevice* dev,
         << "cache entry of block " << blocks[i] << " is not the device's";
   }
   return hits;
+}
+
+// The plaintext of `blocks[i]` as the device holds it, for each i.
+void ExpectDecryptsDevice(const crypto::BlockCrypter& crypter,
+                          const MemBlockDevice& dev,
+                          const std::vector<uint64_t>& blocks,
+                          const uint8_t* out) {
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    std::vector<uint8_t> plain(dev.raw().data() + blocks[i] * kBs,
+                               dev.raw().data() + (blocks[i] + 1) * kBs);
+    crypter.DecryptBlock(blocks[i], plain.data(), kBs);
+    EXPECT_EQ(std::memcmp(out + i * kBs, plain.data(), kBs), 0)
+        << "position " << i;
+  }
 }
 
 struct Config {
@@ -168,64 +193,55 @@ TEST_P(EnginePathTest, ReadsMatchSyncPathOverHitsMissesAndDuplicates) {
 TEST_P(EnginePathTest, WritesMatchSyncPathImageAndCache) {
   const Config cfg = GetParam();
   crypto::BlockCrypter crypter("block-store-test-key");
-  for (const std::vector<uint64_t>& blocks :
-       {DistinctRequest(), RequestWithDuplicates()}) {
-    MemBlockDevice sync_dev(kBs, kBlocks), async_dev(kBs, kBlocks);
-    FillRandom(&sync_dev, 11);
-    FillRandom(&async_dev, 11);
-    Stack sync(&sync_dev, cfg.policy, cfg.shards, &crypter, false);
-    Stack async(&async_dev, cfg.policy, cfg.shards, &crypter, true);
+  const std::vector<uint64_t> blocks = DistinctRequest();
+  MemBlockDevice sync_dev(kBs, kBlocks), async_dev(kBs, kBlocks);
+  FillRandom(&sync_dev, 11);
+  FillRandom(&async_dev, 11);
+  Stack sync(&sync_dev, cfg.policy, cfg.shards, &crypter, false);
+  Stack async(&async_dev, cfg.policy, cfg.shards, &crypter, true);
 
-    std::vector<uint8_t> data(kN * kBs);
-    Xoshiro rng(3);
-    for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
-    const std::vector<uint8_t> plaintext = data;
-    ASSERT_TRUE(sync.store.WriteBlocks(blocks.data(), kN, data.data()).ok());
-    ASSERT_TRUE(async.store.WriteBlocks(blocks.data(), kN, data.data()).ok());
-    EXPECT_EQ(data, plaintext) << "the caller's plaintext was modified";
-
-    // Both caches hold the same ciphertext for every block. Under
-    // write-through the devices already hold it too; under write-back
-    // they do after the flush.
-    std::vector<uint8_t> sync_cached(kN * kBs), async_cached(kN * kBs);
-    size_t sync_hits = 0, async_hits = 0;
-    ASSERT_TRUE(sync.cache
-                    .ProbeBatch(blocks.data(), kN, sync_cached.data(),
-                                &sync_hits)
-                    .ok());
-    ASSERT_TRUE(async.cache
-                    .ProbeBatch(blocks.data(), kN, async_cached.data(),
-                                &async_hits)
-                    .ok());
-    EXPECT_EQ(async_hits, kN);
-    EXPECT_EQ(sync_hits, kN);
-    EXPECT_EQ(async_cached, sync_cached);
-    if (cfg.policy == WritePolicy::kWriteThrough) {
-      EXPECT_EQ(async_dev.raw(), sync_dev.raw());
-    }
-    ASSERT_TRUE(sync.cache.Flush().ok());
-    ASSERT_TRUE(async.cache.Flush().ok());
-    EXPECT_EQ(async_dev.raw(), sync_dev.raw());
-    EXPECT_EQ(ExpectCacheMatchesDevice(&async.cache, &async_dev, blocks), kN);
-
-    // The device holds ciphertext that decrypts to the last write of
-    // each block.
-    std::vector<uint8_t> back(kN * kBs);
-    ASSERT_TRUE(async.store.ReadBlocks(blocks.data(), kN, back.data()).ok());
-    for (size_t i = 0; i < kN; ++i) {
-      size_t last = i;
-      for (size_t j = i; j < kN; ++j) {
-        if (blocks[j] == blocks[i]) last = j;
+  // Warm both caches the same way: clean entries on every fifth request
+  // position, entries written (dirty under write-back) on every seventh.
+  std::vector<uint8_t> one(kBs, 0x5C);
+  for (size_t i = 0; i < kN; ++i) {
+    for (Stack* st : {&sync, &async}) {
+      if (i % 5 == 0) {
+        ASSERT_TRUE(st->cache.Read(blocks[i], one.data()).ok());
+      } else if (i % 7 == 1) {
+        ASSERT_TRUE(st->cache.Write(blocks[i], one.data()).ok());
       }
-      EXPECT_EQ(std::memcmp(back.data() + i * kBs,
-                            plaintext.data() + last * kBs, kBs),
-                0)
-          << "position " << i;
-      EXPECT_NE(std::memcmp(async_dev.raw().data() + blocks[i] * kBs,
-                            plaintext.data() + last * kBs, kBs),
-                0)
-          << "block " << blocks[i] << " reached the device in plaintext";
     }
+  }
+  const size_t cached = sync.cache.size();
+  ASSERT_EQ(async.cache.size(), cached);
+
+  std::vector<uint8_t> data = RandomPlain(kN, 3);
+  const std::vector<uint8_t> plaintext = data;
+  ASSERT_TRUE(sync.store.WriteBlocks(blocks.data(), kN, data.data()).ok());
+  ASSERT_TRUE(async.store.WriteBlocks(blocks.data(), kN, data.data()).ok());
+  EXPECT_EQ(data, plaintext) << "the caller's plaintext was modified";
+
+  // Under either policy the write went through: the devices already hold
+  // the same image, the warmed entries hold its bytes and are clean, and
+  // nothing was inserted.
+  EXPECT_EQ(async_dev.raw(), sync_dev.raw());
+  for (Stack* st : {&sync, &async}) {
+    EXPECT_EQ(st->cache.size(), cached);
+    EXPECT_EQ(st->cache.dirty_count(), 0u);
+  }
+  EXPECT_EQ(ExpectCacheMatchesDevice(&async.cache, &async_dev, blocks),
+            cached);
+
+  // The device holds ciphertext that decrypts to the write.
+  std::vector<uint8_t> back(kN * kBs);
+  ASSERT_TRUE(async.store.ReadBlocks(blocks.data(), kN, back.data()).ok());
+  EXPECT_EQ(back, plaintext);
+  ExpectDecryptsDevice(crypter, async_dev, blocks, plaintext.data());
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_NE(std::memcmp(async_dev.raw().data() + blocks[i] * kBs,
+                          plaintext.data() + i * kBs, kBs),
+              0)
+        << "block " << blocks[i] << " reached the device in plaintext";
   }
 }
 
@@ -388,20 +404,6 @@ TEST(EncryptedStoreTest, OneBlockWriteCountsItsEncrypt) {
   EXPECT_EQ(back, plain);
 }
 
-// The plaintext of `blocks[i]` as the device holds it, for each i.
-void ExpectDecryptsDevice(const crypto::BlockCrypter& crypter,
-                          const MemBlockDevice& dev,
-                          const std::vector<uint64_t>& blocks,
-                          const uint8_t* out) {
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    std::vector<uint8_t> plain(dev.raw().data() + blocks[i] * kBs,
-                               dev.raw().data() + (blocks[i] + 1) * kBs);
-    crypter.DecryptBlock(blocks[i], plain.data(), kBs);
-    EXPECT_EQ(std::memcmp(out + i * kBs, plain.data(), kBs), 0)
-        << "position " << i;
-  }
-}
-
 // A large read streams past the cache and a small one goes through it,
 // with and without an engine: the path depends only on the extent's size.
 class StreamPathTest : public ::testing::TestWithParam<bool> {};
@@ -467,6 +469,178 @@ TEST_P(StreamPathTest, SmallReadStillInsertsItsBlocks) {
   ASSERT_TRUE(stack.store.ReadBlocks(blocks.data(), kSmall, out.data()).ok());
   EXPECT_EQ(m.hits.value(), kSmall);
   EXPECT_EQ(m.misses.value(), kSmall);
+}
+
+// A large write streams past the cache too: it writes through, refreshes
+// the entries it hits, and inserts, evicts and reorders nothing.
+TEST_P(StreamPathTest, LargeWriteLeavesEntriesAndLruOrderAsTheyWere) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  FillRandom(&dev, 25);
+  Stack stack(&dev, WritePolicy::kWriteBack, 1, &crypter, GetParam(),
+              /*capacity=*/64);
+  BufferCache& cache = stack.cache;
+  std::vector<uint8_t> one(kBs);
+  for (uint64_t b = 0; b < 64; ++b) {
+    ASSERT_TRUE(cache.Read(b, one.data()).ok());  // LRU order 0 .. 63
+  }
+  const CacheMetrics& m = cache.metrics();
+  const uint64_t hits0 = m.hits.value(), misses0 = m.misses.value();
+  const uint64_t evictions0 = m.evictions.value();
+
+  // kN positions: the 32 even cached blocks, then 168 uncached ones.
+  std::vector<uint64_t> blocks;
+  for (uint64_t b = 0; b < 64; b += 2) blocks.push_back(b);
+  for (uint64_t b = 600; blocks.size() < kN; ++b) blocks.push_back(b);
+  const std::vector<uint8_t> plain = RandomPlain(kN, 5);
+  ASSERT_TRUE(stack.store.WriteBlocks(blocks.data(), kN, plain.data()).ok());
+  ExpectDecryptsDevice(crypter, dev, blocks, plain.data());
+  EXPECT_EQ(m.hits.value() - hits0, 32u);
+  EXPECT_EQ(m.misses.value() - misses0, kN - 32);
+  EXPECT_EQ(m.evictions.value(), evictions0);
+  EXPECT_EQ(m.writebacks.value(), 0u);
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_EQ(cache.dirty_count(), 0u);
+  EXPECT_EQ(ExpectCacheMatchesDevice(&cache, &dev, blocks), 32u);
+
+  // LRU order unchanged: 32 fresh blocks evict exactly 0 .. 31.
+  for (uint64_t b = 900; b < 932; ++b) {
+    ASSERT_TRUE(cache.Read(b, one.data()).ok());
+  }
+  EXPECT_EQ(m.evictions.value(), evictions0 + 32);
+  const uint64_t misses1 = m.misses.value();
+  for (uint64_t b = 32; b < 64; ++b) {
+    ASSERT_TRUE(cache.Read(b, one.data()).ok());
+  }
+  EXPECT_EQ(m.misses.value(), misses1);
+}
+
+// A block cached dirty before a large write holds the write's bytes
+// afterwards and is clean: the device has them now. Dirty blocks the
+// write does not cover stay dirty.
+TEST_P(StreamPathTest, LargeWriteCleansTheDirtyBlocksItRewrites) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  FillRandom(&dev, 27);
+  Stack stack(&dev, WritePolicy::kWriteBack, 1, &crypter, GetParam(),
+              /*capacity=*/64);
+  const std::vector<uint8_t> old_plain = RandomPlain(16, 8);
+  std::vector<uint64_t> dirty(16);
+  for (uint64_t b = 0; b < 16; ++b) dirty[b] = b;
+  ASSERT_TRUE(stack.store.WriteBlocks(dirty.data(), 16, old_plain.data()).ok());
+  ASSERT_EQ(stack.cache.dirty_count(), 16u);
+
+  // kN positions: the 8 even dirty blocks, then 192 uncached ones.
+  std::vector<uint64_t> blocks;
+  for (uint64_t b = 0; b < 16; b += 2) blocks.push_back(b);
+  for (uint64_t b = 600; blocks.size() < kN; ++b) blocks.push_back(b);
+  const std::vector<uint8_t> plain = RandomPlain(kN, 9);
+  ASSERT_TRUE(stack.store.WriteBlocks(blocks.data(), kN, plain.data()).ok());
+  EXPECT_EQ(stack.cache.dirty_count(), 8u);
+  EXPECT_EQ(stack.cache.size(), 16u);
+  ExpectDecryptsDevice(crypter, dev, blocks, plain.data());
+  EXPECT_EQ(ExpectCacheMatchesDevice(&stack.cache, &dev, blocks), 8u);
+  std::vector<uint8_t> back(kN * kBs);
+  ASSERT_TRUE(stack.store.ReadBlocks(blocks.data(), kN, back.data()).ok());
+  EXPECT_EQ(back, plain);
+
+  // The odd blocks kept their dirty bytes, which a flush writes back.
+  ASSERT_TRUE(stack.cache.Flush().ok());
+  EXPECT_EQ(stack.cache.dirty_count(), 0u);
+  std::vector<uint8_t> want = old_plain;
+  for (size_t i = 0; i < 16; i += 2) {
+    std::memcpy(want.data() + i * kBs, plain.data() + (i / 2) * kBs, kBs);
+  }
+  ExpectDecryptsDevice(crypter, dev, dirty, want.data());
+}
+
+// A device error in one chunk drops that chunk's cached entries (one
+// shard: the chunk is one shard group) and nothing else; the other chunks
+// still run, and every entry left matches the device.
+TEST_P(StreamPathTest, FailedWriteDropsTheFailingGroupsEntries) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  test::FaultyDevice dev(kBs, kBlocks);
+  FillRandom(dev.inner(), 29);
+  Stack stack(&dev, WritePolicy::kWriteBack, 1, &crypter, GetParam(),
+              /*capacity=*/512);
+  std::vector<uint64_t> blocks(kN);
+  for (size_t i = 0; i < kN; ++i) blocks[i] = 300 + i;
+  std::vector<uint8_t> cipher(kN * kBs);
+  ASSERT_TRUE(stack.cache.ReadBatch(blocks.data(), kN, cipher.data()).ok());
+  ASSERT_EQ(stack.cache.size(), kN);
+
+  fault::FaultRule fail;
+  fail.op = fault::FaultRule::Op::kWrite;
+  fail.kind = fault::FaultRule::Kind::kUntaggedError;
+  fail.count = fault::FaultRule::kForever;
+  fail.block_lo = fail.block_hi = blocks[37];  // chunk 2: positions 32..47
+  dev.AddRule(fail);
+  const std::vector<uint8_t> plain = RandomPlain(kN, 10);
+  EXPECT_TRUE(
+      stack.store.WriteBlocks(blocks.data(), kN, plain.data()).IsIOError());
+  dev.Heal();
+
+  EXPECT_EQ(stack.cache.size(), kN - 16);
+  EXPECT_EQ(ExpectCacheMatchesDevice(&stack.cache, dev.inner(), blocks),
+            kN - 16);
+  std::vector<uint64_t> done(blocks.begin(), blocks.begin() + 32);
+  done.insert(done.end(), blocks.begin() + 48, blocks.end());
+  std::vector<uint8_t> done_plain(plain.begin(), plain.begin() + 32 * kBs);
+  done_plain.insert(done_plain.end(), plain.begin() + 48 * kBs, plain.end());
+  ExpectDecryptsDevice(crypter, *dev.inner(), done, done_plain.data());
+}
+
+// A chunk holding a parked block (a journal transaction's held-back
+// image) takes the inserting write: its blocks stay in the cache, dirty,
+// and none reaches the device before the flush that follows unparking.
+TEST_P(StreamPathTest, ParkedBlockTakesTheInsertingPath) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  FillRandom(&dev, 31);
+  Stack stack(&dev, WritePolicy::kWriteBack, 1, &crypter, GetParam(),
+              /*capacity=*/512);
+  std::vector<uint64_t> blocks(kN);
+  for (size_t i = 0; i < kN; ++i) blocks[i] = 300 + i;
+  stack.cache.ParkBlocks(std::make_shared<std::unordered_set<uint64_t>>(
+      std::unordered_set<uint64_t>{blocks[5]}));
+  const std::vector<uint8_t> before = dev.raw();
+  const std::vector<uint8_t> plain = RandomPlain(kN, 12);
+  ASSERT_TRUE(stack.store.WriteBlocks(blocks.data(), kN, plain.data()).ok());
+
+  EXPECT_EQ(stack.cache.size(), 16u);  // chunk 0: positions 0 .. 15
+  EXPECT_EQ(stack.cache.dirty_count(), 16u);
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(std::memcmp(dev.raw().data() + blocks[i] * kBs,
+                          before.data() + blocks[i] * kBs, kBs),
+              0)
+        << "block " << blocks[i] << " reached the device early";
+  }
+  std::vector<uint64_t> rest(blocks.begin() + 16, blocks.end());
+  ExpectDecryptsDevice(crypter, dev, rest, plain.data() + 16 * kBs);
+
+  stack.cache.ParkBlocks(nullptr);
+  ASSERT_TRUE(stack.cache.Flush().ok());
+  ExpectDecryptsDevice(crypter, dev, blocks, plain.data());
+}
+
+// A large write goes through under either policy, so both leave the same
+// image before any flush.
+TEST_P(StreamPathTest, LargeWriteImageIsTheSameUnderBothPolicies) {
+  crypto::BlockCrypter crypter("block-store-test-key");
+  const std::vector<uint64_t> blocks = DistinctRequest();
+  const std::vector<uint8_t> plain = RandomPlain(kN, 14);
+  std::vector<std::vector<uint8_t>> images;
+  for (WritePolicy policy :
+       {WritePolicy::kWriteBack, WritePolicy::kWriteThrough}) {
+    MemBlockDevice dev(kBs, kBlocks);
+    FillRandom(&dev, 33);
+    Stack stack(&dev, policy, 4, &crypter, GetParam());
+    ASSERT_TRUE(
+        stack.store.WriteBlocks(blocks.data(), kN, plain.data()).ok());
+    EXPECT_EQ(stack.cache.size(), 0u);
+    images.push_back(dev.raw());
+  }
+  EXPECT_TRUE(images[0] == images[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, StreamPathTest, ::testing::Bool(),
@@ -558,6 +732,87 @@ TEST(StreamPathRaceTest, StreamReadsSeeWholeVersionsAndCompletedWrites) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GT(stack.cache.metrics().writebacks.value(), 0u)
       << "no dirty eviction raced the reads";
+}
+
+// Two threads stream-write one extent while a third streams reads of it
+// (the TSan job runs this). Each group's device write and entry refresh
+// happen under one exclusive stripe, so every block read is one whole
+// version a writer began, and at the end the cached entries equal the
+// device, which holds one writer's last version of each block.
+TEST(StreamPathRaceTest, ConcurrentLargeWritesLeaveWholeVersions) {
+  constexpr uint32_t kRounds = 60;
+  crypto::BlockCrypter crypter("block-store-test-key");
+  MemBlockDevice dev(kBs, kBlocks);
+  Stack stack(&dev, WritePolicy::kWriteBack, 4, &crypter,
+              /*with_engine=*/true, /*capacity=*/48);
+  const std::vector<uint64_t> extent = DistinctRequest();
+  auto version = [&](uint32_t v) {
+    std::vector<uint8_t> buf(kN * kBs);
+    for (size_t i = 0; i < kN; ++i) {
+      StampPlain(extent[i], v, buf.data() + i * kBs);
+    }
+    return buf;
+  };
+  ASSERT_TRUE(
+      stack.store.WriteBlocks(extent.data(), kN, version(0).data()).ok());
+  std::vector<uint8_t> one(kBs);
+  for (size_t i = 0; i < kN; i += 5) {
+    ASSERT_TRUE(stack.cache.Read(extent[i], one.data()).ok());
+  }
+  const size_t cached = stack.cache.size();
+  ASSERT_GT(cached, 0u);
+
+  // Writer t writes versions t + 1, t + 3, ...; begun[t] is its latest.
+  std::atomic<uint32_t> begun[2] = {{0}, {0}};
+  std::atomic<int> writing{2};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (uint32_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint32_t r = 0; r < kRounds; ++r) {
+        const uint32_t v = 2 * r + t + 1;
+        const std::vector<uint8_t> buf = version(v);
+        begun[t].store(v);
+        if (!stack.store.WriteBlocks(extent.data(), kN, buf.data()).ok()) {
+          errors++;
+        }
+      }
+      writing--;
+    });
+  }
+  threads.emplace_back([&] {
+    std::vector<uint8_t> out(kN * kBs), want(kBs);
+    for (int reads = 0; reads < 10 || writing.load() > 0; ++reads) {
+      if (!stack.store.ReadBlocks(extent.data(), kN, out.data()).ok()) {
+        errors++;
+        continue;
+      }
+      const uint32_t newest = std::max(begun[0].load(), begun[1].load());
+      for (size_t i = 0; i < kN; ++i) {
+        uint32_t v;
+        std::memcpy(&v, out.data() + i * kBs + sizeof(uint64_t), sizeof(v));
+        StampPlain(extent[i], v, want.data());
+        if (std::memcmp(out.data() + i * kBs, want.data(), kBs) != 0 ||
+            v > newest) {
+          errors++;
+        }
+      }
+    }
+  });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(stack.cache.size(), cached);
+  EXPECT_EQ(stack.cache.dirty_count(), 0u);
+  EXPECT_EQ(ExpectCacheMatchesDevice(&stack.cache, &dev, extent), cached);
+  std::vector<uint8_t> out(kN * kBs), want(kBs);
+  ASSERT_TRUE(stack.store.ReadBlocks(extent.data(), kN, out.data()).ok());
+  for (size_t i = 0; i < kN; ++i) {
+    uint32_t v;
+    std::memcpy(&v, out.data() + i * kBs + sizeof(uint64_t), sizeof(v));
+    EXPECT_TRUE(v == 2 * kRounds - 1 || v == 2 * kRounds) << "block " << i;
+    StampPlain(extent[i], v, want.data());
+    EXPECT_EQ(std::memcmp(out.data() + i * kBs, want.data(), kBs), 0);
+  }
 }
 
 #ifndef NDEBUG

@@ -225,6 +225,29 @@ TEST_F(CapiTest, StatsReportAsyncEngineAndReadahead) {
   ASSERT_EQ(std::string(buf.data(), n), payload);
   EXPECT_GE(Metric(vol_, "stegfs_cache_misses_total") - misses0, 128u);
 
+  // A half-size read reads only the half it returns, and, ending before
+  // EOF, arms readahead through the C API (multi-core hosts).
+  ASSERT_EQ(steg_unmount(vol_), STEG_OK);
+  vol_ = nullptr;
+  ASSERT_EQ(steg_mount(image_.c_str(), 1024, &vol_), STEG_OK);
+  ASSERT_EQ(steg_connect(vol_, "bob", "wide", "uak2"), STEG_OK);
+  const uint64_t half_misses0 = Metric(vol_, "stegfs_cache_misses_total");
+  const uint64_t submitted0 =
+      Metric(vol_, "stegfs_async_submitted_batches_total");
+  ASSERT_EQ(steg_hidden_read(vol_, "bob", "wide", buf.data(),
+                             payload.size() / 2, &n),
+            STEG_OK);
+  ASSERT_EQ(n, payload.size() / 2);
+  EXPECT_EQ(std::string(buf.data(), n), payload.substr(0, n));
+  const uint64_t half_misses =
+      Metric(vol_, "stegfs_cache_misses_total") - half_misses0;
+  EXPECT_GE(half_misses, 64u);
+  EXPECT_LT(half_misses, 96u) << "the read fetched more than its half";
+  if (multi_core) {
+    EXPECT_GT(Metric(vol_, "stegfs_async_submitted_batches_total"),
+              submitted0);
+  }
+
   // The engine's submissions are readahead batches, fire-and-forget, so
   // only the ordering invariant is stable here. Completions first: a
   // batch is counted submitted before it can complete.

@@ -8,7 +8,9 @@
 //   - no hidden file readable before the crash is lost,
 //   - fsck finds nothing to repair and the journal ring is at rest,
 // across recording engines {sync, thread-pool} × verify legs {sync,
-// thread-pool, thread-pool over a FileBlockDevice in a temp file}.
+// thread-pool, thread-pool over a FileBlockDevice in a temp file}. A
+// hidden create and overwrite of 120 blocks fan out and write through to
+// the device mid-op, and crash points are placed inside those writes.
 //
 // The deniability leg: after a crash during hidden activity and a
 // recovery with NO level opened, the journal region must be bit-
@@ -27,6 +29,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "blockdev/file_block_device.h"
@@ -52,6 +55,7 @@ struct MatrixCell {
   uint64_t crash_states = 0;
   uint64_t torn_states = 0;
   uint64_t subset_states = 0;
+  uint64_t fanout_states = 0;  // crash points inside a fanned-out write
   uint64_t failures = 0;
 };
 std::vector<MatrixCell>& Summary() {
@@ -71,11 +75,13 @@ class CrashMatrixJson : public ::testing::Environment {
       std::fprintf(f,
                    "    {\"record_engine\": \"%s\", \"verify_engine\": "
                    "\"%s\", \"crash_states\": %llu, \"torn\": %llu, "
-                   "\"subset\": %llu, \"failures\": %llu}%s\n",
+                   "\"subset\": %llu, \"fanout\": %llu, "
+                   "\"failures\": %llu}%s\n",
                    c.record_engine.c_str(), c.verify_engine.c_str(),
                    (unsigned long long)c.crash_states,
                    (unsigned long long)c.torn_states,
                    (unsigned long long)c.subset_states,
+                   (unsigned long long)c.fanout_states,
                    (unsigned long long)c.failures,
                    i + 1 < cells.size() ? "," : "");
     }
@@ -124,10 +130,21 @@ StegFormatOptions SmallFormat() {
   return fmt;
 }
 
+// Hidden writes of more than this many blocks fan out and stream past the
+// cache (EncryptedBlockStore), writing through to the device mid-op.
+constexpr size_t kFanOutBlocks = 120;
+
+// Device-event ranges [begin, end) of `dev`'s log that fanned-out hidden
+// writes produced.
+using EventRanges = std::vector<std::pair<size_t, size_t>>;
+
 // Runs the workload on `fs`, appending to the tracked-object table. Each
 // op ends with a Flush (a real barrier on a durable mount), so op i is
-// fully durable before op i+1 touches the device.
-void RunWorkload(StegFs* fs, std::vector<Tracked>* tracked) {
+// fully durable before op i+1 touches the device. With `fanout` set, the
+// event range of each large hidden write on `dev` is appended to it.
+void RunWorkload(StegFs* fs, std::vector<Tracked>* tracked,
+                 const test::RecordingDevice* dev = nullptr,
+                 EventRanges* fanout = nullptr) {
   auto plain_op = [&](int op, const std::string& path, size_t bytes) {
     ASSERT_TRUE(fs->plain()->WriteFile(path, Content(op, bytes)).ok());
     ASSERT_TRUE(fs->Flush().ok());
@@ -144,10 +161,18 @@ void RunWorkload(StegFs* fs, std::vector<Tracked>* tracked) {
     t.version_ops = {op};
     tracked->push_back(t);
   };
+  // Writes the object's content, noting the event range of a large write.
+  auto write_all = [&](int op, const std::string& name, size_t bytes) {
+    const size_t begin = dev != nullptr ? dev->event_count() : 0;
+    ASSERT_TRUE(fs->HiddenWriteAll(kUid, name, Content(op, bytes)).ok());
+    if (fanout != nullptr && bytes >= kFanOutBlocks * kBs) {
+      fanout->push_back({begin, dev->event_count()});
+    }
+  };
   auto hidden_op = [&](int op, const std::string& name, size_t bytes) {
     for (Tracked& t : *tracked) {
       if (t.hidden && t.name == name) {
-        ASSERT_TRUE(fs->HiddenWriteAll(kUid, name, Content(op, bytes)).ok());
+        write_all(op, name, bytes);
         ASSERT_TRUE(fs->Flush().ok());
         t.versions.push_back(Content(op, bytes));
         t.version_ops.push_back(op);
@@ -156,7 +181,7 @@ void RunWorkload(StegFs* fs, std::vector<Tracked>* tracked) {
     }
     ASSERT_TRUE(fs->StegCreate(kUid, name, kUak, HiddenType::kFile).ok());
     ASSERT_TRUE(fs->StegConnect(kUid, name, kUak).ok());
-    ASSERT_TRUE(fs->HiddenWriteAll(kUid, name, Content(op, bytes)).ok());
+    write_all(op, name, bytes);
     ASSERT_TRUE(fs->Flush().ok());
     Tracked t;
     t.hidden = true;
@@ -184,6 +209,8 @@ void RunWorkload(StegFs* fs, std::vector<Tracked>* tracked) {
     }
   }
   hidden_op(8, "h8", 1500);
+  hidden_op(9, "h9", kFanOutBlocks * kBs);   // fanned-out create
+  hidden_op(10, "h9", kFanOutBlocks * kBs);  // fanned-out overwrite
   ASSERT_TRUE(fs->DisconnectAll(kUid).ok());
   ASSERT_TRUE(fs->Flush().ok());
 }
@@ -358,13 +385,19 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
   dev.StartRecording();
 
   std::vector<Tracked> tracked;
+  EventRanges fanout;
   {
     auto fs = StegFs::Mount(&dev, DurableOpts(record_engine));
     ASSERT_TRUE(fs.ok()) << fs.status().ToString();
-    RunWorkload(fs->get(), &tracked);
+    RunWorkload(fs->get(), &tracked, &dev, &fanout);
   }
   const size_t total = dev.event_count();
   ASSERT_GT(total, 100u);
+  // The large writes reached the device inside the write call itself.
+  ASSERT_EQ(fanout.size(), 2u);
+  for (const auto& [begin, end] : fanout) {
+    ASSERT_GE(end - begin, kFanOutBlocks) << "events " << begin;
+  }
 
   constexpr VerifyLeg kLegs[] = {VerifyLeg::kSync, VerifyLeg::kThreads,
                                  VerifyLeg::kThreadsFile};
@@ -374,10 +407,28 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
     cells[ve].verify_engine = LegName(ve);
   }
 
+  // Crash points: a stride over the whole stream, about kTargetPoints
+  // outside the fanned-out writes (which would otherwise thin the rest
+  // out), plus kInside points spread over each fanned-out write's own
+  // device writes.
   const size_t kTargetPoints = 48;
-  const size_t stride = std::max<size_t>(1, total / kTargetPoints);
-  size_t point = 0;
-  for (size_t k = 1; k <= total; k += stride, ++point) {
+  const size_t kInside = 8;
+  size_t outside = total;
+  for (const auto& [begin, end] : fanout) outside -= end - begin;
+  const size_t stride = std::max<size_t>(1, outside / kTargetPoints);
+  std::vector<size_t> points;
+  for (size_t k = 1; k <= total; k += stride) points.push_back(k);
+  for (const auto& [begin, end] : fanout) {
+    for (size_t j = 1; j <= kInside; ++j) {
+      points.push_back(begin + (end - begin) * j / (kInside + 1));
+    }
+  }
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  for (size_t point = 0; point < points.size(); ++point) {
+    const size_t k = points[point];
+    bool inside = false;
+    for (const auto& [begin, end] : fanout) inside |= k > begin && k <= end;
     // Variant rotation: pure prefix, dropped-subset tail, torn write,
     // subset+torn.
     const uint64_t subset_seed = (point % 2 == 1) ? 0x9000 + point : 0;
@@ -394,6 +445,7 @@ TEST_P(CrashMatrixTest, PrefixTornAndReorderedTails) {
       ++cell.crash_states;
       if (torn) ++cell.torn_states;
       if (subset_seed != 0) ++cell.subset_states;
+      if (inside) ++cell.fanout_states;
       if (!failure.empty()) {
         ++cell.failures;
         ADD_FAILURE() << "crash state k=" << k << " seed=" << subset_seed
