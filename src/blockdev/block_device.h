@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -35,6 +36,17 @@ struct ConstBlockIoVec {
   uint64_t block;
   const uint8_t* buf;
 };
+
+// The vectored form of n blocks laid back to back in `buf` (block i at
+// buf + i * block_size): how the contiguous (blocks, n, buf) calls of the
+// block stores and the cache reach their vectored bodies.
+template <typename Vec, typename Byte>
+std::vector<Vec> BackToBack(const uint64_t* blocks, size_t n, Byte* buf,
+                            size_t block_size) {
+  std::vector<Vec> iov(n);
+  for (size_t i = 0; i < n; ++i) iov[i] = {blocks[i], buf + i * block_size};
+  return iov;
+}
 
 // Per-device instrument group. Concrete devices own one and expose it via
 // device_metrics(); decorators (SimDisk, ThrottledBlockDevice) forward the

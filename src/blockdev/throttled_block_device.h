@@ -52,7 +52,16 @@ class ThrottledBlockDevice : public BlockDevice {
   }
 
   Status Flush() override { return inner_->Flush(); }
+  // The barrier, sleep included, is one sample of the device's exported
+  // sync_ns histogram (the wrapped device's group, which this decorator
+  // forwards). The wrapped devices in use (MemBlockDevice) only count
+  // their barriers; one that times its own (FileBlockDevice) would record
+  // each barrier twice.
   Status Sync() override {
+    const DeviceMetrics* m = inner_->device_metrics();
+    // The group is the wrapped device's own member, never a const object.
+    obs::LatencyTimer timer(
+        m != nullptr ? &const_cast<DeviceMetrics*>(m)->sync_ns : nullptr);
     if (sync_lat_.count() > 0) std::this_thread::sleep_for(sync_lat_);
     return inner_->Sync();
   }

@@ -159,12 +159,13 @@ class Scratch {
 // sort of (shard << 32 | position) keys, so no group has a heap vector.
 class BufferCache::ShardGroups {
  public:
-  ShardGroups(const BufferCache& cache, const uint64_t* blocks, size_t n)
-      : keys_(n) {
+  // `v` is a block-number array or a (block, buffer) list.
+  template <typename V>
+  ShardGroups(const BufferCache& cache, const V* v, size_t n) : keys_(n) {
     assert(n <= UINT32_MAX);
     const bool one_shard = cache.shards_.size() == 1;
     for (size_t i = 0; i < n; ++i) {
-      const uint64_t idx = one_shard ? 0 : cache.ShardOf(blocks[i]);
+      const uint64_t idx = one_shard ? 0 : cache.ShardOf(BlockOf(v[i]));
       keys_.push_back(idx << 32 | i);
     }
     if (!one_shard && n > 1) std::sort(keys_.begin(), keys_.end());
@@ -185,13 +186,18 @@ class BufferCache::ShardGroups {
   size_t operator[](size_t k) { return keys_[begin_ + k] & UINT32_MAX; }
 
  private:
+  static uint64_t BlockOf(uint64_t block) { return block; }
+  template <typename Vec>
+  static uint64_t BlockOf(const Vec& v) {
+    return v.block;
+  }
+
   Scratch<uint64_t> keys_;
   size_t begin_ = 0;
   size_t end_ = 0;
 };
 
-Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
-                              uint8_t* out) {
+Status BufferCache::ReadBatch(const BlockIoVec* iov, size_t n) {
   const size_t bs = block_size_;
 
   // One shard at a time, holding only that shard's lock, so concurrent
@@ -199,7 +205,7 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
   // On a one-shard cache the whole extent's misses leave as a single
   // coalescable vectored call (see the sharding-vs-coalescing note in the
   // header).
-  ShardGroups group(*this, blocks, n);
+  ShardGroups group(*this, iov, n);
   struct Dup {
     size_t pos;
     size_t first;
@@ -217,64 +223,65 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
     // one-block order, and an all-hit group is done.
     size_t k = 0;
     for (; k < group.size(); ++k) {
-      const size_t pos = group[k];
-      auto found = shard->map.find(blocks[pos]);
+      const BlockIoVec& v = iov[group[k]];
+      auto found = shard->map.find(v.block);
       if (found == shard->map.end()) break;
       CountHit(Touch(shard, found->second));
-      std::memcpy(out + pos * bs, found->second->data.data(), bs);
+      std::memcpy(v.buf, found->second->data.data(), bs);
     }
     if (k == group.size()) continue;
     // From the first miss on, hits are copied out now and their LRU
     // updates wait for pass 2. The distinct misses are read from the
-    // device straight into `out` with one vectored call, under the shard
+    // device straight into their buffers with one vectored call, under the
+    // shard
     // lock (that is what makes a concurrent miss on the same block read
     // the device exactly once).
     const size_t replay_from = k;
     const size_t rest = group.size() - k;
     Scratch<size_t> miss_pos(rest);
     Scratch<Dup> dups(rest);
-    Scratch<BlockIoVec> iov(rest);
+    Scratch<BlockIoVec> fill(rest);
     Scratch<bool> was_hit(rest);  // indexed k - replay_from
     for (; k < group.size(); ++k) {
       const size_t pos = group[k];
-      auto found = shard->map.find(blocks[pos]);
+      auto found = shard->map.find(iov[pos].block);
       was_hit.push_back(found != shard->map.end());
       if (found != shard->map.end()) {
-        std::memcpy(out + pos * bs, found->second->data.data(), bs);
+        std::memcpy(iov[pos].buf, found->second->data.data(), bs);
         continue;
       }
       size_t first = SIZE_MAX;
       for (size_t prev : miss_pos) {
-        if (blocks[prev] == blocks[pos]) {
+        if (iov[prev].block == iov[pos].block) {
           first = prev;
           break;
         }
       }
       if (first == SIZE_MAX) {
         miss_pos.push_back(pos);
-        iov.push_back({blocks[pos], out + pos * bs});
+        fill.push_back(iov[pos]);
       } else {
         dups.push_back({pos, first});  // filled after the device read
       }
     }
     {
       obs::LatencyTimer fill_timer(&metrics_.fill_ns);
-      STEGFS_RETURN_IF_ERROR(device_->ReadBlocks(iov.data(), iov.size()));
+      STEGFS_RETURN_IF_ERROR(device_->ReadBlocks(fill.data(), fill.size()));
     }
     for (const Dup& d : dups) {
-      std::memcpy(out + d.pos * bs, out + d.first * bs, bs);
+      std::memcpy(iov[d.pos].buf, iov[d.first].buf, bs);
     }
 
     // Pass 2: replay the per-block algorithm in request order from the
     // first miss on — identical hit/miss counts, LRU updates and eviction
-    // sequence to a one-block loop. Every byte is already in `out`. (A
+    // sequence to a one-block loop. Every byte is already in place. (A
     // pass-1 hit evicted by an earlier insert in this same pass is
     // re-inserted from its copy and still counts as a hit; this can only
     // happen when one batch touches more distinct blocks than the shard
     // holds.)
     for (k = replay_from; k < group.size(); ++k) {
-      const size_t pos = group[k];
-      auto found = shard->map.find(blocks[pos]);
+      const BlockIoVec& v = iov[group[k]];
+      auto found = shard->map.find(v.block);
       if (found != shard->map.end()) {
         CountHit(Touch(shard, found->second));
         continue;
@@ -284,29 +291,29 @@ Status BufferCache::ReadBatch(const uint64_t* blocks, size_t n,
       } else {
         metrics_.misses.Increment();
       }
-      STEGFS_RETURN_IF_ERROR(Insert(shard, blocks[pos], out + pos * bs));
+      STEGFS_RETURN_IF_ERROR(Insert(shard, v.block, v.buf));
     }
   }
   return Status::OK();
 }
 
-Status BufferCache::Peek(const uint64_t* blocks, size_t n, uint8_t* out,
-                         bool demand, size_t* cache_hits) {
+Status BufferCache::Peek(const BlockIoVec* iov, size_t n, bool demand,
+                         size_t* cache_hits) {
   const size_t bs = block_size_;
-  ShardGroups group(*this, blocks, n);
+  ShardGroups group(*this, iov, n);
   Scratch<BlockIoVec> misses(n);
   size_t claimed = 0;  // prefetched entries this read claimed
   while (group.Next()) {
     const Shard& shard = shards_[group.shard()];
     std::shared_lock<std::shared_mutex> lock(locks_.stripe(group.shard()));
     for (size_t k = 0; k < group.size(); ++k) {
-      const size_t pos = group[k];
-      auto found = shard.map.find(blocks[pos]);
+      const BlockIoVec& v = iov[group[k]];
+      auto found = shard.map.find(v.block);
       if (found == shard.map.end()) {
-        misses.push_back({blocks[pos], out + pos * bs});
+        misses.push_back(v);
         continue;
       }
-      std::memcpy(out + pos * bs, found->second->data.data(), bs);
+      std::memcpy(v.buf, found->second->data.data(), bs);
       // Shared lock: concurrent readers race for the claim, so it is an
       // exchange (skipped, as a plain load, on the common unflagged entry).
       std::atomic<bool>& flag = found->second->prefetched;
@@ -328,25 +335,25 @@ Status BufferCache::Peek(const uint64_t* blocks, size_t n, uint8_t* out,
   return device_->ReadBlocks(misses.data(), misses.size());
 }
 
-Status BufferCache::StreamWrite(const uint64_t* blocks, size_t n,
-                                const uint8_t* data) {
+Status BufferCache::StreamWrite(const ConstBlockIoVec* iov, size_t n) {
 #ifndef NDEBUG
-  std::vector<uint64_t> sorted(blocks, blocks + n);
+  std::vector<uint64_t> sorted(n);
+  for (size_t i = 0; i < n; ++i) sorted[i] = iov[i].block;
   std::sort(sorted.begin(), sorted.end());
   assert(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
 #endif
   if (auto parked = ParkedSnapshot()) {
     for (size_t i = 0; i < n; ++i) {
-      if (parked->count(blocks[i]) != 0) return WriteBatch(blocks, n, data);
+      if (parked->count(iov[i].block) != 0) return WriteBatch(iov, n);
     }
   }
-  return WriteGroups(blocks, n, data, /*stream=*/true);
+  return WriteGroups(iov, n, /*stream=*/true);
 }
 
-Status BufferCache::WriteGroups(const uint64_t* blocks, size_t n,
-                                const uint8_t* data, bool stream) {
+Status BufferCache::WriteGroups(const ConstBlockIoVec* iov, size_t n,
+                                bool stream) {
   const size_t bs = block_size_;
-  ShardGroups group(*this, blocks, n);
+  ShardGroups group(*this, iov, n);
   while (group.Next()) {
     Shard* shard = &shards_[group.shard()];
     std::lock_guard<std::shared_mutex> lock(locks_.stripe(group.shard()));
@@ -357,17 +364,17 @@ Status BufferCache::WriteGroups(const uint64_t* blocks, size_t n,
       // One vectored device call per shard group, in request order (a
       // duplicate block writes twice, last value winning — same as the
       // per-block loop).
-      Scratch<ConstBlockIoVec> iov(group.size());
+      Scratch<ConstBlockIoVec> through(group.size());
       for (size_t k = 0; k < group.size(); ++k) {
-        iov.push_back({blocks[group[k]], data + group[k] * bs});
+        through.push_back(iov[group[k]]);
       }
-      Status ws = device_->WriteBlocks(iov.data(), iov.size());
+      Status ws = device_->WriteBlocks(through.data(), through.size());
       if (!ws.ok()) {
         // The device may hold any prefix of the group, and a torn block
         // holds neither image: drop the group's cached entries so the
         // cache cannot serve bytes other than the device's.
         for (size_t k = 0; k < group.size(); ++k) {
-          auto found = shard->map.find(blocks[group[k]]);
+          auto found = shard->map.find(iov[group[k]].block);
           if (found != shard->map.end()) {
             MarkClean(shard, &*found->second);
             shard->lru.erase(found->second);
@@ -379,14 +386,14 @@ Status BufferCache::WriteGroups(const uint64_t* blocks, size_t n,
     }
 
     for (size_t k = 0; k < group.size(); ++k) {
-      const size_t pos = group[k];
-      auto found = shard->map.find(blocks[pos]);
+      const ConstBlockIoVec& v = iov[group[k]];
+      auto found = shard->map.find(v.block);
       if (found != shard->map.end()) {
         // A stream write leaves the LRU order alone; the device now holds
         // the entry's new bytes.
         Entry& e = stream ? *found->second : Touch(shard, found->second);
         CountHit(e);
-        std::memcpy(e.data.data(), data + pos * bs, bs);
+        std::memcpy(e.data.data(), v.buf, bs);
         if (stream) {
           MarkClean(shard, &e);
         } else {
@@ -396,7 +403,7 @@ Status BufferCache::WriteGroups(const uint64_t* blocks, size_t n,
       }
       metrics_.misses.Increment();
       if (stream) continue;
-      STEGFS_RETURN_IF_ERROR(Insert(shard, blocks[pos], data + pos * bs));
+      STEGFS_RETURN_IF_ERROR(Insert(shard, v.block, v.buf));
       MarkWritten(shard, &shard->lru.front());
     }
   }

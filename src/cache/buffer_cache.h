@@ -38,13 +38,20 @@
 //                   its own writes, making interleaved replay attribution
 //                   exact)
 //
-// One transfer body per direction: Read and Write are the n = 1 case of
-// ReadBatch and WriteBatch. Every write is synchronous under its shard
-// lock, whether or not an async engine is attached; an attached engine
-// carries Prefetch's background loads only. For extents too large for the
-// cache to hold, StreamBatch and StreamWrite move blocks past it: they
-// insert, evict and reorder nothing, and StreamWrite writes through to the
-// device under either policy.
+// One transfer body per direction: ReadBatch and WriteBatch take the
+// device layer's (block, buffer) lists, each block to/from its own caller
+// buffer, so a file extent's blocks are copied straight between the
+// caller's bytes and the entries or the device, with no gather or scatter
+// here. Read and Write are their n = 1 case, and the contiguous
+// (blocks, n, buf) forms wrap the same bodies. A demand transfer keeps
+// each shard group in list order: the LBA order the device sees is the
+// caller's (FileIo sorts each extent; only write-back sorts here). Every
+// write is synchronous under its shard lock, whether or not an async
+// engine is attached; an attached engine carries Prefetch's background
+// loads only. For extents too large for the cache to hold, StreamBatch
+// and StreamWrite move blocks past it: they insert, evict and reorder
+// nothing, and StreamWrite writes through to the device under either
+// policy.
 #ifndef STEGFS_CACHE_BUFFER_CACHE_H_
 #define STEGFS_CACHE_BUFFER_CACHE_H_
 
@@ -128,11 +135,17 @@ class BufferCache {
 
   // One whole block (block_size() bytes): the n = 1 case of ReadBatch /
   // WriteBatch, which are the cache's only transfer bodies.
-  Status Read(uint64_t b, uint8_t* out) { return ReadBatch(&b, 1, out); }
-  Status Write(uint64_t b, const uint8_t* in) { return WriteBatch(&b, 1, in); }
+  Status Read(uint64_t b, uint8_t* out) {
+    const BlockIoVec v{b, out};
+    return ReadBatch(&v, 1);
+  }
+  Status Write(uint64_t b, const uint8_t* in) {
+    const ConstBlockIoVec v{b, in};
+    return WriteBatch(&v, 1);
+  }
 
-  // Batched read of n blocks (any numbers, duplicates allowed) into the
-  // contiguous buffer `out` (n * block_size() bytes, request order).
+  // Batched read of n blocks (any numbers, duplicates allowed), each into
+  // its own buffer (block_size() bytes; the buffers must not overlap).
   // Processed one shard at a time — only that shard's lock is held, so
   // other shards stay fully parallel under concurrent sessions — with the
   // shard's misses leaving as ONE vectored ReadBlocks call (a single
@@ -141,15 +154,24 @@ class BufferCache {
   // one-block calls exactly (the seeded tests rely on this), and each hit
   // is copied out once. Per-call scratch is inline for small n, so a
   // one-block call allocates nothing unless it misses.
-  Status ReadBatch(const uint64_t* blocks, size_t n, uint8_t* out);
-  // Batched write of n blocks from the contiguous buffer `data`; same
-  // locking scheme. Under kWriteThrough the device sees one vectored
+  Status ReadBatch(const BlockIoVec* iov, size_t n);
+  // ReadBatch into one buffer (n * block_size() bytes, request order).
+  Status ReadBatch(const uint64_t* blocks, size_t n, uint8_t* out) {
+    return ReadBatch(
+        BackToBack<BlockIoVec>(blocks, n, out, block_size_).data(), n);
+  }
+  // Batched write of n blocks, each from its own buffer; same locking
+  // scheme. Under kWriteThrough the device sees one vectored
   // WriteBlocks call per shard group (request order; on a device error,
   // torn writes included, the group's cached entries are invalidated so
   // the cache can never serve bytes other than the device's); entry
   // updates then replay in request order, matching the one-block loop.
+  Status WriteBatch(const ConstBlockIoVec* iov, size_t n) {
+    return WriteGroups(iov, n, /*stream=*/false);
+  }
   Status WriteBatch(const uint64_t* blocks, size_t n, const uint8_t* data) {
-    return WriteGroups(blocks, n, data, /*stream=*/false);
+    return WriteBatch(
+        BackToBack<ConstBlockIoVec>(blocks, n, data, block_size_).data(), n);
   }
   // WriteBatch past the cache, for extents that would only churn it:
   // under either policy each shard group is written through with one
@@ -162,7 +184,7 @@ class BufferCache {
   // held-back image never reaches the device early. The blocks must be
   // distinct (debug-asserted): callers run chunks of one extent
   // concurrently, so a duplicate's last value would be a race's winner.
-  Status StreamWrite(const uint64_t* blocks, size_t n, const uint8_t* data);
+  Status StreamWrite(const ConstBlockIoVec* iov, size_t n);
 
   // Side-effect-free batched read for the header locator's probes: the
   // current bytes of n blocks into `out` (n * block_size() bytes, request
@@ -189,15 +211,20 @@ class BufferCache {
   // behind creates.
   Status ProbeBatch(const uint64_t* blocks, size_t n, uint8_t* out,
                     size_t* cache_hits = nullptr) {
-    return Peek(blocks, n, out, /*demand=*/false, cache_hits);
+    return Peek(BackToBack<BlockIoVec>(blocks, n, out, block_size_).data(),
+                n, /*demand=*/false, cache_hits);
   }
   // ProbeBatch as a demand read, for extents that would only churn the
   // cache: the same access pattern, so nothing is inserted, evicted or
   // moved in the LRU, but every position counts as a hit or a miss, a hit
   // claims its entry's prefetched flag, and the miss read is timed as a
-  // fill.
+  // fill. Each block lands in its own buffer.
+  Status StreamBatch(const BlockIoVec* iov, size_t n) {
+    return Peek(iov, n, /*demand=*/true, nullptr);
+  }
   Status StreamBatch(const uint64_t* blocks, size_t n, uint8_t* out) {
-    return Peek(blocks, n, out, /*demand=*/true, nullptr);
+    return StreamBatch(
+        BackToBack<BlockIoVec>(blocks, n, out, block_size_).data(), n);
   }
 
   // Attaches an async I/O engine: Prefetch loads blocks in the background
@@ -322,11 +349,10 @@ class BufferCache {
   // Counts a demand hit on `e`, claiming its prefetched flag if set.
   void CountHit(Entry& e);
   // The body of ProbeBatch and StreamBatch; only a demand read counts.
-  Status Peek(const uint64_t* blocks, size_t n, uint8_t* out, bool demand,
+  Status Peek(const BlockIoVec* iov, size_t n, bool demand,
               size_t* cache_hits);
   // The body of WriteBatch and StreamWrite; a stream write inserts nothing.
-  Status WriteGroups(const uint64_t* blocks, size_t n, const uint8_t* data,
-                     bool stream);
+  Status WriteGroups(const ConstBlockIoVec* iov, size_t n, bool stream);
   // Makes room (EnsureRoom), then inserts `block` holding a copy of
   // `bytes` as the shard's most recently used entry. The one insertion
   // path of the reads, the prefetcher and the writes.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -101,72 +102,76 @@ Status FanOut(AsyncBlockDevice* engine, size_t n, const char* span_name,
   return job->Wait();
 }
 
-// The n blocks of `buf` as crypt spans, block i keyed by blocks[i].
-std::vector<crypto::CryptSpan> Spans(const uint64_t* blocks, size_t n,
-                                     uint8_t* buf, size_t bs) {
+// Decrypts the n blocks of `iov` in place, in their own buffers.
+void DecryptInPlace(const crypto::BlockCrypter* crypter, const BlockIoVec* iov,
+                    size_t n, size_t bs) {
   std::vector<crypto::CryptSpan> spans(n);
-  for (size_t i = 0; i < n; ++i) spans[i] = {blocks[i], buf + i * bs};
-  return spans;
+  for (size_t i = 0; i < n; ++i) spans[i] = {iov[i].block, iov[i].buf};
+  crypter->DecryptBlocks(spans.data(), n, bs);
 }
 
-// Decrypts / encrypts the n blocks of `buf` in place.
-void DecryptInPlace(const crypto::BlockCrypter* crypter,
-                    const uint64_t* blocks, size_t n, uint8_t* buf,
-                    size_t bs) {
-  crypter->DecryptBlocks(Spans(blocks, n, buf, bs).data(), n, bs);
-}
+// The ciphertext of n plaintext blocks, in staging that a write owns:
+// each block's one copy on its way to the cache or the device.
+class Ciphertext {
+ public:
+  Ciphertext(const crypto::BlockCrypter* crypter, const ConstBlockIoVec* iov,
+             size_t n, size_t bs)
+      : bytes_(n * bs), iov_(n) {
+    std::vector<crypto::CryptSpan> spans(n);
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t* dst = bytes_.data() + i * bs;
+      std::memcpy(dst, iov[i].buf, bs);
+      spans[i] = {iov[i].block, dst};
+      iov_[i] = {iov[i].block, dst};
+    }
+    crypter->EncryptBlocks(spans.data(), n, bs);
+  }
+  const ConstBlockIoVec* iov() const { return iov_.data(); }
 
-void EncryptInPlace(const crypto::BlockCrypter* crypter,
-                    const uint64_t* blocks, size_t n, uint8_t* buf,
-                    size_t bs) {
-  crypter->EncryptBlocks(Spans(blocks, n, buf, bs).data(), n, bs);
-}
+ private:
+  std::vector<uint8_t> bytes_;
+  std::vector<ConstBlockIoVec> iov_;
+};
 
 }  // namespace
 
-Status EncryptedBlockStore::ReadBlocks(const uint64_t* blocks, size_t n,
-                                       uint8_t* out) {
+Status EncryptedBlockStore::ReadBlocks(const BlockIoVec* iov, size_t n) {
   const size_t bs = cache_->block_size();
   if (n <= kFanOutThreshold) {
     obs::Span span("store.read", "store");
-    STEGFS_RETURN_IF_ERROR(cache_->ReadBatch(blocks, n, out));
-    DecryptInPlace(crypter_, blocks, n, out, bs);
+    STEGFS_RETURN_IF_ERROR(cache_->ReadBatch(iov, n));
+    DecryptInPlace(crypter_, iov, n, bs);
     return Status::OK();
   }
   obs::Span pipeline_span("store.read_pipeline", "store");
   return FanOut(cache_->async_engine(), n, "store.read",
-                [this, blocks, out, bs](size_t begin, size_t count) {
-                  uint8_t* chunk = out + begin * bs;
+                [this, iov, bs](size_t begin, size_t count) {
                   STEGFS_RETURN_IF_ERROR(
-                      cache_->StreamBatch(blocks + begin, count, chunk));
-                  DecryptInPlace(crypter_, blocks + begin, count, chunk, bs);
+                      cache_->StreamBatch(iov + begin, count));
+                  DecryptInPlace(crypter_, iov + begin, count, bs);
                   return Status::OK();
                 });
 }
 
-Status EncryptedBlockStore::WriteBlocks(const uint64_t* blocks, size_t n,
-                                        const uint8_t* data) {
+Status EncryptedBlockStore::WriteBlocks(const ConstBlockIoVec* iov,
+                                        size_t n) {
   const size_t bs = cache_->block_size();
   if (n <= kFanOutThreshold) {
     obs::Span span("store.write", "store");
-    std::vector<uint8_t> tmp(data, data + n * bs);  // ciphertext staging
-    EncryptInPlace(crypter_, blocks, n, tmp.data(), bs);
-    return cache_->WriteBatch(blocks, n, tmp.data());
+    const Ciphertext cipher(crypter_, iov, n, bs);
+    return cache_->WriteBatch(cipher.iov(), n);
   }
 #ifndef NDEBUG
-  std::vector<uint64_t> sorted(blocks, blocks + n);
+  std::vector<uint64_t> sorted(n);
+  for (size_t i = 0; i < n; ++i) sorted[i] = iov[i].block;
   std::sort(sorted.begin(), sorted.end());
   assert(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end());
 #endif
   obs::Span pipeline_span("store.write_pipeline", "store");
   return FanOut(cache_->async_engine(), n, "store.write",
-                [this, blocks, data, bs](size_t begin, size_t count) {
-                  std::vector<uint8_t> chunk(data + begin * bs,
-                                             data + (begin + count) * bs);
-                  EncryptInPlace(crypter_, blocks + begin, count,
-                                 chunk.data(), bs);
-                  return cache_->StreamWrite(blocks + begin, count,
-                                             chunk.data());
+                [this, iov, bs](size_t begin, size_t count) {
+                  const Ciphertext cipher(crypter_, iov + begin, count, bs);
+                  return cache_->StreamWrite(cipher.iov(), count);
                 });
 }
 

@@ -1,7 +1,10 @@
 // BlockStore: how file machinery (block mapper, directory code) touches
-// blocks. A store implements one transfer body per direction, the n-block
-// ReadBlocks / WriteBlocks; ReadBlock / WriteBlock are their n = 1 case.
-// Two stores make the same mapping code serve both plain and hidden files:
+// blocks. A store implements one transfer body per direction, the
+// vectored ReadBlocks / WriteBlocks over (block, buffer) pairs, the same
+// BlockIoVec / ConstBlockIoVec lists the device layer takes. The
+// contiguous (blocks, n, buf) calls and ReadBlock / WriteBlock are
+// wrappers over that body. Two stores make the same mapping code serve
+// both plain and hidden files:
 //
 //   CacheBlockStore     - plain blocks, straight through the buffer cache
 //   EncryptedBlockStore - hidden blocks: AES-CBC-ESSIV encrypt on write,
@@ -9,7 +12,13 @@
 //
 // and two decorate another store within one operation: RecordingStore
 // logs the blocks a metadata mutation writes, CoalescingStore stages an
-// operation's writes and flushes each block once.
+// operation's metadata and partial-block writes and flushes each block
+// once, together with the operation's whole data blocks.
+//
+// Stores keep the order of the list they are given, down to the device.
+// The LBA sort of a file extent lives in FileIo, above them: it sorts each
+// read chunk and each write's whole batch before the list reaches
+// EncryptedBlockStore, whose fan-out splits it into chunks.
 //
 // BlockAllocator is the matching allocation seam: PlainFs allocates by
 // bitmap policy; a hidden file allocates from its internal free-block pool
@@ -17,12 +26,16 @@
 #ifndef STEGFS_FS_BLOCK_STORE_H_
 #define STEGFS_FS_BLOCK_STORE_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "blockdev/block_device.h"
 #include "cache/buffer_cache.h"
 #include "crypto/block_crypter.h"
 #include "util/status.h"
@@ -35,19 +48,31 @@ class BlockStore {
   virtual ~BlockStore() = default;
   virtual uint32_t block_size() const = 0;
 
-  // Transfers n blocks to/from the contiguous buffer (request order,
-  // n * block_size() bytes).
-  virtual Status ReadBlocks(const uint64_t* blocks, size_t n,
-                            uint8_t* out) = 0;
-  virtual Status WriteBlocks(const uint64_t* blocks, size_t n,
-                             const uint8_t* data) = 0;
+  // Transfers n blocks, each to/from its own buffer of block_size() bytes,
+  // in list order. A read's buffers must not overlap; a write's blocks may
+  // repeat (the last one wins) unless the store says otherwise.
+  virtual Status ReadBlocks(const BlockIoVec* iov, size_t n) = 0;
+  virtual Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) = 0;
+
+  // n blocks back to back in one buffer (n * block_size() bytes, request
+  // order).
+  Status ReadBlocks(const uint64_t* blocks, size_t n, uint8_t* out) {
+    return ReadBlocks(
+        BackToBack<BlockIoVec>(blocks, n, out, block_size()).data(), n);
+  }
+  Status WriteBlocks(const uint64_t* blocks, size_t n, const uint8_t* data) {
+    return WriteBlocks(
+        BackToBack<ConstBlockIoVec>(blocks, n, data, block_size()).data(), n);
+  }
 
   // One block: the n = 1 case.
   Status ReadBlock(uint64_t block, uint8_t* buf) {
-    return ReadBlocks(&block, 1, buf);
+    const BlockIoVec v{block, buf};
+    return ReadBlocks(&v, 1);
   }
   Status WriteBlock(uint64_t block, const uint8_t* buf) {
-    return WriteBlocks(&block, 1, buf);
+    const ConstBlockIoVec v{block, buf};
+    return WriteBlocks(&v, 1);
   }
 
   // Best-effort readahead hint; default is to ignore it.
@@ -59,15 +84,16 @@ class BlockStore {
 
 class CacheBlockStore : public BlockStore {
  public:
+  using BlockStore::ReadBlocks;
+  using BlockStore::WriteBlocks;
+
   explicit CacheBlockStore(BufferCache* cache) : cache_(cache) {}
   uint32_t block_size() const override { return cache_->block_size(); }
-  Status ReadBlocks(const uint64_t* blocks, size_t n,
-                    uint8_t* out) override {
-    return cache_->ReadBatch(blocks, n, out);
+  Status ReadBlocks(const BlockIoVec* iov, size_t n) override {
+    return cache_->ReadBatch(iov, n);
   }
-  Status WriteBlocks(const uint64_t* blocks, size_t n,
-                     const uint8_t* data) override {
-    return cache_->WriteBatch(blocks, n, data);
+  Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override {
+    return cache_->WriteBatch(iov, n);
   }
   void Prefetch(const uint64_t* blocks, size_t n) override {
     cache_->Prefetch(blocks, n);
@@ -79,6 +105,9 @@ class CacheBlockStore : public BlockStore {
 
 class EncryptedBlockStore : public BlockStore {
  public:
+  using BlockStore::ReadBlocks;
+  using BlockStore::WriteBlocks;
+
   // Extents of more than this many blocks fan out (below); smaller ones,
   // one block included, stay on the caller's thread.
   static constexpr size_t kFanOutThreshold = 64;
@@ -89,17 +118,20 @@ class EncryptedBlockStore : public BlockStore {
 
   // At most kFanOutThreshold blocks: one vectored cache transfer and one
   // batch decrypt/encrypt on the caller's thread, counted and timed in the
-  // crypto instruments. The caller's plaintext buffer is never modified:
-  // writes encrypt a staging copy.
+  // crypto instruments. Reads decrypt in place, in the caller's buffers.
+  // The caller's plaintext is never modified by a write: each block is
+  // copied once, into ciphertext staging, and encrypted there.
   //
   // Larger extents stream past the cache, which holds only ciphertext: a
   // large extent would evict the working set for blocks nobody reads back
-  // soon. They are split into 16-block chunks that the caller and up to
-  // workers() engine tasks claim in turn (the caller alone without an
-  // engine); the path depends only on the extent's size. Per chunk:
+  // soon. The list is split, in its own order, into 16-block chunks that
+  // the caller and up to workers() engine tasks claim in turn (the caller
+  // alone without an engine); the path depends only on the extent's size.
+  // A caller that wants the device to see ascending LBAs sorts the list
+  // first (FileIo does). Per chunk:
   //   - ReadBlocks: BufferCache::StreamBatch copies the hits, reads the
-  //     misses with one vectored device call straight into `out`, and
-  //     inserts nothing; the chunk then decrypts in place.
+  //     misses with one vectored device call straight into the caller's
+  //     buffers, and inserts nothing; the chunk then decrypts in place.
   //   - WriteBlocks: the chunk's plaintext is copied into chunk-sized
   //     staging and encrypted there, then BufferCache::StreamWrite writes
   //     it through to the device under either write policy, updating
@@ -108,13 +140,12 @@ class EncryptedBlockStore : public BlockStore {
   //     An early device write of hidden data is a state a write-back
   //     eviction could always produce, so the crash and deniability
   //     invariants already admit it.
-  // Plaintext only ever lands in the caller's buffer; the cache and the
+  // Plaintext only ever lands in the caller's buffers; the cache and the
   // device see ciphertext. Every chunk has finished before the call
   // returns, error or not. The caller must not be an engine worker
   // (debug-asserted): it waits on the engine.
-  Status ReadBlocks(const uint64_t* blocks, size_t n, uint8_t* out) override;
-  Status WriteBlocks(const uint64_t* blocks, size_t n,
-                     const uint8_t* data) override;
+  Status ReadBlocks(const BlockIoVec* iov, size_t n) override;
+  Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override;
 
   // The cache holds ciphertext, so prefetched blocks decrypt on demand.
   void Prefetch(const uint64_t* blocks, size_t n) override {
@@ -151,18 +182,19 @@ struct MetaWriteLog {
 // inode images; see src/journal/journal.h). Reads pass straight through.
 class RecordingStore : public BlockStore {
  public:
+  using BlockStore::ReadBlocks;
+  using BlockStore::WriteBlocks;
+
   RecordingStore(BlockStore* inner, MetaWriteLog* sink)
       : inner_(inner), sink_(sink) {}
 
   uint32_t block_size() const override { return inner_->block_size(); }
-  Status ReadBlocks(const uint64_t* blocks, size_t n,
-                    uint8_t* out) override {
-    return inner_->ReadBlocks(blocks, n, out);
+  Status ReadBlocks(const BlockIoVec* iov, size_t n) override {
+    return inner_->ReadBlocks(iov, n);
   }
-  Status WriteBlocks(const uint64_t* blocks, size_t n,
-                     const uint8_t* data) override {
-    for (size_t i = 0; i < n; ++i) sink_->Record(blocks[i]);
-    return inner_->WriteBlocks(blocks, n, data);
+  Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override {
+    for (size_t i = 0; i < n; ++i) sink_->Record(iov[i].block);
+    return inner_->WriteBlocks(iov, n);
   }
   void Prefetch(const uint64_t* blocks, size_t n) override {
     inner_->Prefetch(blocks, n);
@@ -187,46 +219,43 @@ class BlockAllocator {
 // order. FileIo::Write uses this so that indirect-pointer blocks — which
 // are updated on every data-block allocation — reach the device once per
 // operation instead of once per block, matching what any write-back buffer
-// cache does and keeping sequential files sequential on the device.
+// cache does and keeping sequential files sequential on the device. Only
+// what is written through the store is staged (a copy per block): the
+// mapper's pointer blocks and a write's partial head and tail blocks. The
+// write's whole data blocks join at Flush by reference, straight from the
+// caller's bytes.
 class CoalescingStore : public BlockStore {
  public:
+  using BlockStore::ReadBlocks;
+  using BlockStore::WriteBlocks;
+
   explicit CoalescingStore(BlockStore* inner) : inner_(inner) {}
 
   uint32_t block_size() const override { return inner_->block_size(); }
 
-  // Serves pending blocks from memory and fetches the rest with one
+  // Serves staged blocks from memory and fetches the rest with one
   // vectored inner read.
-  Status ReadBlocks(const uint64_t* blocks, size_t n,
-                    uint8_t* out) override {
+  Status ReadBlocks(const BlockIoVec* iov, size_t n) override {
+    if (staged_.empty()) return inner_->ReadBlocks(iov, n);
     const size_t bs = inner_->block_size();
-    std::vector<uint64_t> missing;
-    std::vector<size_t> missing_pos;
+    std::vector<BlockIoVec> missing;
     for (size_t i = 0; i < n; ++i) {
-      auto it = pending_.find(blocks[i]);
-      if (it != pending_.end()) {
-        std::memcpy(out + i * bs, it->second.data(), bs);
+      auto it = staged_.find(iov[i].block);
+      if (it != staged_.end()) {
+        std::memcpy(iov[i].buf, it->second.data(), bs);
       } else {
-        missing.push_back(blocks[i]);
-        missing_pos.push_back(i);
+        missing.push_back(iov[i]);
       }
     }
     if (missing.empty()) return Status::OK();
-    if (missing.size() == n) return inner_->ReadBlocks(blocks, n, out);
-    std::vector<uint8_t> buf(missing.size() * bs);
-    STEGFS_RETURN_IF_ERROR(
-        inner_->ReadBlocks(missing.data(), missing.size(), buf.data()));
-    for (size_t j = 0; j < missing.size(); ++j) {
-      std::memcpy(out + missing_pos[j] * bs, buf.data() + j * bs, bs);
-    }
-    return Status::OK();
+    return inner_->ReadBlocks(missing.data(), missing.size());
   }
 
   // Stages the blocks; a later write of the same block replaces it.
-  Status WriteBlocks(const uint64_t* blocks, size_t n,
-                     const uint8_t* data) override {
+  Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override {
     const size_t bs = inner_->block_size();
     for (size_t i = 0; i < n; ++i) {
-      pending_[blocks[i]].assign(data + i * bs, data + (i + 1) * bs);
+      staged_[iov[i].block].assign(iov[i].buf, iov[i].buf + bs);
     }
     return Status::OK();
   }
@@ -235,29 +264,34 @@ class CoalescingStore : public BlockStore {
     inner_->Prefetch(blocks, n);
   }
 
-  // Writes all pending blocks through as ONE vectored batch, ascending by
-  // LBA (std::map order) — a sequential extent reaches a coalescing device
-  // as a single transfer.
-  Status Flush() {
-    if (pending_.empty()) return Status::OK();
-    const size_t bs = inner_->block_size();
-    std::vector<uint64_t> blocks;
-    std::vector<uint8_t> data;
-    blocks.reserve(pending_.size());
-    data.reserve(pending_.size() * bs);
-    for (const auto& [block, buf] : pending_) {
-      blocks.push_back(block);
-      data.insert(data.end(), buf.begin(), buf.end());
+  // Writes the staged blocks and `extent` through as ONE vectored batch,
+  // ascending by LBA, so a sequential extent reaches a coalescing device
+  // as a single transfer and a random-placed one reaches the encrypted
+  // store's fan-out already sorted. `extent` holds blocks written by
+  // reference: distinct from each other and from every staged block
+  // (debug-asserted), their buffers valid for the call.
+  Status Flush(std::vector<ConstBlockIoVec> extent = {}) {
+    for (const auto& [block, bytes] : staged_) {
+      extent.push_back({block, bytes.data()});
     }
-    STEGFS_RETURN_IF_ERROR(
-        inner_->WriteBlocks(blocks.data(), blocks.size(), data.data()));
-    pending_.clear();
+    if (extent.empty()) return Status::OK();
+    std::sort(extent.begin(), extent.end(),
+              [](const ConstBlockIoVec& a, const ConstBlockIoVec& b) {
+                return a.block < b.block;
+              });
+    assert(std::adjacent_find(extent.begin(), extent.end(),
+                              [](const ConstBlockIoVec& a,
+                                 const ConstBlockIoVec& b) {
+                                return a.block == b.block;
+                              }) == extent.end());
+    STEGFS_RETURN_IF_ERROR(inner_->WriteBlocks(extent.data(), extent.size()));
+    staged_.clear();
     return Status::OK();
   }
 
  private:
   BlockStore* inner_;
-  std::map<uint64_t, std::vector<uint8_t>> pending_;
+  std::map<uint64_t, std::vector<uint8_t>> staged_;
 };
 
 }  // namespace stegfs

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <utility>
 #include <vector>
 
 namespace stegfs {
@@ -27,99 +27,90 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
     // never grow a file past the mapping's reach.
     return Status::Corruption("inode size exceeds the maximum file size");
   }
-  if (offset >= inode->size) return Status::OK();
+  if (offset >= inode->size || n == 0) return Status::OK();
   n = std::min(n, inode->size - offset);
-  out->reserve(out->size() + n);
+  // Sized once: the blocks land at their final positions, and holes are
+  // already zeros.
+  const size_t base = out->size();
+  out->resize(base + n);
+  Status s = ReadExtent(inode, offset, n,
+                        reinterpret_cast<uint8_t*>(&(*out)[base]), store,
+                        alloc, inode_dirty);
+  if (!s.ok()) out->resize(base);
+  return s;
+}
+
+Status FileIo::ReadExtent(Inode* inode, uint64_t offset, uint64_t n,
+                          uint8_t* dst, BlockStore* store,
+                          BlockAllocator* alloc, bool* inode_dirty) {
+  const uint64_t bs = block_size_;
+  const uint64_t end = offset + n;
+  const uint64_t first_idx = offset / bs;
+  const uint64_t end_idx = (end + bs - 1) / bs;
   const bool verify = redundancy_ != nullptr && alloc != nullptr;
 
+  // A whole block reads straight into `dst`. The partial head and tail
+  // blocks, if any, read into `edge` (slot 0 and 1), and only their
+  // slices are copied out.
+  std::vector<uint8_t> edge;
+  uint64_t edge_idx[2] = {0, 0};
+  bool edge_read[2] = {false, false};
+  std::vector<BlockIoVec> iov;
+  std::vector<ExtentRedundancy::ReadBlockRef> refs;
   // One chunk = up to kMaxBatchBlocks file blocks: resolve the mapping for
-  // the whole chunk, fetch every mapped block with one vectored store
-  // read, then assemble bytes (holes read as zeros).
-  std::vector<uint64_t> device_blocks;
-  std::vector<uint64_t> file_idxs;
-  std::vector<bool> is_hole;
-  std::vector<uint32_t> takes;
-  std::vector<uint8_t> buf;
-  uint64_t total_blocks = 0;
-  while (n > 0) {
-    device_blocks.clear();
-    file_idxs.clear();
-    is_hole.clear();
-    takes.clear();
-    uint64_t chunk_off = offset;
-    uint64_t chunk_n = n;
+  // the whole chunk, then fetch every mapped block with one vectored store
+  // read sorted ascending by LBA. The FileBlockDevice coalescer then sees
+  // every contiguous run the mapping contains, and a random-placed hidden
+  // extent reaches the encrypted store's fan-out (which splits it into
+  // chunks in list order) as one ascending sweep.
+  for (uint64_t chunk = first_idx; chunk < end_idx;
+       chunk += kMaxBatchBlocks) {
+    const uint64_t chunk_end = std::min(end_idx, chunk + kMaxBatchBlocks);
+    iov.clear();
+    refs.clear();
     // One memo per chunk: the heal below may Remap pointers behind it.
     BlockMapper::Memo memo;
-    while (chunk_n > 0 && is_hole.size() < kMaxBatchBlocks) {
-      uint64_t block_idx = chunk_off / block_size_;
-      uint32_t in_block = static_cast<uint32_t>(chunk_off % block_size_);
-      uint32_t take = static_cast<uint32_t>(
-          std::min<uint64_t>(chunk_n, block_size_ - in_block));
-      auto mapped = mapper_.Map(*inode, block_idx, store, &memo);
-      if (mapped.ok()) {
-        is_hole.push_back(false);
-        device_blocks.push_back(mapped.value());
-        file_idxs.push_back(block_idx);
-      } else if (mapped.status().IsNotFound()) {
-        is_hole.push_back(true);
-      } else {
+    for (uint64_t idx = chunk; idx < chunk_end; ++idx) {
+      auto mapped = mapper_.Map(*inode, idx, store, &memo);
+      if (!mapped.ok()) {
+        if (mapped.status().IsNotFound()) continue;  // hole: zeros already
         return mapped.status();
       }
-      takes.push_back(take);
-      chunk_off += take;
-      chunk_n -= take;
-    }
-
-    total_blocks += takes.size();
-    // Submit the chunk ascending by LBA: the FileBlockDevice coalescer
-    // then sees every contiguous run the mapping contains. Plain contiguous
-    // extents are already ascending (the sort is a no-op); hidden
-    // extents arrive in logical order, which random placement makes
-    // device-random. `slot_of` maps each logical mapped index to its
-    // position in the sorted transfer for reassembly below.
-    std::vector<uint32_t> order(device_blocks.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return device_blocks[a] < device_blocks[b];
-    });
-    std::vector<uint64_t> sorted_blocks(device_blocks.size());
-    std::vector<uint32_t> slot_of(device_blocks.size());
-    for (size_t j = 0; j < order.size(); ++j) {
-      sorted_blocks[j] = device_blocks[order[j]];
-      slot_of[order[j]] = static_cast<uint32_t>(j);
-    }
-    buf.resize(sorted_blocks.size() * block_size_);
-    if (!sorted_blocks.empty()) {
-      STEGFS_RETURN_IF_ERROR(store->ReadBlocks(
-          sorted_blocks.data(), sorted_blocks.size(), buf.data()));
-    }
-
-    // Share verification rides the batch: every mapped whole block of the
-    // chunk is checked (and healed in place) before a byte is assembled.
-    if (verify && !device_blocks.empty()) {
-      std::vector<ExtentRedundancy::ReadBlockRef> refs(device_blocks.size());
-      for (size_t j = 0; j < device_blocks.size(); ++j) {
-        refs[j] = {file_idxs[j], device_blocks[j],
-                   buf.data() + slot_of[j] * block_size_};
+      uint8_t* buf = nullptr;
+      if (idx * bs < offset || (idx + 1) * bs > end) {
+        const int slot = idx == first_idx ? 0 : 1;
+        edge.resize(2 * bs);
+        buf = edge.data() + slot * bs;
+        edge_idx[slot] = idx;
+        edge_read[slot] = true;
+      } else {
+        buf = dst + (idx * bs - offset);
       }
+      iov.push_back({mapped.value(), buf});
+      if (verify) refs.push_back({idx, mapped.value(), buf});
+    }
+    if (iov.empty()) continue;
+    std::sort(iov.begin(), iov.end(),
+              [](const BlockIoVec& a, const BlockIoVec& b) {
+                return a.block < b.block;
+              });
+    STEGFS_RETURN_IF_ERROR(store->ReadBlocks(iov.data(), iov.size()));
+
+    // Share verification rides the batch: every mapped block of the chunk
+    // is checked, and healed in place, before the edges are copied out.
+    if (verify) {
       RedundancyIoCtx ctx{inode, store, alloc, &mapper_, inode_dirty};
       STEGFS_RETURN_IF_ERROR(
           redundancy_->OnExtentRead(ctx, refs.data(), refs.size()));
     }
-
-    size_t mapped_i = 0;
-    for (size_t i = 0; i < takes.size(); ++i) {
-      uint32_t in_block = static_cast<uint32_t>(offset % block_size_);
-      if (is_hole[i]) {
-        out->append(takes[i], '\0');
-      } else {
-        const uint8_t* src =
-            buf.data() + slot_of[mapped_i] * block_size_ + in_block;
-        out->append(reinterpret_cast<const char*>(src), takes[i]);
-        ++mapped_i;
-      }
-      offset += takes[i];
-      n -= takes[i];
+    for (int slot = 0; slot < 2; ++slot) {
+      if (!edge_read[slot]) continue;
+      edge_read[slot] = false;
+      const uint64_t start = edge_idx[slot] * bs;
+      const uint64_t from = std::max(offset, start);
+      const uint64_t to = std::min(end, start + bs);
+      std::memcpy(dst + (from - offset),
+                  edge.data() + slot * bs + (from - start), to - from);
     }
   }
 
@@ -128,9 +119,8 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
   // all chasing the block the next call is about to demand-read anyway,
   // and the submission overhead swamps the win (measured 0.6x on one
   // core).
-  if (readahead_ > 0 && total_blocks >= 2) {
-    IssueReadahead(*inode, offset / block_size_ + (offset % block_size_ != 0),
-                   store);
+  if (readahead_ > 0 && end_idx - first_idx >= 2) {
+    IssueReadahead(*inode, end_idx, store);
   }
   return Status::OK();
 }
@@ -165,10 +155,15 @@ Status FileIo::Write(Inode* inode, uint64_t offset, std::string_view data,
   // Coalesce per-operation: indirect-pointer blocks are touched on every
   // allocation but must reach the device only once per logical write.
   // The memo decodes each of them once per write; it ends with the loop,
-  // before the redundancy hook can Remap.
+  // before the redundancy hook can Remap. Whole blocks go to the store by
+  // reference, straight from `data`, in the flush's one LBA-sorted batch;
+  // only a partial head or tail block is read-modify-written.
   CoalescingStore coalesced(store);
   BlockMapper::Memo memo;
-  std::vector<uint8_t> buf(block_size_);
+  const auto* src = reinterpret_cast<const uint8_t*>(data.data());
+  std::vector<ConstBlockIoVec> extent;
+  extent.reserve(data.size() / block_size_ + 1);
+  std::vector<uint8_t> buf;
   size_t written = 0;
   while (written < data.size()) {
     uint64_t pos = offset + written;
@@ -180,15 +175,18 @@ Status FileIo::Write(Inode* inode, uint64_t offset, std::string_view data,
         uint64_t device_block,
         mapper_.MapOrAllocate(inode, block_idx, &coalesced, alloc,
                               inode_dirty, &memo));
-    if (take < block_size_) {
+    if (take == block_size_) {
+      extent.push_back({device_block, src + written});
+    } else {
       // Partial block: read-modify-write (block may hold older data).
+      buf.resize(block_size_);
       STEGFS_RETURN_IF_ERROR(coalesced.ReadBlock(device_block, buf.data()));
+      std::memcpy(buf.data() + in_block, src + written, take);
+      STEGFS_RETURN_IF_ERROR(coalesced.WriteBlock(device_block, buf.data()));
     }
-    std::memcpy(buf.data() + in_block, data.data() + written, take);
-    STEGFS_RETURN_IF_ERROR(coalesced.WriteBlock(device_block, buf.data()));
     written += take;
   }
-  STEGFS_RETURN_IF_ERROR(coalesced.Flush());
+  STEGFS_RETURN_IF_ERROR(coalesced.Flush(std::move(extent)));
   if (offset + data.size() > inode->size) {
     inode->size = offset + data.size();
     *inode_dirty = true;

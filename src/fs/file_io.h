@@ -1,6 +1,14 @@
 // Byte-granular file I/O over an inode: the read/write/truncate engine
 // shared by plain files, directories and (through an EncryptedBlockStore +
 // pool allocator) hidden files.
+//
+// FileIo is where a file extent becomes the store's (block, buffer) list,
+// and where that list is sorted by LBA: the stores, the cache and the
+// encrypted store's fan-out keep the order they are given. Every buffer in
+// the list points straight into the caller's bytes, apart from a partial
+// head or tail block, so a whole block is copied once between the caller
+// and the cache or the device (once into ciphertext staging, for a hidden
+// write).
 #ifndef STEGFS_FS_FILE_IO_H_
 #define STEGFS_FS_FILE_IO_H_
 
@@ -28,16 +36,18 @@ struct RedundancyIoCtx {
 
 // Per-extent redundancy hook: FileIo calls it inline on the batched
 // data path — after each vectored chunk read (verify + heal in place,
-// before byte assembly), after each write's coalesced flush (re-encode the
+// before a partial block's bytes are copied out), after each write's coalesced flush (re-encode the
 // touched stripes' parity), and after truncate (drop parity past the new
 // end). Implemented by core::RedundancyManager; null = policy kNone.
 class ExtentRedundancy {
  public:
   virtual ~ExtentRedundancy() = default;
 
-  // One mapped whole block of a read chunk: its file block index, the
-  // device block it mapped to, and its plaintext in the transfer buffer.
-  // A heal rewrites `data` in place so assembly picks up repaired bytes.
+  // One mapped block of a read chunk: its file block index, the device
+  // block it mapped to, and its plaintext: in the caller's buffer for a
+  // whole block, in a block-sized bounce buffer for a partial head or
+  // tail. A heal rewrites `data` in place, so the caller reads the
+  // repaired bytes.
   struct ReadBlockRef {
     uint64_t file_idx = 0;
     uint64_t device_block = 0;
@@ -81,12 +91,14 @@ class FileIo {
   }
 
   // Reads up to `n` bytes from `offset`; stops at end-of-file. Holes read
-  // as zeros. Appends to *out. The extent is resolved through the mapper
-  // first, then all mapped blocks transfer as vectored batches (at most
-  // kMaxBatchBlocks at a time) sorted ascending by device LBA — so a
-  // sequential extent reaches the device as coalesced runs, a
-  // random-placed hidden extent reaches the async backend as monotonic
-  // submissions, and the crypto layer sees pipelined batches either way.
+  // as zeros. Appends to *out, which grows once by the bytes read; on
+  // error *out is left as it was. The extent is resolved through the
+  // mapper first, then all mapped blocks transfer as vectored batches (at
+  // most kMaxBatchBlocks at a time) sorted ascending by device LBA, each
+  // whole block read (and decrypted) in place at its final position in
+  // *out. So a sequential extent reaches the device as coalesced runs, a
+  // random-placed hidden extent reaches the device as one ascending sweep
+  // per batch, and the crypto layer sees pipelined batches either way.
   Status Read(const Inode& inode, uint64_t offset, uint64_t n,
               BlockStore* store, std::string* out);
 
@@ -99,7 +111,10 @@ class FileIo {
                       bool* inode_dirty, std::string* out);
 
   // Writes `data` at `offset`, allocating blocks and growing inode->size as
-  // needed. Partial first/last blocks are read-modify-written.
+  // needed. Partial first/last blocks are read-modify-written. All blocks
+  // the write touches (data, partial and pointer blocks) reach the store
+  // as one batch sorted by LBA; whole data blocks go by reference into
+  // `data`.
   Status Write(Inode* inode, uint64_t offset, std::string_view data,
                BlockStore* store, BlockAllocator* alloc, bool* inode_dirty);
 
@@ -111,8 +126,11 @@ class FileIo {
 
   BlockMapper* mapper() { return &mapper_; }
 
-  // Upper bound on blocks per batch transfer (bounds staging memory:
-  // 256 blocks = 16 MB at the largest 64 KB block size).
+  // File blocks per read batch: the window of the LBA sort, so the device
+  // sees a long read as one ascending sweep per 256 blocks (the request
+  // order the paper-figure benches are pinned to). It also bounds a
+  // batch's mapping scratch and the life of its mapper memo. Reads stage
+  // nothing: the bytes land in the caller's buffer.
   static constexpr size_t kMaxBatchBlocks = 256;
 
  private:
@@ -121,6 +139,11 @@ class FileIo {
   Status ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
                   BlockStore* store, BlockAllocator* alloc, bool* inode_dirty,
                   std::string* out);
+  // Reads file bytes [offset, offset + n), all before end-of-file, into
+  // `dst`, which holds zeros where the file has holes.
+  Status ReadExtent(Inode* inode, uint64_t offset, uint64_t n, uint8_t* dst,
+                    BlockStore* store, BlockAllocator* alloc,
+                    bool* inode_dirty);
 
   // Hints the prefetcher at the next `readahead_` mapped file blocks
   // following `next_idx`.

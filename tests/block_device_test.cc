@@ -8,6 +8,7 @@
 #include "blockdev/file_block_device.h"
 #include "blockdev/mem_block_device.h"
 #include "blockdev/sim_disk.h"
+#include "blockdev/throttled_block_device.h"
 #include "tests/test_device.h"
 
 namespace stegfs {
@@ -201,6 +202,23 @@ TEST(MemBlockDeviceTest, DefaultVectoredFallbackTransfersAllBlocks) {
   // The fallback reports no batch-path counters.
   EXPECT_EQ(dev.device_metrics()->vectored_blocks.value(), 0u);
   EXPECT_EQ(dev.device_metrics()->coalesced_runs.value(), 0u);
+}
+
+// A throttled barrier is timed whole, its sleep included, in the exported
+// device sync histogram: after k syncs at latency L the histogram holds k
+// samples summing to at least k * L.
+TEST(ThrottledBlockDeviceTest, SyncHistogramCoversTheBarrier) {
+  MemBlockDevice mem(512, 16);
+  constexpr std::chrono::microseconds kLat(300);
+  constexpr uint64_t kSyncs = 5;
+  ThrottledBlockDevice dev(&mem, std::chrono::microseconds(0),
+                           std::chrono::microseconds(0), kLat);
+  ASSERT_EQ(dev.device_metrics(), mem.device_metrics());
+  for (uint64_t i = 0; i < kSyncs; ++i) ASSERT_TRUE(dev.Sync().ok());
+  const obs::HistogramSnapshot snap = dev.device_metrics()->sync_ns.Snapshot();
+  EXPECT_EQ(snap.count, kSyncs);
+  EXPECT_GE(snap.sum, kSyncs * 300'000u);
+  EXPECT_EQ(dev.device_metrics()->syncs.value(), kSyncs);
 }
 
 TEST(SimDiskTest, ForwardsDataAndAccumulatesTime) {

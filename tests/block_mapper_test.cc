@@ -30,14 +30,12 @@ class CountingStore : public BlockStore {
  public:
   explicit CountingStore(BlockStore* base) : base_(base) {}
   uint32_t block_size() const override { return base_->block_size(); }
-  Status ReadBlocks(const uint64_t* blocks, size_t n,
-                    uint8_t* out) override {
+  Status ReadBlocks(const BlockIoVec* iov, size_t n) override {
     reads += n;
-    return base_->ReadBlocks(blocks, n, out);
+    return base_->ReadBlocks(iov, n);
   }
-  Status WriteBlocks(const uint64_t* blocks, size_t n,
-                     const uint8_t* data) override {
-    return base_->WriteBlocks(blocks, n, data);
+  Status WriteBlocks(const ConstBlockIoVec* iov, size_t n) override {
+    return base_->WriteBlocks(iov, n);
   }
   uint64_t reads = 0;
 
