@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "crypto/keys.h"
+#include "util/coding.h"
 
 namespace stegfs {
 
@@ -66,6 +68,29 @@ Status HiddenObject::WriteHeaderImage(uint64_t at_block,
   std::vector<uint8_t> buf(vol_.layout.block_size);
   STEGFS_RETURN_IF_ERROR(image.EncodeTo(buf.data(), buf.size()));
   return store_.WriteBlock(at_block, buf.data());
+}
+
+std::optional<HiddenHeader> HiddenObject::NewerAnchorImage() const {
+  // The commit sequence must sit inside one 16-byte cell; it starts 4
+  // bytes into one for every block size that is a multiple of 16.
+  constexpr size_t kSeqInCell = (16 - kHeaderTrailerBytes % 16) % 16;
+  static_assert(kSeqInCell + 8 <= 16, "seq straddles two cells");
+  const size_t bs = vol_.layout.block_size;
+  std::vector<uint8_t> buf(bs);
+  if (!vol_.cache->Read(anchor_block_, buf.data()).ok()) return std::nullopt;
+  const crypto::CryptSpan span{anchor_block_, buf.data()};
+  const crypto::Sha256Digest expect =
+      crypto::FileSignature(AnchorName(physical_name_), access_key_);
+  uint8_t sig[sizeof(expect)];
+  crypter_.DecryptPrefix(&span, 1, sizeof(sig) / 16, sig);
+  if (std::memcmp(sig, expect.data(), sizeof(sig)) != 0) return std::nullopt;
+  uint8_t cell[16];
+  crypter_.DecryptCells(&span, 1, (bs - kHeaderTrailerBytes) / 16, 1, cell);
+  if (DecodeFixed64(cell + kSeqInCell) <= header_.seq) return std::nullopt;
+  crypter_.DecryptBlock(anchor_block_, buf.data(), bs);
+  auto image = HiddenHeader::DecodeFrom(buf.data(), bs);
+  if (!image.ok()) return std::nullopt;  // torn: the primary stands
+  return std::move(image).value();
 }
 
 void HiddenObject::AttachRedundancy() {
@@ -171,9 +196,9 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
   if (found.ok()) {
     obj->header_block_ = found->header_block;
     obj->last_probes_ = found->probes;
-    std::vector<uint8_t> buf(vol.layout.block_size);
-    STEGFS_RETURN_IF_ERROR(
-        obj->store_.ReadBlock(found->header_block, buf.data()));
+    // The walk's read is the header read: decrypt its ciphertext in place.
+    std::vector<uint8_t>& buf = found->ciphertext;
+    obj->crypter_.DecryptBlock(found->header_block, buf.data(), buf.size());
     auto decoded = HiddenHeader::DecodeFrom(buf.data(), buf.size());
     if (decoded.ok()) {
       obj->header_ = std::move(decoded).value();
@@ -188,27 +213,20 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
   }
 
   if (vol.durable) {
-    const auto anchor_sig =
-        crypto::FileSignature(AnchorName(physical_name), access_key);
     if (have_primary && obj->header_.partner != 0) {
       // Fast path: the primary names its anchor. If the anchor carries a
       // NEWER committed image, the crash hit between the anchor barrier
       // (the commit point) and the primary rewrite — adopt it and heal
       // the primary in place.
       obj->anchor_block_ = obj->header_.partner;
-      std::vector<uint8_t> abuf(vol.layout.block_size);
-      if (obj->store_.ReadBlock(obj->anchor_block_, abuf.data()).ok()) {
-        auto adec = HiddenHeader::DecodeFrom(abuf.data(), abuf.size());
-        if (adec.ok() && adec->signature == anchor_sig &&
-            adec->seq > obj->header_.seq) {
-          obj->header_ = std::move(adec).value();
-          obj->header_.signature =
-              crypto::FileSignature(physical_name, access_key);
-          obj->header_.partner = static_cast<uint32_t>(obj->anchor_block_);
-          STEGFS_RETURN_IF_ERROR(obj->WriteHeaderImage(
-              obj->header_block_, obj->header_.signature,
-              obj->header_.partner));
-        }
+      std::optional<HiddenHeader> newer = obj->NewerAnchorImage();
+      if (newer.has_value()) {
+        obj->header_ = std::move(*newer);
+        obj->header_.signature =
+            crypto::FileSignature(physical_name, access_key);
+        obj->header_.partner = static_cast<uint32_t>(obj->anchor_block_);
+        STEGFS_RETURN_IF_ERROR(obj->WriteHeaderImage(
+            obj->header_block_, obj->header_.signature, obj->header_.partner));
       }
     } else if (!have_primary) {
       // Primary torn or unlocatable: walk the salted anchor sequence.
@@ -222,9 +240,8 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
       }
       obj->anchor_block_ = afound->header_block;
       obj->last_probes_ = afound->probes;
-      std::vector<uint8_t> abuf(vol.layout.block_size);
-      STEGFS_RETURN_IF_ERROR(
-          obj->store_.ReadBlock(obj->anchor_block_, abuf.data()));
+      std::vector<uint8_t>& abuf = afound->ciphertext;
+      obj->crypter_.DecryptBlock(obj->anchor_block_, abuf.data(), abuf.size());
       STEGFS_ASSIGN_OR_RETURN(
           HiddenHeader aimg, HiddenHeader::DecodeFrom(abuf.data(),
                                                       abuf.size()));

@@ -20,6 +20,7 @@
 #include <array>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -209,6 +210,14 @@ class HiddenObject {
   // the encrypted store.
   Status WriteHeaderImage(uint64_t at_block, const std::array<uint8_t, 32>& sig,
                           uint32_t partner);
+  // A durable open's check of anchor_block_, which matters only when it
+  // holds a newer committed image than header_. Its ciphertext is read
+  // through the cache and only three cells are decrypted: the two
+  // signature cells and the trailer cell holding `seq`. The whole block
+  // is decrypted and checksummed only when the signature is the anchor's
+  // and seq is greater than header_.seq. nullopt (the primary stands)
+  // when the anchor is unreadable, foreign, not newer or torn.
+  std::optional<HiddenHeader> NewerAnchorImage() const;
 
   // Refills the pool to free_pool_max with random free blocks. Freshly
   // acquired blocks may hold stale plaintext (e.g. from a deleted plain

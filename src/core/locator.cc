@@ -127,6 +127,8 @@ StatusOr<LocateResult> HeaderLocator::FindHeader(
       LocateResult result;
       result.header_block = blocks[k];
       result.probes = probe_of[k];
+      const auto match = scratch.buf.begin() + k * layout_.block_size;
+      result.ciphertext.assign(match, match + layout_.block_size);
       return result;
     }
   }

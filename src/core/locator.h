@@ -25,6 +25,12 @@
 // small first window keeps a connect (~12 probes at 90% fill) cheap; the
 // doubling keeps a 10 000-candidate NotFound walk (an Open of a name that
 // does not exist, or a create under a caller-supplied key) at 43 batches.
+//
+// The walk's read is the header read: FindHeader returns the matched
+// block's ciphertext, and HiddenObject::Open decrypts the header from it.
+// On durable mounts Open then gates the anchor the header names on three
+// cells (DecryptCells: the two signature cells and the trailer cell that
+// holds `seq`), decrypting the whole anchor only when it is a newer image.
 #ifndef STEGFS_CORE_LOCATOR_H_
 #define STEGFS_CORE_LOCATOR_H_
 
@@ -62,6 +68,9 @@ class CandidateSequence {
 struct LocateResult {
   uint64_t header_block = 0;
   uint32_t probes = 0;  // candidates examined (for the A3 ablation)
+  // FindHeader only: the matched block's ciphertext, as the probe read it
+  // (empty from ClaimHeaderBlock).
+  std::vector<uint8_t> ciphertext;
 };
 
 // Volume-wide FindHeader instruments. They live in process memory only;
@@ -112,7 +121,8 @@ class HeaderLocator {
 
   // Finds an existing header by signature match. `crypter` must be keyed by
   // the same access key. NotFound after probe_limit candidates. The walk
-  // is a `locator.find` span.
+  // is a `locator.find` span. The result carries the header's ciphertext,
+  // so the caller decrypts it without reading the block again.
   StatusOr<LocateResult> FindHeader(const std::string& physical_name,
                                     const std::string& access_key,
                                     const crypto::BlockCrypter& crypter);

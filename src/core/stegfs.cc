@@ -333,6 +333,9 @@ StatusOr<std::shared_ptr<concurrency::SessionObject>> StegFs::AcquireConnected(
 
 Status StegFs::StegConnect(const std::string& uid, const std::string& objname,
                            const std::string& uak) {
+  // One subtree per connect: the UAK-directory open, the entry lookup and
+  // every object open, each with its `locator.find` walk.
+  obs::Span span(plain_->trace_recorder(), "hidden.connect", "hidden");
   auto session = sessions_.GetOrCreate(uid);
   std::lock_guard<std::mutex> ns_lock(session->ns_mu());
   STEGFS_ASSIGN_OR_RETURN(ResolvedEntry resolved,

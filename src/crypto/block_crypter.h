@@ -51,16 +51,22 @@ class BlockCrypter {
   void EncryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
   void DecryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
 
-  // Plaintext of the first `cells` 16-byte cells of each of n ciphertext
-  // blocks, without touching the rest: CBC gives P0 = D(C0) ^ IV and
-  // Pi = D(Ci) ^ C(i-1), so the prefix costs one ESSIV IV plus `cells`
-  // ECB cells per block, all in one pipelined pass each. `spans[i].data`
-  // is read only; `out` receives n * cells * 16 bytes, block after block.
-  // Equal to the first cells * 16 bytes of DecryptBlock. Timed under the
-  // decrypt histogram but not counted in blocks_decrypted — no whole
-  // block is decrypted. The locator checks header signatures with it.
+  // Plaintext of the 16-byte cells [first, first + cells) of each of n
+  // ciphertext blocks, without touching the rest: CBC gives
+  // P0 = D(C0) ^ IV and Pi = D(Ci) ^ C(i-1), so the range costs `cells`
+  // ECB cells per block in one pipelined pass, plus one ESSIV IV per
+  // block when it starts at cell 0. `spans[i].data` is read only; `out`
+  // receives n * cells * 16 bytes, block after block. Equal to the
+  // matching slice of DecryptBlock. Timed under the decrypt histogram but
+  // not counted in blocks_decrypted — no whole block is decrypted. The
+  // locator checks header signatures with the prefix form; a durable open
+  // reads a header anchor's signature and commit sequence with it.
+  void DecryptCells(const CryptSpan* spans, size_t n, size_t first,
+                    size_t cells, uint8_t* out) const;
   void DecryptPrefix(const CryptSpan* spans, size_t n, size_t cells,
-                     uint8_t* out) const;
+                     uint8_t* out) const {
+    DecryptCells(spans, n, 0, cells, out);
+  }
 
  private:
   void ComputeIv(uint64_t block_number, uint8_t iv[16]) const;

@@ -8,12 +8,16 @@
 //   - BlockCrypter::{Encrypt,Decrypt}Blocks must be bitwise identical to
 //     the per-block transforms on random batches with non-contiguous
 //     block numbers, including across tiers (encrypt on one, decrypt on
-//     the other).
+//     the other),
+//   - BlockCrypter::Decrypt{Prefix,Cells} must equal the matching slice
+//     of DecryptBlock.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "core/hidden_header.h"
 #include "crypto/aes.h"
 #include "crypto/aes_ref.h"
 #include "crypto/block_crypter.h"
@@ -258,6 +262,57 @@ TEST(CryptoTiersTest, DecryptPrefixIsTimedButNotCountedAsBlocks) {
   EXPECT_EQ(cm.blocks_decrypted.value(), blocks0);
   if (obs::MetricsEnabled()) {
     EXPECT_EQ(cm.decrypt_ns.count(), timed0 + 1);
+  }
+}
+
+// The cell-range form, where the chaining input is the ESSIV IV (cell 0)
+// or the ciphertext cell before the range (a middle cell, the header
+// trailer's cell, the last cell), on both tiers at 512 B and 4 KiB.
+TEST(CryptoTiersTest, DecryptCellsMatchesDecryptBlockSlice) {
+  Xoshiro rng(0xce11);
+  BlockCrypter bc("cells-key");
+  const uint64_t kBlocks[] = {3, 77777, 0, 4096123, 8191};
+  const size_t kN = sizeof(kBlocks) / sizeof(kBlocks[0]);
+  obs::CryptoMetrics& cm = obs::GlobalCryptoMetrics();
+
+  for (AesTier tier : kAllTiers) {
+    TierScope scope(tier);
+    if (!scope.active()) continue;
+    SCOPED_TRACE(AesTierName());
+    for (size_t size : {size_t{512}, size_t{4096}}) {
+      SCOPED_TRACE(size);
+      std::vector<uint8_t> cipher(kN * size);
+      rng.FillBytes(cipher.data(), cipher.size());
+      std::vector<uint8_t> plain = cipher;
+      for (size_t i = 0; i < kN; ++i) {
+        bc.DecryptBlock(kBlocks[i], plain.data() + i * size, size);
+      }
+      std::vector<CryptSpan> spans(kN);
+      for (size_t i = 0; i < kN; ++i) {
+        spans[i] = {kBlocks[i], cipher.data() + i * size};
+      }
+      const std::vector<uint8_t> before = cipher;
+      const size_t last = size / 16 - 1;
+      const size_t trailer = (size - kHeaderTrailerBytes) / 16;
+      const std::pair<size_t, size_t> kRanges[] = {
+          {0, 1}, {0, 2}, {size / 32, 1}, {size / 32 - 1, 3}, {trailer, 1},
+          {trailer, 2}, {last, 1}};
+      for (const auto& [first, cells] : kRanges) {
+        SCOPED_TRACE(testing::Message() << "cells " << first << "+" << cells);
+        std::vector<uint8_t> got(kN * cells * 16);
+        const uint64_t blocks0 = cm.blocks_decrypted.value();
+        bc.DecryptCells(spans.data(), kN, first, cells, got.data());
+        EXPECT_EQ(cm.blocks_decrypted.value(), blocks0);
+        for (size_t i = 0; i < kN; ++i) {
+          EXPECT_EQ(std::memcmp(got.data() + i * cells * 16,
+                                plain.data() + i * size + first * 16,
+                                cells * 16),
+                    0)
+              << "block " << kBlocks[i];
+        }
+        EXPECT_EQ(cipher, before);  // the ciphertext is only read
+      }
+    }
   }
 }
 

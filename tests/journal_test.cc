@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,12 +20,16 @@
 #include "blockdev/mem_block_device.h"
 #include "cache/buffer_cache.h"
 #include "core/hidden_header.h"
+#include "core/hidden_object.h"
 #include "core/stegfs.h"
+#include "crypto/block_crypter.h"
 #include "fs/plain_fs.h"
 #include "journal/journal.h"
 #include "journal/recovery.h"
+#include "obs/metrics.h"
 #include "tests/crash_harness.h"
 #include "tests/test_device.h"
+#include "util/coding.h"
 
 namespace stegfs {
 namespace {
@@ -378,6 +383,150 @@ TEST(DurableHiddenTest, DualHeaderCommitAndAnchorRecovery) {
   auto content = (*reopened)->ReadAll();
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, "payload v1");
+}
+
+// A durable mount with one committed hidden object, for the open-path
+// tests below. The object holds kV1 after its first commit and kV2 after
+// its second.
+class DurableOpenTest : public ::testing::Test {
+ protected:
+  static constexpr char kV1[] = "payload v1";
+  static constexpr char kV2[] = "payload v2, longer";
+
+  void SetUp() override {
+    StegFormatOptions fmt;
+    fmt.journal_blocks = 16;
+    fmt.params.dummy_file_count = 2;
+    fmt.params.dummy_file_avg_bytes = 2048;
+    ASSERT_TRUE(StegFs::Format(&dev_, fmt).ok());
+    StegFsOptions opts;
+    opts.mount.durability = Durability::kJournal;
+    auto fs = StegFs::Mount(&dev_, opts);
+    ASSERT_TRUE(fs.ok());
+    fs_ = std::move(fs).value();
+    vol_ = fs_->VolumeCtx();
+    ASSERT_TRUE(vol_.durable);
+    name_ = std::string("alice") + '\0' + "secret";
+    auto obj = HiddenObject::Create(vol_, name_, kKey, HiddenType::kFile);
+    ASSERT_TRUE(obj.ok());
+    primary_ = (*obj)->header_block();
+    anchor_ = (*obj)->anchor_block();
+    ASSERT_NE(anchor_, 0u);
+    ASSERT_TRUE((*obj)->Write(0, kV1).ok());
+    ASSERT_TRUE((*obj)->Sync().ok());
+    ASSERT_TRUE(fs_->plain()->cache()->Flush().ok());
+    v1_primary_ = RawBlock(primary_);
+    ASSERT_TRUE((*obj)->Write(0, kV2).ok());
+    ASSERT_TRUE((*obj)->Sync().ok());
+    ASSERT_TRUE(fs_->plain()->cache()->Flush().ok());
+  }
+
+  std::vector<uint8_t> RawBlock(uint64_t b) {
+    const std::vector<uint8_t>& raw = *dev_.mutable_raw();
+    return std::vector<uint8_t>(raw.begin() + b * kBs,
+                                raw.begin() + (b + 1) * kBs);
+  }
+  void PutRawBlock(uint64_t b, const std::vector<uint8_t>& bytes) {
+    std::copy(bytes.begin(), bytes.end(),
+              dev_.mutable_raw()->begin() + b * kBs);
+  }
+  // Decrypts and decodes the header image at `b` on the device.
+  StatusOr<HiddenHeader> DeviceHeader(uint64_t b) {
+    std::vector<uint8_t> buf = RawBlock(b);
+    crypto::BlockCrypter(kKey).DecryptBlock(b, buf.data(), buf.size());
+    return HiddenHeader::DecodeFrom(buf.data(), buf.size());
+  }
+  // The state a crash between the anchor barrier and the primary rewrite
+  // leaves: the anchor holds the kV2 commit, the primary the kV1 one.
+  void RollBackPrimary() {
+    PutRawBlock(primary_, v1_primary_);
+    fs_->plain()->cache()->DropAll();
+    auto p = DeviceHeader(primary_);
+    auto a = DeviceHeader(anchor_);
+    ASSERT_TRUE(p.ok());
+    ASSERT_TRUE(a.ok());
+    ASSERT_GT(a->seq, p->seq);
+    ASSERT_EQ(p->size, sizeof(kV1) - 1);
+  }
+
+  static constexpr char kKey[] = "key";
+  MemBlockDevice dev_{kBs, 8192};
+  std::unique_ptr<StegFs> fs_;
+  HiddenVolume vol_;
+  std::string name_;
+  uint64_t primary_ = 0;
+  uint64_t anchor_ = 0;
+  std::vector<uint8_t> v1_primary_;
+};
+
+TEST_F(DurableOpenTest, NewerAnchorIsAdoptedAndHealsThePrimary) {
+  RollBackPrimary();
+  const uint64_t anchor_seq = DeviceHeader(anchor_)->seq;
+  {
+    auto obj = HiddenObject::Open(vol_, name_, kKey);
+    ASSERT_TRUE(obj.ok());
+    EXPECT_EQ((*obj)->header_block(), primary_);
+    EXPECT_EQ((*obj)->anchor_block(), anchor_);
+    auto content = (*obj)->ReadAll();
+    ASSERT_TRUE(content.ok());
+    EXPECT_EQ(*content, kV2);
+  }
+  // Healed in place: the primary now carries the anchor's commit.
+  ASSERT_TRUE(fs_->plain()->cache()->Flush().ok());
+  auto healed = DeviceHeader(primary_);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_EQ(healed->seq, anchor_seq);
+  EXPECT_EQ(healed->size, sizeof(kV2) - 1);
+  EXPECT_EQ(healed->partner, anchor_);
+}
+
+TEST_F(DurableOpenTest, TornNewerAnchorFailsTheFullDecodeAndThePrimaryStays) {
+  RollBackPrimary();
+  const uint64_t primary_seq = DeviceHeader(primary_)->seq;
+  // Corrupt ciphertext cells in the middle of the anchor. CBC carries a
+  // cell's damage into the next cell's plaintext only, so the signature
+  // cells (0, 1) and the trailer cell (kBs / 16 - 2) still decrypt clean:
+  // the cheap gate passes and only the checksum can reject the image.
+  const std::vector<uint8_t> intact = RawBlock(anchor_);
+  std::vector<uint8_t> torn = intact;
+  for (size_t i = 8 * 16; i < (kBs / 16 - 8) * 16; ++i) torn[i] ^= 0x5a;
+  PutRawBlock(anchor_, torn);
+  // The gate's three cells: two signature cells, then the trailer cell
+  // with seq 4 bytes in.
+  auto gate_cells = [&](std::vector<uint8_t> block) {
+    crypto::BlockCrypter crypter(kKey);
+    const crypto::CryptSpan span{anchor_, block.data()};
+    std::vector<uint8_t> cells(48);
+    crypter.DecryptPrefix(&span, 1, 2, cells.data());
+    crypter.DecryptCells(&span, 1, (kBs - kHeaderTrailerBytes) / 16, 1,
+                         cells.data() + 32);
+    return cells;
+  };
+  const std::vector<uint8_t> cells = gate_cells(torn);
+  ASSERT_EQ(cells, gate_cells(intact));
+  ASSERT_GT(DecodeFixed64(cells.data() + 32 + 4), primary_seq);
+  ASSERT_TRUE(DeviceHeader(anchor_).status().IsCorruption());
+
+  {
+    auto obj = HiddenObject::Open(vol_, name_, kKey);
+    ASSERT_TRUE(obj.ok());
+    EXPECT_EQ((*obj)->size(), sizeof(kV1) - 1);
+  }
+  ASSERT_TRUE(fs_->plain()->cache()->Flush().ok());
+  EXPECT_EQ(RawBlock(primary_), v1_primary_);  // kept, not rewritten
+}
+
+TEST_F(DurableOpenTest, CleanOpenDecryptsOneWholeBlock) {
+  fs_->plain()->cache()->DropAll();
+  const obs::Counter& decrypted = obs::GlobalCryptoMetrics().blocks_decrypted;
+  const uint64_t before = decrypted.value();
+  auto obj = HiddenObject::Open(vol_, name_, kKey);
+  ASSERT_TRUE(obj.ok());
+  // The primary, decrypted from the walk's ciphertext; the anchor (same
+  // seq) is settled by its signature and trailer cells alone.
+  EXPECT_EQ(decrypted.value() - before, 1u);
+  EXPECT_EQ((*obj)->anchor_block(), anchor_);
+  EXPECT_EQ((*obj)->size(), sizeof(kV2) - 1);
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // The stegtrace span recorder: ring wraparound accounting, thread-local
 // nesting, the cross-thread continuation hand-off (exactly one root span
 // per operation even when completions race on other threads), Chrome
-// trace-event export, and the slow-op tree dump.
+// trace-event export, the slow-op tree dump, and the span trees of a
+// hidden connect and of the encrypted store's engine path.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <iterator>
 #include <map>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "blockdev/thread_pool_async_device.h"
 #include "blockdev/throttled_block_device.h"
 #include "cache/buffer_cache.h"
+#include "core/stegfs.h"
 #include "fs/block_store.h"
 
 namespace stegfs {
@@ -286,6 +289,61 @@ TEST(TraceSpanTest, EnginePathCryptoSpansSitInTheOpTree) {
   EXPECT_GT(reads, 0u);
   EXPECT_GT(worker_reads, 0u) << "no chunk read on an engine worker";
   EXPECT_GT(writes, 0u);
+}
+
+// Each StegConnect is one `hidden.connect` subtree: the UAK-directory
+// open, the entry lookup and the object open all sit under its root, so
+// both header walks (`locator.find`, one per open) are in its tree.
+TEST(TraceSpanTest, ConnectIsOneSubtreeHoldingItsHeaderWalks) {
+  MemBlockDevice dev(512, 4096);
+  StegFormatOptions fmt;
+  fmt.params.dummy_file_count = 2;
+  fmt.params.dummy_file_avg_bytes = 2048;
+  ASSERT_TRUE(StegFs::Format(&dev, fmt).ok());
+  auto fs = StegFs::Mount(&dev, StegFsOptions());
+  ASSERT_TRUE(fs.ok());
+  const char* kObjs[] = {"a", "b", "c"};
+  for (const char* obj : kObjs) {
+    ASSERT_TRUE((*fs)->StegCreate("alice", obj, "uak", HiddenType::kFile)
+                    .ok());
+  }
+
+  TraceRecorder* rec = (*fs)->plain()->trace_recorder();
+  rec->Clear();
+  rec->Start();
+  for (const char* obj : kObjs) {
+    ASSERT_TRUE((*fs)->StegConnect("alice", obj, "uak").ok());
+  }
+  rec->Stop();
+
+  std::vector<TraceEvent> events = rec->Events();
+  EXPECT_EQ(rec->dropped(), 0u);
+  std::map<uint64_t, const TraceEvent*> by_span;
+  std::map<uint64_t, const TraceEvent*> root_of_op;
+  for (const TraceEvent& ev : events) {
+    by_span[ev.span_id] = &ev;
+    if (ev.parent_span == 0) {
+      EXPECT_STREQ(ev.name, "hidden.connect");
+      EXPECT_EQ(root_of_op.count(ev.op_id), 0u) << "second root";
+      root_of_op[ev.op_id] = &ev;
+    }
+  }
+  EXPECT_EQ(root_of_op.size(), std::size(kObjs));
+  std::map<uint64_t, int> walks_of_op;
+  for (const TraceEvent& ev : events) {
+    ASSERT_EQ(root_of_op.count(ev.op_id), 1u) << ev.name << " outside";
+    const TraceEvent* at = &ev;
+    for (int hops = 0; hops < 16 && at->parent_span != 0; ++hops) {
+      auto parent = by_span.find(at->parent_span);
+      ASSERT_NE(parent, by_span.end()) << ev.name << " lost its parent";
+      at = parent->second;
+    }
+    EXPECT_EQ(at, root_of_op[ev.op_id]) << ev.name << " off the tree";
+    if (std::string(ev.name) == "locator.find") ++walks_of_op[ev.op_id];
+  }
+  for (const auto& [op, root] : root_of_op) {
+    EXPECT_EQ(walks_of_op[op], 2) << "UAK directory and object walks";
+  }
 }
 
 }  // namespace
